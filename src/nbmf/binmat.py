@@ -1,10 +1,16 @@
 """Binary matrix storage, coordinate-file I/O, and seeded observation splits.
 
-A dataset is an M-by-N grid of {0,1} values stored sparsely as the set of
-coordinates holding a 1; every cell not listed is an observed 0, not a
-missing value.  Missingness is expressed separately through
-:class:`ObservationMask` objects, so the same matrix can be trained and
-scored on disjoint subsets of its cells (matrix completion).
+A dataset is an M-by-N grid of {0,1} values stored sparsely by the cells
+holding a 1; every cell not listed is an observed 0, not a missing value.
+Missingness is expressed separately through :class:`ObservationMask`
+objects, so the same matrix can be trained and scored on disjoint subsets of
+its cells (matrix completion).
+
+Both types store their cells as one sorted, duplicate-free, read-only
+``int64`` array of linear indices ``row * n_cols + col`` (the ``linear``
+attribute).  Parsing, writing, splitting, densifying and scoring all work on
+that array; the ``ones`` and ``cells`` frozensets of ``(row, col)`` tuples
+are views built on demand for callers that want Python sets.
 
 All types here are immutable after construction and safe to share across
 threads; the operations are pure functions of their arguments.
@@ -13,6 +19,7 @@ threads; the operations are pure functions of their arguments.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,40 +44,116 @@ __all__ = [
     "density",
 ]
 
-
-def _check_coords(cells, n_rows, n_cols, what):
-    for (r, c) in cells:
-        if not (0 <= r < n_rows and 0 <= c < n_cols):
-            raise BoundsError(
-                f"{what} ({r}, {c}) outside a {n_rows}x{n_cols} grid"
-            )
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
-    """An M-by-N matrix over {0,1}, stored as the coordinate set of its ones."""
+def _linear_from_pairs(pairs, n_rows, n_cols, what):
+    """Sorted unique linear indices of an iterable of (row, col) pairs."""
+    coords = np.asarray(list(pairs))
+    if coords.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if coords.ndim != 2 or coords.shape[1] != 2:
+        raise ValueError(f"each {what} must be a (row, col) pair")
+    if coords.dtype.kind not in "iu":
+        raise ValueError(f"{what} indices must be integers")
+    rows, cols = coords[:, 0], coords[:, 1]
+    outside = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
+    if outside.any():
+        r, c = coords[np.argmax(outside)].tolist()
+        raise BoundsError(f"{what} ({r}, {c}) outside a {n_rows}x{n_cols} grid")
+    return np.unique(rows.astype(np.int64) * n_cols + cols.astype(np.int64))
 
-    n_rows: int
-    n_cols: int
-    ones: frozenset
 
-    def __post_init__(self):
-        if self.n_rows < 0 or self.n_cols < 0:
-            raise DimensionError("matrix shape must be nonnegative")
-        object.__setattr__(self, "ones", frozenset(self.ones))
-        _check_coords(self.ones, self.n_rows, self.n_cols, "coordinate")
+class _CellGrid:
+    """An M-by-N shape plus the sorted linear indices of the cells it holds."""
+
+    __slots__ = ("n_rows", "n_cols", "linear")
+
+    def __init__(self, n_rows, n_cols, cells):
+        n_rows, n_cols = operator.index(n_rows), operator.index(n_cols)
+        if n_rows < 0 or n_cols < 0:
+            raise DimensionError(f"{self._kind} shape must be nonnegative")
+        if n_rows * n_cols > _INT64_MAX:
+            raise DimensionError(f"a {n_rows}x{n_cols} grid has too many cells")
+        self._set(n_rows, n_cols, _linear_from_pairs(cells, n_rows, n_cols, self._what))
+
+    @classmethod
+    def _from_linear(cls, n_rows, n_cols, linear):
+        """Wrap indices already known to be sorted, unique and in bounds."""
+        self = object.__new__(cls)
+        self._set(n_rows, n_cols, np.asarray(linear, dtype=np.int64))
+        return self
+
+    def _set(self, n_rows, n_cols, linear):
+        linear.flags.writeable = False
+        object.__setattr__(self, "n_rows", n_rows)
+        object.__setattr__(self, "n_cols", n_cols)
+        object.__setattr__(self, "linear", linear)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self)._from_linear, (self.n_rows, self.n_cols, self.linear))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self.linear, other.linear)
+
+    def __hash__(self):
+        return hash((type(self), self.shape, self.linear.tobytes()))
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(n_rows={self.n_rows}, "
+                f"n_cols={self.n_cols}, n_cells={self.linear.size})")
 
     @property
     def shape(self):
         return (self.n_rows, self.n_cols)
 
+    def _pairs(self):
+        if self.linear.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy()
+        return np.divmod(self.linear, self.n_cols)
+
+    def _pair_set(self):
+        rows, cols = self._pairs()
+        return frozenset(zip(rows.tolist(), cols.tolist()))
+
+    def _dense(self, dtype, fill):
+        dense = np.zeros(self.n_rows * self.n_cols, dtype=dtype)
+        dense[self.linear] = fill
+        return dense.reshape(self.shape)
+
+
+class BinaryMatrix(_CellGrid):
+    """An M-by-N matrix over {0,1}, stored as the linear indices of its ones.
+
+    ``BinaryMatrix(n_rows, n_cols, ones)`` takes an iterable of ``(row, col)``
+    pairs; repeated pairs collapse into one cell.
+    """
+
+    __slots__ = ()
+    _kind = "matrix"
+    _what = "coordinate"
+
+    def __init__(self, n_rows, n_cols, ones):
+        super().__init__(n_rows, n_cols, ones)
+
+    @property
+    def ones(self):
+        """The 1-cells as a frozenset of ``(row, col)`` tuples (built per call)."""
+        return self._pair_set()
+
+    def ones_at(self, mask):
+        """Boolean array: whether each cell of ``mask``, in sorted order, is a 1."""
+        return np.isin(mask.linear, self.linear, assume_unique=True)
+
     def to_dense(self):
         """Return a fresh float64 array of 0.0/1.0 values."""
-        dense = np.zeros((self.n_rows, self.n_cols))
-        if self.ones:
-            rows, cols = zip(*sorted(self.ones))
-            dense[np.array(rows), np.array(cols)] = 1.0
-        return dense
+        return self._dense(float, 1.0)
 
     @classmethod
     def from_dense(cls, array):
@@ -80,50 +163,48 @@ class BinaryMatrix:
         values = array.astype(float)
         if not np.isin(values, (0.0, 1.0)).all():
             raise ValueError("entries must be 0 or 1")
-        rows, cols = np.nonzero(values)
-        coords = frozenset(zip(rows.tolist(), cols.tolist()))
-        return cls(array.shape[0], array.shape[1], coords)
+        return cls._from_linear(array.shape[0], array.shape[1], np.flatnonzero(values))
 
 
-@dataclass(frozen=True)
-class ObservationMask:
-    """The set of (row, col) cells visible to one phase (train/val/test)."""
+class ObservationMask(_CellGrid):
+    """The cells visible to one phase (train/val/test), as linear indices.
 
-    n_rows: int
-    n_cols: int
-    cells: frozenset
+    ``ObservationMask(n_rows, n_cols, cells)`` takes an iterable of
+    ``(row, col)`` pairs; repeated pairs collapse into one cell.
+    """
 
-    def __post_init__(self):
-        if self.n_rows < 0 or self.n_cols < 0:
-            raise DimensionError("mask shape must be nonnegative")
-        object.__setattr__(self, "cells", frozenset(self.cells))
-        _check_coords(self.cells, self.n_rows, self.n_cols, "mask cell")
+    __slots__ = ()
+    _kind = "mask"
+    _what = "mask cell"
+
+    def __init__(self, n_rows, n_cols, cells):
+        super().__init__(n_rows, n_cols, cells)
 
     @property
-    def shape(self):
-        return (self.n_rows, self.n_cols)
+    def cells(self):
+        """The member cells as a frozenset of ``(row, col)`` tuples (built per call)."""
+        return self._pair_set()
 
     @property
     def n_cells(self):
-        return len(self.cells)
+        return self.linear.size
 
     def indices(self):
         """Row and column index arrays in sorted cell order.
 
         The fixed order makes every reduction over the mask deterministic.
         """
-        if not self.cells:
-            empty = np.array([], dtype=int)
-            return empty, empty.copy()
-        rows, cols = zip(*sorted(self.cells))
-        return np.array(rows), np.array(cols)
+        return self._pairs()
+
+    def shared_cells(self, other):
+        """How many cells this mask and ``other`` both hold."""
+        if other.shape != self.shape:
+            raise DimensionError(f"mask shapes differ: {self.shape} and {other.shape}")
+        return np.intersect1d(self.linear, other.linear, assume_unique=True).size
 
     def to_dense(self):
         """Return a fresh boolean membership array."""
-        dense = np.zeros((self.n_rows, self.n_cols), dtype=bool)
-        rows, cols = self.indices()
-        dense[rows, cols] = True
-        return dense
+        return self._dense(bool, True)
 
 
 @dataclass(frozen=True)
@@ -182,16 +263,16 @@ def split_observations(matrix, spec):
     n_train = math.floor(spec.train_frac * total)
     n_val = math.floor(spec.val_frac * total)
 
-    def mask_from(flat):
-        cells = frozenset(
-            (int(i) // n_cols, int(i) % n_cols) for i in flat
-        )
-        return ObservationMask(n_rows, n_cols, cells)
-
-    train = mask_from(order[:n_train])
-    val = mask_from(order[n_train:n_train + n_val])
-    test = mask_from(order[n_train + n_val:])
-    return train, val, test
+    # Label every cell by the slice of the shuffle it falls in; reading the
+    # labels back in cell order gives each mask already sorted.
+    phase = np.empty(total, dtype=np.int8)
+    phase[order[:n_train]] = 0
+    phase[order[n_train:n_train + n_val]] = 1
+    phase[order[n_train + n_val:]] = 2
+    return tuple(
+        ObservationMask._from_linear(n_rows, n_cols, np.flatnonzero(phase == k))
+        for k in range(3)
+    )
 
 
 def density(matrix):
@@ -199,7 +280,7 @@ def density(matrix):
     total = matrix.n_rows * matrix.n_cols
     if total == 0:
         raise DimensionError("density of an empty matrix is undefined")
-    return len(matrix.ones) / total
+    return matrix.linear.size / total
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +290,18 @@ def density(matrix):
 # blank lines are ignored.  The first data line is "M N"; each further data
 # line is "row col" (0-based) naming a cell that holds a 1 (for a matrix) or
 # belongs to the mask (for a mask).
+#
+# Files are parsed by a vectorised reader that accepts only the plain form
+# (ASCII digits, spaces, LF or CRLF, comment lines starting at the line's
+# first non-space byte) and only when every check passes.  Anything else goes
+# to the line-by-line scanner, which defines the format: it either reads the
+# file or raises an error naming the offending line.
 # ---------------------------------------------------------------------------
 
+_DIGIT0, _SPACE, _NEWLINE = ord("0"), ord(" "), ord("\n")
 
-def _read_coords(path):
+
+def _scan_coords(path):
     shape = None
     coords = []
     seen = set()
@@ -249,30 +338,116 @@ def _read_coords(path):
     return shape, coords
 
 
-def _write_coords(path, shape, coords):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"{shape[0]} {shape[1]}\n")
-        for (r, c) in sorted(coords):
-            handle.write(f"{r} {c}\n")
+def _parse_plain(raw):
+    """``(shape, linear)`` of a plain, valid file; None if the scanner must read it."""
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+        if b"\r" in raw:
+            return None
+    if b"#" in raw:
+        raw = b"\n".join(
+            b"" if line.lstrip(b" ").startswith(b"#") else line
+            for line in raw.split(b"\n")
+        )
+    # Newline padding puts a non-digit before the first and after the last
+    # token; it adds no line that holds a token.
+    buf = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
+    is_digit = (buf >= _DIGIT0) & (buf <= _DIGIT0 + 9)
+    is_newline = buf == _NEWLINE
+    if not (is_digit | is_newline | (buf == _SPACE)).all():
+        return None
+
+    starts = np.flatnonzero(is_digit[1:] > is_digit[:-1]) + 1
+    widths = np.flatnonzero(is_digit[:-1] > is_digit[1:]) + 1 - starts
+    if starts.size < 2 or widths.max() > 18:
+        return None
+    # Every line holds zero or two tokens: no newline between the tokens of
+    # a pair, at least one between a pair and the next.  (An odd count fails
+    # too: its last token opens a pair, and the padding newline follows it.)
+    newlines_to_next = np.add.reduceat(is_newline, starts, dtype=np.intp)
+    if newlines_to_next[0::2].any() or not newlines_to_next[1:-1:2].all():
+        return None
+
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(widths.max())):
+        live = widths > k
+        values[live] = values[live] * 10 + (buf[starts[live] + k] - _DIGIT0)
+    n_rows, n_cols = values[:2].tolist()
+    if n_rows * n_cols > _INT64_MAX:
+        return None
+    rows, cols = values[2::2], values[3::2]
+    if (rows >= n_rows).any() or (cols >= n_cols).any():
+        return None
+    linear = np.sort(rows * n_cols + cols)
+    if (linear[1:] == linear[:-1]).any():
+        return None
+    return (n_rows, n_cols), linear
+
+
+def _read_coords(path, cls):
+    with open(path, "rb") as handle:
+        parsed = _parse_plain(handle.read())
+    if parsed is None:
+        shape, coords = _scan_coords(path)
+        return cls(shape[0], shape[1], coords)
+    return cls._from_linear(*parsed[0], parsed[1])
+
+
+def _decimal_width(values):
+    width = np.ones(values.shape, dtype=np.int64)
+    power = 10
+    while power <= values.max(initial=0):
+        width += values >= power
+        power *= 10
+    return width
+
+
+def _put_digits(out, values, width, last):
+    """Write each value's decimal digits into ``out``, ending at ``last``."""
+    rest = values.copy()
+    for k in range(int(width.max(initial=0))):
+        live = width > k
+        out[last[live] - k] = _DIGIT0 + rest[live] % 10
+        rest //= 10
+
+
+def _write_coords(path, grid):
+    """Write the header and one "row col" line per cell, in sorted order."""
+    rows, cols = grid._pairs()
+    row_width, col_width = _decimal_width(rows), _decimal_width(cols)
+    line_end = np.cumsum(row_width + col_width + 2)
+    body = np.empty(line_end[-1] if line_end.size else 0, dtype=np.uint8)
+    col_last = line_end - 2
+    row_last = col_last - col_width - 1
+    body[row_last + 1] = _SPACE
+    body[line_end - 1] = _NEWLINE
+    _put_digits(body, rows, row_width, row_last)
+    _put_digits(body, cols, col_width, col_last)
+    with open(path, "wb") as handle:
+        handle.write(f"{grid.n_rows} {grid.n_cols}\n".encode("ascii"))
+        handle.write(body.tobytes())
 
 
 def load_coordinate_file(path):
     """Read a :class:`BinaryMatrix` from the coordinate text format."""
-    shape, coords = _read_coords(path)
-    return BinaryMatrix(shape[0], shape[1], frozenset(coords))
+    return _read_coords(path, BinaryMatrix)
 
 
 def save_coordinate_file(matrix, path):
     """Write a :class:`BinaryMatrix` in the coordinate text format."""
-    _write_coords(path, matrix.shape, matrix.ones)
+    _write_coords(path, matrix)
 
 
 def load_mask(path):
     """Read an :class:`ObservationMask` from the coordinate text format."""
-    shape, coords = _read_coords(path)
-    return ObservationMask(shape[0], shape[1], frozenset(coords))
+    return _read_coords(path, ObservationMask)
 
 
 def save_mask(mask, path):
     """Write an :class:`ObservationMask` in the coordinate text format."""
-    _write_coords(path, mask.shape, mask.cells)
+    _write_coords(path, mask)

@@ -26,7 +26,8 @@ from .errors import ConfigError, DimensionError, NbmfError
 from .evaluate import completion_report, predict_from_factors
 from .io import H_FILE, META_FILE, W_FILE, read_factors, write_factors, write_report
 from .solver import BetaPrior, FitConfig, fit
-from .tune import GridResult, GridSpec, export_heatmap, grid_search, test_evaluation
+from .tune import GridResult, GridSpec, append_csv_row, export_heatmap, grid_search, \
+    test_evaluation
 
 __all__ = ["main", "RunConfig", "load_run_config"]
 
@@ -285,30 +286,43 @@ def cmd_eval(config):
     return 0
 
 
+def _read_partial_rows(path):
+    """Rows checkpointed by an interrupted tune, or () when there are none.
+
+    Rows are appended one line at a time, so an interrupted append leaves a
+    last line without its newline.  That line is cut from the file, and its
+    grid point is fitted again.
+    """
+    if not path.is_file():
+        return ()
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        print(f"dropping the torn last line of {path.name}")
+        if complete == 0:
+            path.unlink()
+            return ()
+        os.truncate(path, complete)
+    try:
+        rows = GridResult.from_csv(path).rows
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(
+            f"cannot resume from {path}: malformed row ({exc}); remove the file "
+            "to start the search over"
+        ) from None
+    print(f"resuming: {len(rows)} grid rows found in {path.name}")
+    return rows
+
+
 def cmd_tune(config, n_jobs):
     Y, train, val, test = _split_dataset(config)
     with _output_lock(config.out_dir):
         partial_path = config.out_dir / GRID_PARTIAL_CSV
-        resume_rows = ()
-        if partial_path.is_file():
-            resume_rows = GridResult.from_csv(partial_path).rows
-            print(f"resuming: {len(resume_rows)} grid rows found in {partial_path.name}")
+        resume_rows = _read_partial_rows(partial_path)
         total = len(config.grid.points())
 
         def on_row(row):
-            fresh = not partial_path.is_file()
-            with open(partial_path, "a", encoding="utf-8", newline="\n") as handle:
-                if fresh:
-                    handle.write(
-                        "rank,alpha,beta,restart_seed,val_perplexity,"
-                        "test_perplexity,n_iter,converged,wall_time\n"
-                    )
-                val_cell = "" if row.val_perplexity is None else repr(row.val_perplexity)
-                handle.write(
-                    f"{row.rank},{row.alpha!r},{row.beta!r},{row.restart_seed},"
-                    f"{val_cell},,{row.n_iter},"
-                    f"{'true' if row.converged else 'false'},{row.wall_time!r}\n"
-                )
+            append_csv_row(partial_path, row)
             shown = "failed" if row.val_perplexity is None \
                 else f"{row.val_perplexity:.6f}"
             print(
@@ -388,6 +402,23 @@ def cmd_report(out_dir):
     return 0
 
 
+def _job_count(flag):
+    """Worker threads from ``--jobs``, else ``$NBMF_JOBS``, else 1."""
+    if flag is not None:
+        source, text = "--jobs", flag
+    elif JOBS_ENV_VAR in os.environ:
+        source, text = f"${JOBS_ENV_VAR}", os.environ[JOBS_ENV_VAR]
+    else:
+        return 1
+    try:
+        n_jobs = int(text)
+    except ValueError:
+        n_jobs = 0
+    if n_jobs < 1:
+        raise ConfigError(f"{source} must be an integer >= 1, got {text!r}")
+    return n_jobs
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="nbmf",
@@ -404,8 +435,12 @@ def _build_parser():
                              help="override the configured seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
         if name == "tune":
-            cmd.add_argument("--jobs", type=int, default=None,
-                             help=f"worker threads (default ${JOBS_ENV_VAR} or 1)")
+            cmd.add_argument(
+                "--jobs", default=None,
+                help=f"worker threads (default ${JOBS_ENV_VAR} or 1); while "
+                     "they run, numpy's OpenBLAS is held to about cpus / jobs "
+                     "threads",
+            )
     return parser
 
 
@@ -422,9 +457,7 @@ def main(argv=None):
             return cmd_fit(config)
         if args.command == "eval":
             return cmd_eval(config)
-        n_jobs = args.jobs if args.jobs is not None \
-            else int(os.environ.get(JOBS_ENV_VAR, "1"))
-        return cmd_tune(config, max(1, n_jobs))
+        return cmd_tune(config, _job_count(args.jobs))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

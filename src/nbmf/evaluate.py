@@ -57,7 +57,7 @@ def perplexity(Y, mask, pred):
     p = pred[rows, cols]
     if p.min() < 0.0 or p.max() > 1.0:
         raise NumericalError("predictions must lie in [0, 1]")
-    is_one = Y.to_dense()[rows, cols] == 1.0
+    is_one = Y.ones_at(mask)
     with np.errstate(divide="ignore"):
         loglik = np.where(is_one, np.log(p), np.log1p(-p))
     if not np.isfinite(loglik).all():
@@ -105,9 +105,8 @@ class MaskReport:
 
 def _mask_report(Y, mask, pred):
     score = perplexity(Y, mask, pred)
-    rows, cols = mask.indices()
-    truth = Y.to_dense()[rows, cols] == 1.0
-    positive = np.asarray(pred)[rows, cols] >= 0.5
+    truth = Y.ones_at(mask)
+    positive = np.take(pred, mask.linear) >= 0.5
     return MaskReport(
         perplexity=score.value,
         n_cells=score.n_cells,
@@ -168,9 +167,9 @@ class CompletionReport:
 
 def completion_report(Y, val_mask, test_mask, pred):
     """Score predictions on disjoint validation and test masks."""
-    overlap = val_mask.cells & test_mask.cells
+    overlap = val_mask.shared_cells(test_mask)
     if overlap:
-        raise ValueError(f"masks overlap on {len(overlap)} cells")
+        raise ValueError(f"masks overlap on {overlap} cells")
     return CompletionReport(
         validation=_mask_report(Y, val_mask, pred),
         test=_mask_report(Y, test_mask, pred),

@@ -5,14 +5,20 @@ The protocol: fit once per grid point on the training cells (seed =
 the argmin, then refit the winner from ``n_restarts`` fresh seeds
 (``base_seed + i``) and report the spread of test perplexity as box-plot
 statistics.  Grid points are independent jobs and may run on a thread pool;
-the result table is always assembled in grid order, so the output is
-identical however many workers ran.
+the result table is always assembled in grid order, and reruns with the same
+worker count are identical.  Across worker counts the last bits can differ
+on matrices large enough for multi-threaded BLAS, because the pool changes
+how many threads numpy's OpenBLAS uses per product (see ``_run_jobs``).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +38,7 @@ __all__ = [
     "grid_search",
     "test_evaluation",
     "export_heatmap",
+    "append_csv_row",
 ]
 
 # Ties in validation perplexity closer than this are broken toward the
@@ -128,6 +135,33 @@ def _format_cell(value):
     return str(value)
 
 
+def _csv_columns(include_wall_time):
+    return _CSV_COLUMNS + (("wall_time",) if include_wall_time else ())
+
+
+def _csv_line(values):
+    return ",".join(values) + "\n"
+
+
+def _row_line(row, columns):
+    return _csv_line(_format_cell(getattr(row, column)) for column in columns)
+
+
+def append_csv_row(path, row):
+    """Append one row, with wall time, to a checkpoint CSV.
+
+    A missing file is created with its header first.  The bytes equal those
+    :meth:`GridResult.to_csv` writes with ``include_wall_time=True``.
+    """
+    columns = _csv_columns(include_wall_time=True)
+    path = Path(path)
+    fresh = not path.is_file()
+    with open(path, "a", encoding="utf-8", newline="\n") as handle:
+        if fresh:
+            handle.write(_csv_line(columns))
+        handle.write(_row_line(row, columns))
+
+
 @dataclass(frozen=True)
 class GridResult:
     """An ordered table of :class:`GridRow` entries."""
@@ -150,12 +184,11 @@ class GridResult:
         produces a byte-identical file; pass ``include_wall_time=True`` for
         working files (for example resume checkpoints).
         """
-        columns = _CSV_COLUMNS + (("wall_time",) if include_wall_time else ())
+        columns = _csv_columns(include_wall_time)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(",".join(columns) + "\n")
+            handle.write(_csv_line(columns))
             for row in self.rows:
-                cells = [_format_cell(getattr(row, column)) for column in columns]
-                handle.write(",".join(cells) + "\n")
+                handle.write(_row_line(row, columns))
 
     @classmethod
     def from_csv(cls, path):
@@ -218,13 +251,70 @@ def _fit_and_score(Y, train_mask, eval_mask, config):
     return score, report.n_iter, report.converged, report.wall_time
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """``(get, set)`` thread-count calls of numpy's bundled OpenBLAS, or None.
+
+    Only a library the process has already loaded is opened, so a numpy
+    built against another BLAS loads nothing here.
+    """
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return None
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=noload | os.RTLD_LAZY)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _blas_threads_at_most(limit):
+    """Hold numpy's OpenBLAS to at most ``limit`` threads inside the block.
+
+    The thread count is process-wide; it is restored on exit.  Without the
+    bundled OpenBLAS this does nothing.
+    """
+    calls = _openblas_thread_calls()
+    before = calls[0]() if calls else limit
+    if before > limit:
+        calls[1](limit)
+    try:
+        yield
+    finally:
+        if before > limit:
+            calls[1](before)
+
+
+def _cpu_count():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_jobs(jobs, n_jobs):
-    """Evaluate thunks, preserving submission order in the results."""
-    if n_jobs <= 1 or len(jobs) <= 1:
+    """Evaluate thunks, preserving submission order in the results.
+
+    While more than one worker thread runs, numpy's OpenBLAS is held to
+    about cpus / workers threads, so the workers' matrix products share the
+    cores instead of each spreading over all of them.  Callers exhaust the
+    generator (``zip(..., strict=True)``), which shuts the pool and lifts
+    the bound before they go on.
+    """
+    workers = min(n_jobs, len(jobs))
+    if workers <= 1:
         for job in jobs:
             yield job()
         return
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+    with _blas_threads_at_most(max(1, _cpu_count() // workers)), \
+            ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(job) for job in jobs]
         for future in futures:
             yield future.result()
@@ -241,9 +331,9 @@ def grid_search(Y, train_mask, val_mask, grid, n_jobs=1, resume_rows=None,
     Returns ``(GridResult, GridRow)`` with the table in grid order and the
     winning row.
     """
-    overlap = train_mask.cells & val_mask.cells
+    overlap = train_mask.shared_cells(val_mask)
     if overlap:
-        raise ConfigError(f"train and validation masks overlap on {len(overlap)} cells")
+        raise ConfigError(f"train and validation masks overlap on {overlap} cells")
     done = {row.key: row for row in (resume_rows or [])}
 
     points = grid.points()
@@ -258,7 +348,9 @@ def grid_search(Y, train_mask, val_mask, grid, n_jobs=1, resume_rows=None,
 
     fresh = {}
     outcomes = _run_jobs([job for _, job in pending], n_jobs)
-    for (key, _), (score, n_iter, converged, wall) in zip(pending, outcomes):
+    for (key, _), (score, n_iter, converged, wall) in zip(
+        pending, outcomes, strict=True
+    ):
         row = GridRow(
             rank=key[0], alpha=key[1], beta=key[2], restart_seed=key[3],
             val_perplexity=score, test_perplexity=None,
@@ -354,7 +446,9 @@ def test_evaluation(Y, train_mask, test_mask, config, n_restarts=10, base_seed=0
     ]
     rows = []
     outcomes = _run_jobs([job for _, job in jobs], n_jobs)
-    for (seed, _), (score, n_iter, converged, wall) in zip(jobs, outcomes):
+    for (seed, _), (score, n_iter, converged, wall) in zip(
+        jobs, outcomes, strict=True
+    ):
         rows.append(
             GridRow(
                 rank=config.rank, alpha=config.prior.alpha, beta=config.prior.beta,

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -224,3 +225,156 @@ class TestCoordinateFile:
             path = tmp_path / f"mask{i}.txt"
             save_mask(mask, path)
             assert load_mask(path) == mask
+
+
+class TestIndexStorage:
+    def test_linear_indices_sorted_unique_read_only(self):
+        m = BinaryMatrix(3, 4, [(2, 1), (0, 3), (2, 1), (1, 0)])
+        assert m.linear.dtype == np.int64
+        assert m.linear.tolist() == [3, 4, 9]
+        with pytest.raises(ValueError):
+            m.linear[0] = 0
+
+    def test_views_match_pairs(self):
+        pairs = frozenset([(0, 0), (1, 2), (2, 1)])
+        assert BinaryMatrix(3, 3, pairs).ones == pairs
+        assert ObservationMask(3, 3, iter(pairs)).cells == pairs
+
+    def test_equality_and_hash_follow_content(self):
+        a = ObservationMask(2, 3, [(0, 1), (1, 2)])
+        b = ObservationMask(2, 3, [(1, 2), (0, 1), (0, 1)])
+        assert a == b and hash(a) == hash(b)
+        assert a != ObservationMask(3, 2, [(0, 1), (1, 1)])
+        assert a != BinaryMatrix(2, 3, [(0, 1), (1, 2)])
+        assert len({a, b}) == 1
+
+    def test_immutable_and_picklable(self):
+        mask = ObservationMask(2, 2, [(1, 0)])
+        with pytest.raises(AttributeError):
+            mask.n_rows = 5
+        assert pickle.loads(pickle.dumps(mask)) == mask
+
+    def test_malformed_pairs_rejected(self):
+        with pytest.raises(ValueError):
+            BinaryMatrix(2, 2, [(0, 1, 1)])
+        with pytest.raises(ValueError):
+            BinaryMatrix(2, 2, [(0.0, 1.0)])
+
+    def test_ones_at(self):
+        m = BinaryMatrix(2, 3, [(0, 1), (1, 2)])
+        mask = ObservationMask(2, 3, [(1, 2), (0, 0), (1, 1), (0, 1)])
+        assert m.ones_at(mask).tolist() == [False, True, False, True]
+        assert BinaryMatrix(2, 3, []).ones_at(mask).tolist() == [False] * 4
+        wide = BinaryMatrix(2, 10**9, [(1, 10**9 - 1), (0, 7)])
+        far = ObservationMask(2, 10**9, [(0, 7), (1, 0), (1, 10**9 - 1)])
+        assert wide.ones_at(far).tolist() == [True, False, True]
+
+    def test_shared_cells(self):
+        a = ObservationMask(3, 3, [(0, 0), (1, 1), (2, 2)])
+        assert a.shared_cells(ObservationMask(3, 3, [(1, 1), (2, 2), (0, 1)])) == 2
+        assert a.shared_cells(ObservationMask(3, 3, [])) == 0
+        with pytest.raises(DimensionError):
+            a.shared_cells(ObservationMask(9, 1, [(0, 0)]))
+
+    def test_split_membership_matches_shuffle_slices(self):
+        # the documented contract: masks are consecutive slices of the
+        # stable argsort of the SplitMix64 keys
+        from nbmf.binmat import _splitmix64_keys
+
+        for (n_rows, n_cols), seed in (((6, 7), 9), ((13, 5), 0), ((1, 50), 2**40)):
+            spec = SplitSpec(seed=seed)
+            total = n_rows * n_cols
+            order = np.argsort(_splitmix64_keys(seed, total), kind="stable")
+            n_train = math.floor(spec.train_frac * total)
+            n_val = math.floor(spec.val_frac * total)
+            slices = (order[:n_train], order[n_train:n_train + n_val],
+                      order[n_train + n_val:])
+            masks = split_observations(BinaryMatrix(n_rows, n_cols, []), spec)
+            for mask, expected in zip(masks, slices):
+                assert mask.linear.tolist() == sorted(expected.tolist())
+
+
+def _scanned(path):
+    """What the line-by-line reference scanner makes of a file."""
+    from nbmf.binmat import _scan_coords
+
+    try:
+        shape, coords = _scan_coords(path)
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
+    return shape, frozenset(coords)
+
+
+def _loaded(path):
+    try:
+        m = load_coordinate_file(path)
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
+    return m.shape, m.ones
+
+
+class TestParserParity:
+    """The vectorised reader accepts exactly what the scanner accepts."""
+
+    @pytest.mark.parametrize("text, error, line", [
+        ("2 2\n0 1 # x\n", ParseError, 2),
+        ("2 2\n1.0 1\n", ParseError, 2),
+        ("2.0 2\n0 1\n", ParseError, 1),
+        ("2 2\n0 1 1\n", ParseError, 2),
+        ("2 2\n0 1 1\n1\n", ParseError, 2),
+        ("3 3\n0 0\n1 1\n# again\n0 0\n", DuplicateError, 5),
+        ("3 3\r\n0 0\r\n\r\n2 7\r\n", BoundsError, 4),
+        ("3 3\n0 0\n-1 1\n", BoundsError, 3),
+    ])
+    def test_rejected_with_line(self, tmp_path, text, error, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(error, match=f"line {line}:"):
+            load_coordinate_file(path)
+
+    @pytest.mark.parametrize("text", ["4 5\n", "4 5", "# c\n\n  4 5  \n\n"])
+    def test_header_only(self, tmp_path, text):
+        path = tmp_path / "header.txt"
+        path.write_bytes(text.encode())
+        m = load_coordinate_file(path)
+        assert m.shape == (4, 5) and m.linear.size == 0
+
+    def test_comments_crlf_and_no_final_newline(self, tmp_path):
+        path = tmp_path / "messy.txt"
+        path.write_bytes(b"# c\r\n  # indented\r\n2 3\r\n 0  1 \r\n1 2")
+        assert load_coordinate_file(path).ones == frozenset([(0, 1), (1, 2)])
+
+    def test_lone_carriage_return_ends_a_comment(self, tmp_path):
+        # universal newlines: the scanner reads "1 1" as a data line
+        path = tmp_path / "cr.txt"
+        path.write_bytes(b"2 2\n# note\r1 1\n")
+        assert load_coordinate_file(path).ones == frozenset([(1, 1)])
+
+    def test_random_files_agree_with_scanner(self, tmp_path):
+        pieces = ["0", "1", "2", "3", "10", "007", "-1", "+1", "1_0", "1.0",
+                  "x", "#", " ", "  ", "\t", "\n", "\r\n", "\r", "\x0c",
+                  "١", "\xa0"]
+        rng = np.random.default_rng(7)
+        path = tmp_path / "fuzz.txt"
+        for case in range(400):
+            lines = ["3 4"] if case % 2 else []
+            for _ in range(rng.integers(0, 6)):
+                if rng.random() < 0.6:
+                    r, c = rng.integers(0, 5, size=2)
+                    lines.append(f"{r} {c}")
+                else:
+                    lines.append("".join(rng.choice(pieces, rng.integers(1, 6))))
+            sep = "\r\n" if rng.random() < 0.3 else "\n"
+            path.write_bytes(sep.join(lines).encode())
+            assert _loaded(path) == _scanned(path), path.read_bytes()
+
+    def test_writer_matches_reference_format(self, tmp_path):
+        ones = [(0, 0), (0, 9), (0, 10), (7, 123456789012), (7, 99)]
+        m = BinaryMatrix(8, 123456789013, ones)
+        path = tmp_path / "wide.txt"
+        save_coordinate_file(m, path)
+        expected = "8 123456789013\n" + "".join(f"{r} {c}\n" for r, c in sorted(ones))
+        assert path.read_bytes() == expected.encode()
+        assert load_coordinate_file(path) == m
+        save_coordinate_file(BinaryMatrix(3, 0, []), path)
+        assert path.read_bytes() == b"3 0\n"

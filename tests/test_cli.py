@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import nbmf.cli
 from nbmf import (
     FactorPair,
+    GridResult,
+    NbmfError,
     planted_dataset,
     save_coordinate_file,
     write_factors,
@@ -190,6 +193,66 @@ class TestTune:
         monkeypatch.setenv("NBMF_JOBS", "2")
         assert run(workspace, "tune", "--config", "@/run.ini") == 0
         assert (workspace / "out" / "grid_result.csv").is_file()
+
+    @pytest.mark.parametrize("flag", ["0", "-2", "abc", "1.5", ""])
+    def test_bad_jobs_flag_exits_2(self, workspace, capsys, flag):
+        assert run(workspace, "tune", "--config", "@/run.ini", "--jobs", flag) == 2
+        assert "--jobs must be an integer >= 1" in capsys.readouterr().err
+        assert not (workspace / "out" / "grid_result.csv").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", ""])
+    def test_bad_jobs_env_var_exits_2(self, workspace, monkeypatch, capsys, value):
+        monkeypatch.setenv("NBMF_JOBS", value)
+        assert run(workspace, "tune", "--config", "@/run.ini") == 2
+        assert "$NBMF_JOBS must be an integer >= 1" in capsys.readouterr().err
+
+    def test_torn_partial_line_is_refit(self, workspace, capsys):
+        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/full") == 0
+        reference = (workspace / "full" / "grid_result.csv").read_text()
+
+        # an interrupted append leaves the last row without its newline
+        resumed_dir = workspace / "resumed"
+        resumed_dir.mkdir()
+        header = ("rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
+                  "n_iter,converged,wall_time")
+        body = [line + ",0.0" for line in reference.splitlines()[1:3]]
+        (resumed_dir / "grid_partial.csv").write_text(
+            header + "\n" + body[0] + "\n" + body[1][:9]
+        )
+        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 0
+        assert "torn" in capsys.readouterr().out
+        assert (resumed_dir / "grid_result.csv").read_text() == reference
+
+    def test_torn_partial_header_starts_over(self, workspace):
+        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/full") == 0
+        (workspace / "resumed").mkdir()
+        (workspace / "resumed" / "grid_partial.csv").write_text("rank,alp")
+        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 0
+        assert (workspace / "resumed" / "grid_result.csv").read_bytes() == \
+            (workspace / "full" / "grid_result.csv").read_bytes()
+
+    def test_malformed_partial_row_exits_2(self, workspace, capsys):
+        (workspace / "out").mkdir()
+        (workspace / "out" / "grid_partial.csv").write_text(
+            "rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
+            "n_iter,converged,wall_time\n1,x\n"
+        )
+        assert run(workspace, "tune", "--config", "@/run.ini") == 2
+        assert "grid_partial.csv" in capsys.readouterr().err
+
+    def test_partial_rows_written_like_grid_result(self, workspace, monkeypatch):
+        # stop the run after the grid so its checkpoint file stays behind
+        def interrupted(*args, **kwargs):
+            raise NbmfError("interrupted")
+
+        monkeypatch.setattr(nbmf.cli, "test_evaluation", interrupted)
+        assert run(workspace, "tune", "--config", "@/run.ini") == 1
+        partial = workspace / "out" / "grid_partial.csv"
+        rows = GridResult.from_csv(partial).rows
+        assert len(rows) == 4
+        rewritten = workspace / "rewritten.csv"
+        GridResult(rows).to_csv(rewritten, include_wall_time=True)
+        assert partial.read_bytes() == rewritten.read_bytes()
 
     def test_seed_override_sets_base_seed(self, workspace):
         assert run(workspace, "tune", "--config", "@/run.ini", "--seed", "70") == 0

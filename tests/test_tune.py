@@ -301,3 +301,63 @@ class TestExportHeatmap:
     def test_unknown_rank_raises_key_error(self, tmp_path):
         with pytest.raises(KeyError):
             export_heatmap(self._rows(), 16, tmp_path / "heat.csv")
+
+
+class TestCheckpointRows:
+    def test_appended_rows_equal_to_csv_with_wall_time(self, tmp_path):
+        rows = [
+            make_row(2, 1.5, 3.0, 0.61803398875, seed=4),
+            GridRow(rank=8, alpha=9.0, beta=1.0, restart_seed=4,
+                    val_perplexity=None, test_perplexity=None, n_iter=0,
+                    converged=False, wall_time=0.0),
+            GridRow(rank=4, alpha=1.0, beta=2.0, restart_seed=4,
+                    val_perplexity=0.5, test_perplexity=0.25, n_iter=17,
+                    converged=True, wall_time=1.0 / 3.0),
+        ]
+        appended = tmp_path / "partial.csv"
+        for row in rows:
+            nbmf.tune.append_csv_row(appended, row)
+        written = tmp_path / "full.csv"
+        GridResult(rows).to_csv(written, include_wall_time=True)
+        assert appended.read_bytes() == written.read_bytes()
+        assert GridResult.from_csv(appended).rows == tuple(rows)
+
+
+class TestBlasThreadBound:
+    def test_pool_bounds_and_restores_blas_threads(self):
+        calls = nbmf.tune._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy does not bundle scipy-openblas here")
+        get_threads = calls[0]
+        before = get_threads()
+        limit = max(1, nbmf.tune._cpu_count() // 2)
+        seen = list(nbmf.tune._run_jobs([get_threads] * 4, n_jobs=2))
+        assert seen == [min(before, limit)] * 4
+        assert get_threads() == before
+
+    def test_bound_never_raises_thread_count(self):
+        calls = nbmf.tune._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy does not bundle scipy-openblas here")
+        get_threads, set_threads = calls
+        before = get_threads()
+        try:
+            set_threads(1)
+            with nbmf.tune._blas_threads_at_most(64):
+                assert get_threads() == 1
+            assert get_threads() == 1
+        finally:
+            set_threads(before)
+
+    def test_restored_when_a_job_raises(self):
+        calls = nbmf.tune._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy does not bundle scipy-openblas here")
+        before = calls[0]()
+
+        def boom():
+            raise RuntimeError("job failed")
+
+        with pytest.raises(RuntimeError):
+            list(nbmf.tune._run_jobs([boom, boom], n_jobs=2))
+        assert calls[0]() == before
