@@ -113,9 +113,6 @@ class _CellGrid:
         return (self.n_rows, self.n_cols)
 
     def _pairs(self):
-        if self.linear.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
         return np.divmod(self.linear, self.n_cols)
 
     def _pair_set(self):

@@ -154,7 +154,10 @@ def load_run_config(config_path, mode, seed=None, out=None):
     except ValueError as exc:
         raise ConfigError(f"bad [{mode}] value: {exc}") from None
 
-    log_every = int(_get(parser, "fit", "log_every", "100"))
+    try:
+        log_every = int(_get(parser, "fit", "log_every", "100"))
+    except ValueError as exc:
+        raise ConfigError(f"bad [fit] value: {exc}") from None
     return RunConfig(
         mode=mode,
         dataset=dataset,

@@ -24,6 +24,13 @@ sum over the observed cells; the per-cell structure of the bounds is
 unchanged, so the descent guarantee survives, and the simplex multiplier for
 row m becomes the number of observed cells in that row instead of N.
 
+Structure: ``_prepare`` turns one ``(Y, mask)`` pair into the observed ones
+``A``, the observed zeros ``B`` and the per-row observed counts; ``_h_step``
+and ``_w_step`` are the only copies of the two half-updates and take
+``P = W @ H`` as an argument.  :func:`fit` prepares once and computes two
+products per sweep, as the objective of one sweep and the H step of the next
+share ``P``; the public updates and :func:`objective` prepare per call.
+
 All operations are pure: they read their inputs and return fresh arrays.
 """
 
@@ -191,10 +198,6 @@ class FitReport:
         )
 
 
-def _clamp_h(H, epsilon):
-    return np.clip(H, epsilon, 1.0 - epsilon)
-
-
 def _clamp_w(W, epsilon):
     floored = np.maximum(W, epsilon)
     return floored / floored.sum(axis=1, keepdims=True)
@@ -221,20 +224,21 @@ def reconstruct(factors):
     return factors.W @ factors.H
 
 
-def _as_arrays(Y, mask):
+def _prepare(Y, mask):
+    """Dense observed ones ``A``, observed zeros ``B`` and per-row counts."""
     if Y.shape != mask.shape:
         raise DimensionError(
             f"mask shape {mask.shape} does not match matrix shape {Y.shape}"
         )
-    return Y.to_dense(), mask.to_dense().astype(float)
+    observed = mask.to_dense().astype(float)
+    A = observed * Y.to_dense()
+    return A, observed - A, observed.sum(axis=1)
 
 
-def _objective_arrays(Yd, Od, W, H, alpha, beta):
-    product = W @ H
-    if product.min() <= 0.0 or product.max() >= 1.0:
+def _objective_arrays(A, B, P, H, alpha, beta):
+    if P.min() <= 0.0 or P.max() >= 1.0:
         raise NumericalError("reconstruction left the open interval (0, 1)")
-    loglik = Od * (Yd * np.log(product) + (1.0 - Yd) * np.log1p(-product))
-    value = -loglik.sum()
+    value = -(A * np.log(P) + B * np.log1p(-P)).sum()
     if alpha != 1.0 or beta != 1.0:
         value -= ((alpha - 1.0) * np.log(H) + (beta - 1.0) * np.log1p(-H)).sum()
     return float(value)
@@ -246,14 +250,15 @@ def objective(Y, mask, factors, prior):
     The likelihood part sums over the cells in ``mask`` only; the prior
     penalty always covers all of H.
     """
-    Yd, Od = _as_arrays(Y, mask)
-    return _objective_arrays(Yd, Od, factors.W, factors.H, prior.alpha, prior.beta)
+    A, B, _ = _prepare(Y, mask)
+    return _objective_arrays(
+        A, B, reconstruct(factors), factors.H, prior.alpha, prior.beta
+    )
 
 
-def _update_h_arrays(Yd, Od, W, H, alpha, beta):
-    product = W @ H
-    pos = W.T @ (Od * Yd / product)
-    neg = W.T @ (Od * (1.0 - Yd) / (1.0 - product))
+def _h_step(A, B, P, W, H, alpha, beta, epsilon, clamp):
+    pos = W.T @ (A / P)
+    neg = W.T @ (B / (1.0 - P))
     c = H * pos + (alpha - 1.0)
     d = (1.0 - H) * neg + (beta - 1.0)
     denom = c + d
@@ -261,7 +266,7 @@ def _update_h_arrays(Yd, Od, W, H, alpha, beta):
     # those entries keep their current value.
     new_H = H.copy()
     np.divide(c, denom, out=new_H, where=denom > 0)
-    return new_H
+    return np.clip(new_H, epsilon, 1.0 - epsilon) if clamp else new_H
 
 
 def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
@@ -274,19 +279,22 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     prior mode otherwise.  With ``clamp`` the result is pulled into
     [epsilon, 1 - epsilon].
     """
-    Yd, Od = _as_arrays(Y, mask)
-    new_H = _update_h_arrays(Yd, Od, factors.W, factors.H, prior.alpha, prior.beta)
-    return _clamp_h(new_H, epsilon) if clamp else new_H
+    A, B, _ = _prepare(Y, mask)
+    return _h_step(A, B, reconstruct(factors), factors.W, factors.H,
+                   prior.alpha, prior.beta, epsilon, clamp)
 
 
-def _update_w_arrays(Yd, Od, W, H):
-    product = W @ H
-    pos = (Od * Yd / product) @ H.T
-    neg = (Od * (1.0 - Yd) / (1.0 - product)) @ (1.0 - H).T
-    n_obs = Od.sum(axis=1)
+def _w_step(A, B, n_obs, P, W, H, epsilon, clamp):
+    pos = (A / P) @ H.T
+    neg = (B / (1.0 - P)) @ (1.0 - H).T
     new_W = W * (pos + neg)
     np.divide(new_W, n_obs[:, None], out=new_W, where=n_obs[:, None] > 0)
-    return new_W, n_obs
+    if clamp:
+        new_W = _clamp_w(new_W, epsilon)
+    untouched = n_obs == 0
+    if untouched.any():
+        new_W[untouched] = W[untouched]
+    return new_W
 
 
 def update_w(Y, mask, factors, epsilon=1e-12, clamp=True):
@@ -298,14 +306,9 @@ def update_w(Y, mask, factors, epsilon=1e-12, clamp=True):
     observed cells are returned unchanged.  With ``clamp`` entries are
     floored at ``epsilon`` and the row renormalized.
     """
-    Yd, Od = _as_arrays(Y, mask)
-    new_W, n_obs = _update_w_arrays(Yd, Od, factors.W, factors.H)
-    untouched = n_obs == 0
-    if clamp:
-        new_W = _clamp_w(new_W, epsilon)
-    if untouched.any():
-        new_W[untouched] = factors.W[untouched]
-    return new_W
+    A, B, n_obs = _prepare(Y, mask)
+    return _w_step(A, B, n_obs, reconstruct(factors), factors.W, factors.H,
+                   epsilon, clamp)
 
 
 def _relative_change(previous, current):
@@ -330,13 +333,13 @@ def fit(Y, mask, config, on_sweep=None):
         raise ConfigError("fit expects a BinaryMatrix and an ObservationMask")
     if mask.n_cells == 0:
         raise EmptyMaskError("cannot fit on an empty mask")
-    Yd, Od = _as_arrays(Y, mask)
+    A, B, n_obs = _prepare(Y, mask)
     alpha, beta = config.prior.alpha, config.prior.beta
     epsilon = config.epsilon
 
-    def evaluate(W, H, sweep):
+    def evaluate(P, H, sweep):
         try:
-            value = _objective_arrays(Yd, Od, W, H, alpha, beta)
+            value = _objective_arrays(A, B, P, H, alpha, beta)
         except NumericalError as exc:
             raise NumericalError(str(exc), iteration=sweep) from None
         if not np.isfinite(value):
@@ -346,20 +349,16 @@ def fit(Y, mask, config, on_sweep=None):
     start = time.perf_counter()
     factors = init_factors(Y.n_rows, Y.n_cols, config.rank, epsilon, config.seed)
     W, H = factors.W, factors.H
+    P = W @ H
 
-    trace = [evaluate(W, H, 0)]
+    trace = [evaluate(P, H, 0)]
     converged = False
 
     for sweep in range(1, config.max_iter + 1):
-        H = _clamp_h(_update_h_arrays(Yd, Od, W, H, alpha, beta), epsilon)
-        new_W, n_obs = _update_w_arrays(Yd, Od, W, H)
-        untouched = n_obs == 0
-        new_W = _clamp_w(new_W, epsilon)
-        if untouched.any():
-            new_W[untouched] = W[untouched]
-        W = new_W
-
-        trace.append(evaluate(W, H, sweep))
+        H = _h_step(A, B, P, W, H, alpha, beta, epsilon, clamp=True)
+        W = _w_step(A, B, n_obs, W @ H, W, H, epsilon, clamp=True)
+        P = W @ H
+        trace.append(evaluate(P, H, sweep))
         if on_sweep is not None:
             on_sweep(sweep, trace[-1], FactorPair(W, H))
         if _relative_change(trace[-2], trace[-1]) < config.tol:

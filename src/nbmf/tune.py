@@ -19,7 +19,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -435,11 +435,7 @@ def test_evaluation(Y, train_mask, test_mask, config, n_restarts=10, base_seed=0
         (
             seed,
             lambda s=seed: _fit_and_score(
-                Y, train_mask, test_mask,
-                FitConfig(
-                    rank=config.rank, prior=config.prior, tol=config.tol,
-                    max_iter=config.max_iter, epsilon=config.epsilon, seed=s,
-                ),
+                Y, train_mask, test_mask, replace(config, seed=s)
             ),
         )
         for seed in seeds

@@ -79,6 +79,15 @@ class TestFit:
         (workspace / "run.ini").write_text("[run]\nmode = tune\n" + BASE_CONFIG[6:])
         assert run(workspace, "fit", "--config", "@/run.ini") == 2
 
+    @pytest.mark.parametrize("mode", ["fit", "tune"])
+    def test_bad_log_every_exits_2(self, workspace, capsys, mode):
+        (workspace / "run.ini").write_text(
+            BASE_CONFIG.replace("log_every = 0", "log_every = abc")
+        )
+        assert run(workspace, mode, "--config", "@/run.ini") == 2
+        assert "bad [fit] value" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
     def test_rerun_byte_identical(self, workspace):
         assert run(workspace, "fit", "--config", "@/run.ini", "--out", "@/a") == 0
         assert run(workspace, "fit", "--config", "@/run.ini", "--out", "@/b") == 0

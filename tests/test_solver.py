@@ -457,6 +457,35 @@ class TestFit:
             fit(Y, full_mask(5, 5), FitConfig(rank=2, seed=0))
         assert excinfo.value.iteration == 2
 
+    @pytest.mark.parametrize("prior", [BetaPrior(), BetaPrior(2.0, 1.5)])
+    def test_sweeps_equal_replayed_public_updates(self, prior):
+        # row 2 and column 4 have no observed cells
+        M, N, K = 7, 6, 3
+        Y = random_binary_matrix(M, N, 0.45, seed=12)
+        cells = subsample_mask(M, N, 0.7, seed=12).cells
+        mask = ObservationMask(
+            M, N, frozenset((m, n) for m, n in cells if m != 2 and n != 4)
+        )
+        config = FitConfig(rank=K, prior=prior, max_iter=25, tol=1e-12, seed=6)
+        seen = []
+        _, report = fit(
+            Y, mask, config,
+            on_sweep=lambda it, value, factors: seen.append((value, factors)),
+        )
+        assert len(seen) == report.n_iter >= 10
+
+        start = init_factors(M, N, K, config.epsilon, config.seed)
+        assert objective(Y, mask, start, prior) == report.objective_trace[0]
+        factors = start
+        for value, got in seen:
+            H = update_h(Y, mask, factors, prior, epsilon=config.epsilon)
+            W = update_w(Y, mask, FactorPair(factors.W, H), epsilon=config.epsilon)
+            factors = FactorPair(W, H)
+            np.testing.assert_array_equal(got.H, H)
+            np.testing.assert_array_equal(got.W, W)
+            assert value == objective(Y, mask, factors, prior)
+        np.testing.assert_array_equal(factors.W[2], start.W[2])
+
     def test_masked_training_ignores_heldout_cells(self):
         # flipping held-out cells must not change the fit
         Y = random_binary_matrix(8, 6, 0.5, seed=5)
