@@ -366,6 +366,15 @@ def cmd_tune(config, n_jobs):
     return 0
 
 
+@contextmanager
+def _summarizing(path):
+    """Turn a JSON artifact that does not parse, or lacks a field, into an error."""
+    try:
+        yield
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise NbmfError(f"cannot summarize {path}: {exc!r}") from None
+
+
 def cmd_report(out_dir):
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
@@ -373,33 +382,37 @@ def cmd_report(out_dir):
     found = False
     for manifest in sorted(out_dir.glob("manifest_*.json")):
         found = True
-        payload = json.loads(manifest.read_text(encoding="utf-8"))
-        print(
-            f"{payload['mode']}: config {payload['config_sha256'][:12]} "
-            f"seeds {payload['seeds']} artifacts {', '.join(payload['artifacts'])}"
-        )
+        with _summarizing(manifest):
+            payload = json.loads(manifest.read_text(encoding="utf-8"))
+            print(
+                f"{payload['mode']}: config {payload['config_sha256'][:12]} "
+                f"seeds {payload['seeds']} artifacts {', '.join(payload['artifacts'])}"
+            )
     report_path = out_dir / REPORT_JSON
     if report_path.is_file():
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
-        print(
-            f"fit report: n_iter={payload['n_iter']} converged={payload['converged']} "
-            f"final_objective={payload['objective_trace'][-1]:.6f}"
-        )
+        with _summarizing(report_path):
+            payload = json.loads(report_path.read_text(encoding="utf-8"))
+            print(
+                f"fit report: n_iter={payload['n_iter']} converged={payload['converged']} "
+                f"final_objective={payload['objective_trace'][-1]:.6f}"
+            )
     completion_path = out_dir / COMPLETION_JSON
     if completion_path.is_file():
-        payload = json.loads(completion_path.read_text(encoding="utf-8"))
-        print(
-            f"completion: val_perplexity={payload['validation']['perplexity']:.6f} "
-            f"test_perplexity={payload['test']['perplexity']:.6f}"
-        )
+        with _summarizing(completion_path):
+            payload = json.loads(completion_path.read_text(encoding="utf-8"))
+            print(
+                f"completion: val_perplexity={payload['validation']['perplexity']:.6f} "
+                f"test_perplexity={payload['test']['perplexity']:.6f}"
+            )
     stats_path = out_dir / BOXSTATS_JSON
     if stats_path.is_file():
-        payload = json.loads(stats_path.read_text(encoding="utf-8"))
-        stats = payload["stats"]
-        print(
-            f"tune: rank={payload['rank']} alpha={payload['alpha']} "
-            f"beta={payload['beta']} median_test_perplexity={stats['median']:.6f}"
-        )
+        with _summarizing(stats_path):
+            payload = json.loads(stats_path.read_text(encoding="utf-8"))
+            stats = payload["stats"]
+            print(
+                f"tune: rank={payload['rank']} alpha={payload['alpha']} "
+                f"beta={payload['beta']} median_test_perplexity={stats['median']:.6f}"
+            )
     if not found:
         print(f"no manifests in {out_dir}")
     return 0

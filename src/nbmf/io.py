@@ -68,15 +68,22 @@ def write_factors(out_dir, factors, *, alpha, beta, epsilon, seed, converged):
 
 
 def _read_matrix(path):
-    return np.atleast_2d(np.loadtxt(path, ndmin=2))
+    try:
+        matrix = np.loadtxt(path, ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: unreadable matrix ({exc})") from None
+    if not np.isfinite(matrix).all():
+        raise ParseError(f"{path}: non-finite entry")
+    return matrix
 
 
 def read_factors(in_dir):
     """Read factors written by :func:`write_factors`.
 
     Returns ``(FactorPair, meta)`` where meta holds the parsed header
-    values.  Shape disagreements between the header and the matrices raise
-    :class:`DimensionError`.
+    values.  A matrix file that does not parse or holds a non-finite entry
+    raises :class:`ParseError` naming the file; shape disagreements between
+    the header and the matrices raise :class:`DimensionError`.
     """
     in_dir = Path(in_dir)
     meta_path = in_dir / META_FILE

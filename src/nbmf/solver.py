@@ -25,13 +25,18 @@ unchanged, so the descent guarantee survives, and the simplex multiplier for
 row m becomes the number of observed cells in that row instead of N.
 
 Structure: ``_prepare`` turns one ``(Y, mask)`` pair into the observed ones
-``A``, the observed zeros ``B`` and the per-row observed counts; ``_h_step``
-and ``_w_step`` are the only copies of the two half-updates and take
-``P = W @ H`` as an argument.  :func:`fit` prepares once and computes two
-products per sweep, as the objective of one sweep and the H step of the next
-share ``P``; the public updates and :func:`objective` prepare per call.
+``A``, the observed zeros ``B`` and the per-row observed counts; ``_ratios``
+writes ``A / P`` and ``B / (1 - P)`` for ``P = W @ H``, and ``_h_step`` and
+``_w_step`` are the only copies of the two half-updates and take those
+ratios as arguments.  :func:`fit` prepares once and computes two products per
+sweep, as the objective of one sweep and the H step of the next share ``P``;
+the public updates and :func:`objective` prepare per call.
 
-All operations are pure: they read their inputs and return fresh arrays.
+The public functions are pure: they read their inputs and return fresh
+arrays.  :func:`fit` owns three M-by-N arrays, ``P`` and two scratch arrays,
+which every full-size step of its sweep writes into, so the sweep allocates
+nothing of that size; the factors it returns or passes to ``on_sweep`` are
+fresh arrays that no later sweep overwrites.
 """
 
 from __future__ import annotations
@@ -231,14 +236,35 @@ def _prepare(Y, mask):
             f"mask shape {mask.shape} does not match matrix shape {Y.shape}"
         )
     observed = mask.to_dense().astype(float)
+    n_obs = observed.sum(axis=1)
     A = observed * Y.to_dense()
-    return A, observed - A, observed.sum(axis=1)
+    B = np.subtract(observed, A, out=observed)
+    return A, B, n_obs
 
 
-def _objective_arrays(A, B, P, H, alpha, beta):
+def _scratch(P):
+    """Two arrays shaped like ``P`` for :func:`_ratios` and the objective."""
+    return np.empty_like(P), np.empty_like(P)
+
+
+def _ratios(A, B, P, scratch):
+    """Write ``A / P`` and ``B / (1 - P)`` into the two scratch arrays."""
+    R, S = scratch
+    np.divide(A, P, out=R)
+    np.subtract(1.0, P, out=S)
+    np.divide(B, S, out=S)
+    return R, S
+
+
+def _objective_arrays(A, B, P, H, prior, scratch):
+    """``-(A*log P + B*log1p(-P)).sum()`` plus the prior, built in ``scratch``."""
     if P.min() <= 0.0 or P.max() >= 1.0:
         raise NumericalError("reconstruction left the open interval (0, 1)")
-    value = -(A * np.log(P) + B * np.log1p(-P)).sum()
+    R, S = scratch
+    np.multiply(A, np.log(P, out=R), out=R)
+    np.multiply(B, np.log1p(np.negative(P, out=S), out=S), out=S)
+    value = -np.add(R, S, out=R).sum()
+    alpha, beta = prior.alpha, prior.beta
     if alpha != 1.0 or beta != 1.0:
         value -= ((alpha - 1.0) * np.log(H) + (beta - 1.0) * np.log1p(-H)).sum()
     return float(value)
@@ -251,14 +277,13 @@ def objective(Y, mask, factors, prior):
     penalty always covers all of H.
     """
     A, B, _ = _prepare(Y, mask)
-    return _objective_arrays(
-        A, B, reconstruct(factors), factors.H, prior.alpha, prior.beta
-    )
+    P = reconstruct(factors)
+    return _objective_arrays(A, B, P, factors.H, prior, _scratch(P))
 
 
-def _h_step(A, B, P, W, H, alpha, beta, epsilon, clamp):
-    pos = W.T @ (A / P)
-    neg = W.T @ (B / (1.0 - P))
+def _h_step(R, S, W, H, alpha, beta, epsilon, clamp):
+    pos = W.T @ R
+    neg = W.T @ S
     c = H * pos + (alpha - 1.0)
     d = (1.0 - H) * neg + (beta - 1.0)
     denom = c + d
@@ -280,13 +305,15 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     [epsilon, 1 - epsilon].
     """
     A, B, _ = _prepare(Y, mask)
-    return _h_step(A, B, reconstruct(factors), factors.W, factors.H,
-                   prior.alpha, prior.beta, epsilon, clamp)
+    P = reconstruct(factors)
+    R, S = _ratios(A, B, P, _scratch(P))
+    return _h_step(R, S, factors.W, factors.H, prior.alpha, prior.beta,
+                   epsilon, clamp)
 
 
-def _w_step(A, B, n_obs, P, W, H, epsilon, clamp):
-    pos = (A / P) @ H.T
-    neg = (B / (1.0 - P)) @ (1.0 - H).T
+def _w_step(R, S, n_obs, W, H, epsilon, clamp):
+    pos = R @ H.T
+    neg = S @ (1.0 - H).T
     new_W = W * (pos + neg)
     np.divide(new_W, n_obs[:, None], out=new_W, where=n_obs[:, None] > 0)
     if clamp:
@@ -307,8 +334,9 @@ def update_w(Y, mask, factors, epsilon=1e-12, clamp=True):
     floored at ``epsilon`` and the row renormalized.
     """
     A, B, n_obs = _prepare(Y, mask)
-    return _w_step(A, B, n_obs, reconstruct(factors), factors.W, factors.H,
-                   epsilon, clamp)
+    P = reconstruct(factors)
+    R, S = _ratios(A, B, P, _scratch(P))
+    return _w_step(R, S, n_obs, factors.W, factors.H, epsilon, clamp)
 
 
 def _relative_change(previous, current):
@@ -334,12 +362,11 @@ def fit(Y, mask, config, on_sweep=None):
     if mask.n_cells == 0:
         raise EmptyMaskError("cannot fit on an empty mask")
     A, B, n_obs = _prepare(Y, mask)
-    alpha, beta = config.prior.alpha, config.prior.beta
-    epsilon = config.epsilon
+    prior, epsilon = config.prior, config.epsilon
 
     def evaluate(P, H, sweep):
         try:
-            value = _objective_arrays(A, B, P, H, alpha, beta)
+            value = _objective_arrays(A, B, P, H, prior, scratch)
         except NumericalError as exc:
             raise NumericalError(str(exc), iteration=sweep) from None
         if not np.isfinite(value):
@@ -349,15 +376,19 @@ def fit(Y, mask, config, on_sweep=None):
     start = time.perf_counter()
     factors = init_factors(Y.n_rows, Y.n_cols, config.rank, epsilon, config.seed)
     W, H = factors.W, factors.H
+    # The loop writes every full-size result into P or the scratch pair.
     P = W @ H
+    scratch = _scratch(P)
 
     trace = [evaluate(P, H, 0)]
     converged = False
 
     for sweep in range(1, config.max_iter + 1):
-        H = _h_step(A, B, P, W, H, alpha, beta, epsilon, clamp=True)
-        W = _w_step(A, B, n_obs, W @ H, W, H, epsilon, clamp=True)
-        P = W @ H
+        R, S = _ratios(A, B, P, scratch)
+        H = _h_step(R, S, W, H, prior.alpha, prior.beta, epsilon, clamp=True)
+        R, S = _ratios(A, B, np.matmul(W, H, out=P), scratch)
+        W = _w_step(R, S, n_obs, W, H, epsilon, clamp=True)
+        np.matmul(W, H, out=P)
         trace.append(evaluate(P, H, sweep))
         if on_sweep is not None:
             on_sweep(sweep, trace[-1], FactorPair(W, H))

@@ -132,6 +132,22 @@ class TestEval:
                       seed=0, converged=True)
         assert run(workspace, "eval", "--config", "@/run.ini") == 1
 
+    @pytest.mark.parametrize("damage", ["torn_row", "nan"])
+    def test_damaged_factor_file_exits_1_naming_it(self, workspace, capsys, damage):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        w_path = workspace / "out" / "W.txt"
+        text = w_path.read_text()
+        if damage == "torn_row":
+            text = text[: text.index("\n", len(text) // 2) + 5]
+        else:
+            text = "nan" + text[text.index(" "):]
+        w_path.write_text(text)
+        capsys.readouterr()
+        assert run(workspace, "eval", "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "W.txt" in err
+        assert "Traceback" not in err
+
     def test_coin_factors_score_log_two(self, workspace):
         out = workspace / "out"
         factors = FactorPair(np.ones((18, 1)), np.full((1, 12), 0.5))
@@ -280,3 +296,20 @@ class TestReport:
 
     def test_missing_dir_exits_2(self, workspace):
         assert run(workspace, "report", "--out", "@/missing") == 2
+
+    @pytest.mark.parametrize("name, text", [
+        ("report.json", "{bad"),
+        ("report.json", '{"n_iter": 3}'),
+        ("report.json", '{"n_iter": 3, "converged": true, "objective_trace": []}'),
+        ("completion_report.json", "[]"),
+        ("manifest_fit.json", '{"mode": "fit"}'),
+        ("manifest_fit.json", "\udcff"),
+    ])
+    def test_corrupt_artifact_exits_1_naming_it(self, workspace, capsys, name, text):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        assert run(workspace, "eval", "--config", "@/run.ini") == 0
+        (workspace / "out" / name).write_text(text, errors="surrogateescape")
+        capsys.readouterr()
+        assert run(workspace, "report", "--out", "@/out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err

@@ -3,6 +3,7 @@ import pytest
 
 from nbmf import (
     DimensionError,
+    ParseError,
     FitConfig,
     FitReport,
     fit,
@@ -71,6 +72,24 @@ class TestFactorFiles:
         lines = w_path.read_text().splitlines()
         w_path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(DimensionError):
+            read_factors(tmp_path)
+
+
+    @pytest.mark.parametrize("name", ["W.txt", "H.txt"])
+    @pytest.mark.parametrize("damage", ["torn_row", "nan", "inf", "word"])
+    def test_damaged_matrix_names_file(self, tmp_path, name, damage):
+        factors = init_factors(4, 5, 3, seed=0)
+        write_factors(tmp_path, factors, alpha=1.0, beta=1.0, epsilon=1e-12,
+                      seed=0, converged=True)
+        path = tmp_path / name
+        text = path.read_text()
+        if damage == "torn_row":
+            text = text[: text.index("\n") + 10]
+        else:
+            head, _, rest = text.partition(" ")
+            text = f"{damage} {rest}"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=name):
             read_factors(tmp_path)
 
 

@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -485,6 +488,46 @@ class TestFit:
             np.testing.assert_array_equal(got.W, W)
             assert value == objective(Y, mask, factors, prior)
         np.testing.assert_array_equal(factors.W[2], start.W[2])
+
+    def test_concurrent_fits_equal_sequential_fits(self):
+        # scratch buffers kept per module or per mask would be shared here
+        Y = random_binary_matrix(80, 120, 0.4, seed=3)
+        mask = subsample_mask(80, 120, 0.8, seed=3)
+        configs = [FitConfig(rank=3, max_iter=100, tol=1e-12, seed=s)
+                   for s in range(8)]
+        expected = [fit(Y, mask, config) for config in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+                futures = [pool.submit(fit, Y, mask, c) for c in configs]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (f1, r1), (f2, r2) in zip(expected, got, strict=True):
+            assert r1.objective_trace == r2.objective_trace
+            np.testing.assert_array_equal(f1.W, f2.W)
+            np.testing.assert_array_equal(f1.H, f2.H)
+
+    def test_sweeps_allocate_no_full_size_array(self):
+        M, N = 150, 200
+        Y = random_binary_matrix(M, N, 0.5, seed=4)
+        memory = []
+
+        def on_sweep(iteration, value, factors):
+            memory.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            fit(Y, subsample_mask(M, N, 0.7, seed=4),
+                FitConfig(rank=2, max_iter=5, tol=1e-12), on_sweep=on_sweep)
+        finally:
+            tracemalloc.stop()
+        # peak during a sweep over the memory held when the sweep before ended
+        growth = [peak - held for (held, _), (_, peak) in zip(memory, memory[1:])]
+        assert len(growth) == 4
+        assert max(growth) < M * N * 8
 
     def test_masked_training_ignores_heldout_cells(self):
         # flipping held-out cells must not change the fit
