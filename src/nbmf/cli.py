@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .binmat import SplitSpec, load_coordinate_file, load_mask, save_mask, \
@@ -62,18 +62,49 @@ class RunConfig:
     config_sha256: str = ""
 
 
-def _get(parser, section, key, fallback=None):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    return fallback
+def _words(parse):
+    return lambda text: tuple(parse(word) for word in text.split())
 
 
-def _floats(text):
-    return tuple(float(tok) for tok in text.split())
+# Every config key, by section, with the parser of its value.  Parsed values
+# go straight into SplitSpec, FitConfig/BetaPrior and GridSpec, so a key left
+# out takes the default of the dataclass field it fills.
+_CONFIG_KEYS = {
+    "run": {"mode": str, "dataset": str, "out": str},
+    "split": {"train": float, "val": float, "test": float, "seed": int},
+    "fit": {
+        "rank": int, "alpha": float, "beta": float, "tol": float, "max_iter": int,
+        "epsilon": float, "seed": int, "log_every": int,
+    },
+    "tune": {
+        "rank_values": _words(int), "alpha_values": _words(float),
+        "beta_values": _words(float), "n_restarts": int, "base_seed": int,
+        "tol": float, "max_iter": int, "epsilon": float,
+    },
+}
 
 
-def _ints(text):
-    return tuple(int(tok) for tok in text.split())
+def _read_sections(parser):
+    """``{section: {key: parsed value}}`` for every section of the table."""
+    if parser.defaults():  # its keys would otherwise be read into every section
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
+    sections = {name: {} for name in _CONFIG_KEYS}
+    for section in parser.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, text in parser.items(section):
+            if key not in _CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in config section [{section}]")
+            try:
+                sections[section][key] = _CONFIG_KEYS[section][key](text)
+            except ValueError as exc:
+                raise ConfigError(f"bad [{section}] value: {key}: {exc}") from None
+    return sections
+
+
+def _pop_fields(cls, values):
+    """Remove and return the entries of ``values`` named after fields of ``cls``."""
+    return {f.name: values.pop(f.name) for f in fields(cls) if f.name in values}
 
 
 def load_run_config(config_path, mode, seed=None, out=None):
@@ -82,82 +113,49 @@ def load_run_config(config_path, mode, seed=None, out=None):
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
     raw = config_path.read_bytes()
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         parser.read_string(raw.decode("utf-8"))
     except (UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot parse config {config_path}: {exc}") from None
+    sections = _read_sections(parser)
+    run, fit_keys = sections["run"], sections["fit"]
 
-    declared = _get(parser, "run", "mode")
+    declared = run.get("mode")
     if declared is not None and declared != mode:
         raise ConfigError(
             f"config declares mode {declared!r} but the {mode!r} command was invoked"
         )
 
-    dataset = _get(parser, "run", "dataset")
+    dataset = run.get("dataset")
     if dataset is None:
         raise ConfigError("config is missing [run] dataset")
     dataset = (config_path.parent / dataset).resolve()
     if not dataset.is_file():
         raise ConfigError(f"missing dataset path: {dataset}")
 
-    out_dir = out or _get(parser, "run", "out")
+    out_dir = out or run.get("out")
     if out_dir is None:
         raise ConfigError("no output directory: set [run] out or pass --out")
     out_dir = (config_path.parent / out_dir).resolve() if out is None \
         else Path(out).resolve()
 
-    try:
-        split = SplitSpec(
-            train_frac=float(_get(parser, "split", "train", "0.7")),
-            val_frac=float(_get(parser, "split", "val", "0.15")),
-            test_frac=float(_get(parser, "split", "test", "0.15")),
-            seed=int(_get(parser, "split", "seed", "0")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad [split] value: {exc}") from None
-
-    fit_config = None
-    grid = None
-    try:
-        if mode in ("fit", "eval"):
-            fit_config = FitConfig(
-                rank=int(_get(parser, "fit", "rank", "4")),
-                prior=BetaPrior(
-                    alpha=float(_get(parser, "fit", "alpha", "1.0")),
-                    beta=float(_get(parser, "fit", "beta", "1.0")),
-                ),
-                tol=float(_get(parser, "fit", "tol", "1e-5")),
-                max_iter=int(_get(parser, "fit", "max_iter", "2000")),
-                epsilon=float(_get(parser, "fit", "epsilon", "1e-12")),
-                seed=seed if seed is not None else int(_get(parser, "fit", "seed", "0")),
-            )
-        elif mode == "tune":
-            defaults = GridSpec()
-            grid = GridSpec(
-                rank_values=_ints(_get(parser, "tune", "rank_values", "2 4 8 16")),
-                alpha_values=_floats(
-                    _get(parser, "tune", "alpha_values", "1 1.5 2 3 5 9")
-                ),
-                beta_values=_floats(
-                    _get(parser, "tune", "beta_values", "1 1.5 2 3 5 9")
-                ),
-                n_restarts=int(_get(parser, "tune", "n_restarts", "10")),
-                base_seed=seed if seed is not None
-                else int(_get(parser, "tune", "base_seed", "0")),
-                tol=float(_get(parser, "tune", "tol", repr(defaults.tol))),
-                max_iter=int(_get(parser, "tune", "max_iter", str(defaults.max_iter))),
-                epsilon=float(
-                    _get(parser, "tune", "epsilon", repr(defaults.epsilon))
-                ),
-            )
-    except ValueError as exc:
-        raise ConfigError(f"bad [{mode}] value: {exc}") from None
-
-    try:
-        log_every = int(_get(parser, "fit", "log_every", "100"))
-    except ValueError as exc:
-        raise ConfigError(f"bad [fit] value: {exc}") from None
+    split = SplitSpec(**{
+        key if key == "seed" else f"{key}_frac": value
+        for key, value in sections["split"].items()
+    })
+    run_fields = _pop_fields(RunConfig, fit_keys)  # [fit] log_every
+    fit_config = grid = None
+    if mode in ("fit", "eval"):
+        prior = BetaPrior(**_pop_fields(BetaPrior, fit_keys))
+        fit_config = FitConfig(**{"rank": 4, **fit_keys}, prior=prior)
+        if seed is not None:
+            fit_config = replace(fit_config, seed=seed)
+    elif mode == "tune":
+        grid = GridSpec(**sections["tune"])
+        if seed is not None:
+            grid = replace(grid, base_seed=seed)
     return RunConfig(
         mode=mode,
         dataset=dataset,
@@ -165,8 +163,8 @@ def load_run_config(config_path, mode, seed=None, out=None):
         split=split,
         fit_config=fit_config,
         grid=grid,
-        log_every=log_every,
         config_sha256=hashlib.sha256(raw).hexdigest(),
+        **run_fields,
     )
 
 
@@ -247,12 +245,12 @@ def cmd_fit(config):
     return 0
 
 
-def _load_or_rebuild_masks(config, Y):
-    paths = [config.out_dir / MASK_FILES[name] for name in ("train", "val", "test")]
+def _scored_masks(config, Y):
+    """The validation and test masks that fit saved, else the split rebuilt."""
+    paths = [config.out_dir / MASK_FILES[name] for name in ("val", "test")]
     if all(path.is_file() for path in paths):
         return tuple(load_mask(path) for path in paths)
-    _, train, val, test = _split_dataset(config)
-    return train, val, test
+    return split_observations(Y, config.split)[1:]
 
 
 def cmd_eval(config):
@@ -268,7 +266,7 @@ def cmd_eval(config):
             f"factors describe a {meta['n_rows']}x{meta['n_cols']} matrix "
             f"but the dataset is {Y.shape[0]}x{Y.shape[1]}"
         )
-    _, val, test = _load_or_rebuild_masks(config, Y)
+    val, test = _scored_masks(config, Y)
     with _output_lock(config.out_dir):
         pred = predict_from_factors(factors)
         report = completion_report(Y, val, test, pred)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyMaskError, NumericalError
+from .errors import ConfigError, DimensionError, EmptyMaskError, NumericalError
 from .solver import reconstruct
 
 __all__ = [
@@ -165,11 +165,16 @@ class CompletionReport:
         return ",".join(parts)
 
 
+def _require_disjoint(first, second, what):
+    """Raise :class:`ConfigError` if two masks share a cell."""
+    overlap = first.shared_cells(second)
+    if overlap:
+        raise ConfigError(f"{what} masks overlap on {overlap} cells")
+
+
 def completion_report(Y, val_mask, test_mask, pred):
     """Score predictions on disjoint validation and test masks."""
-    overlap = val_mask.shared_cells(test_mask)
-    if overlap:
-        raise ValueError(f"masks overlap on {overlap} cells")
+    _require_disjoint(val_mask, test_mask, "validation and test")
     return CompletionReport(
         validation=_mask_report(Y, val_mask, pred),
         test=_mask_report(Y, test_mask, pred),

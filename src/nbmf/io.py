@@ -68,8 +68,11 @@ def write_factors(out_dir, factors, *, alpha, beta, epsilon, seed, converged):
 
 
 def _read_matrix(path):
+    data = path.read_bytes()
+    if not data.strip():
+        raise ParseError(f"{path}: empty matrix file")
     try:
-        matrix = np.loadtxt(path, ndmin=2)
+        matrix = np.loadtxt(data.decode().splitlines(), ndmin=2)
     except ValueError as exc:
         raise ParseError(f"{path}: unreadable matrix ({exc})") from None
     if not np.isfinite(matrix).all():
@@ -81,9 +84,12 @@ def read_factors(in_dir):
     """Read factors written by :func:`write_factors`.
 
     Returns ``(FactorPair, meta)`` where meta holds the parsed header
-    values.  A matrix file that does not parse or holds a non-finite entry
-    raises :class:`ParseError` naming the file; shape disagreements between
-    the header and the matrices raise :class:`DimensionError`.
+    values.  A matrix file that is empty, does not parse or holds a
+    non-finite entry raises :class:`ParseError` naming the file; shape
+    disagreements between the header and the matrices raise
+    :class:`DimensionError`; factors that break the invariants of
+    :meth:`FactorPair.validate` at the header's ``epsilon`` raise
+    :class:`ParseError` naming both matrix files.
     """
     in_dir = Path(in_dir)
     meta_path = in_dir / META_FILE
@@ -104,8 +110,9 @@ def read_factors(in_dir):
     except (KeyError, ValueError) as exc:
         raise ParseError(f"incomplete factor header: {exc}") from None
 
-    W = _read_matrix(in_dir / W_FILE)
-    H = _read_matrix(in_dir / H_FILE)
+    w_path, h_path = in_dir / W_FILE, in_dir / H_FILE
+    W = _read_matrix(w_path)
+    H = _read_matrix(h_path)
     expected_w = (parsed["n_rows"], parsed["rank"])
     expected_h = (parsed["rank"], parsed["n_cols"])
     if W.shape != expected_w or H.shape != expected_h:
@@ -113,7 +120,12 @@ def read_factors(in_dir):
             f"factor files have shapes {W.shape} and {H.shape}, "
             f"header says {expected_w} and {expected_h}"
         )
-    return FactorPair(W, H), parsed
+    factors = FactorPair(W, H)
+    try:
+        factors.validate(parsed["epsilon"])
+    except ValueError as exc:
+        raise ParseError(f"{w_path} and {h_path} are not valid factors: {exc}") from None
+    return factors, parsed
 
 
 def write_report(path, report):

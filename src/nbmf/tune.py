@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericalError, SearchError
-from .evaluate import perplexity
+from .evaluate import _require_disjoint, perplexity
 from .solver import BetaPrior, FitConfig, fit, reconstruct
 
 __all__ = [
@@ -331,9 +331,7 @@ def grid_search(Y, train_mask, val_mask, grid, n_jobs=1, resume_rows=None,
     Returns ``(GridResult, GridRow)`` with the table in grid order and the
     winning row.
     """
-    overlap = train_mask.shared_cells(val_mask)
-    if overlap:
-        raise ConfigError(f"train and validation masks overlap on {overlap} cells")
+    _require_disjoint(train_mask, val_mask, "train and validation")
     done = {row.key: row for row in (resume_rows or [])}
 
     points = grid.points()
@@ -430,6 +428,7 @@ def test_evaluation(Y, train_mask, test_mask, config, n_restarts=10, base_seed=0
     """
     if n_restarts < 1:
         raise ConfigError("n_restarts must be >= 1")
+    _require_disjoint(train_mask, test_mask, "train and test")
     seeds = [base_seed + i for i in range(n_restarts)]
     jobs = [
         (

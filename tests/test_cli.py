@@ -1,19 +1,24 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import nbmf.cli
 from nbmf import (
+    BetaPrior,
     FactorPair,
+    FitConfig,
     GridResult,
+    GridSpec,
     NbmfError,
+    SplitSpec,
     planted_dataset,
     save_coordinate_file,
     write_factors,
 )
-from nbmf.cli import main
+from nbmf.cli import RunConfig, load_run_config, main
 
 BASE_CONFIG = """\
 [run]
@@ -52,6 +57,111 @@ def workspace(tmp_path):
 
 def run(workspace, *args):
     return main([arg.replace("@", str(workspace)) for arg in args])
+
+
+EVERY_KEY_CONFIG = """\
+[run]
+mode = {mode}
+dataset = data.txt
+out = elsewhere
+
+[split]
+train = 0.5
+val = 0.2
+test = 0.3
+seed = 8
+
+[fit]
+rank = 3
+alpha = 2.5
+beta = 4
+tol = 1e-6
+max_iter = 77
+epsilon = 1e-9
+seed = 12
+log_every = 5
+
+[tune]
+rank_values = 3 5
+alpha_values = 1.25
+beta_values = 2 7
+n_restarts = 2
+base_seed = 21
+tol = 1e-4
+max_iter = 33
+epsilon = 1e-8
+"""
+
+
+def differs_in_every_field(value, default):
+    return all(
+        getattr(value, f.name) != getattr(default, f.name) for f in fields(value)
+    )
+
+
+class TestConfig:
+    @pytest.mark.parametrize("mode", ["fit", "eval", "tune"])
+    def test_every_key_lands_in_its_field(self, workspace, mode):
+        path = workspace / "every.ini"
+        path.write_text(EVERY_KEY_CONFIG.format(mode=mode))
+        config = load_run_config(path, mode)
+        split = SplitSpec(train_frac=0.5, val_frac=0.2, test_frac=0.3, seed=8)
+        fit_config = FitConfig(rank=3, prior=BetaPrior(alpha=2.5, beta=4.0), tol=1e-6,
+                               max_iter=77, epsilon=1e-9, seed=12)
+        grid = GridSpec(rank_values=(3, 5), alpha_values=(1.25,),
+                        beta_values=(2.0, 7.0), n_restarts=2, base_seed=21,
+                        tol=1e-4, max_iter=33, epsilon=1e-8)
+        assert differs_in_every_field(split, SplitSpec())
+        assert differs_in_every_field(fit_config, FitConfig(rank=4))
+        assert differs_in_every_field(fit_config.prior, BetaPrior())
+        assert differs_in_every_field(grid, GridSpec())
+        assert config == RunConfig(
+            mode=mode,
+            dataset=workspace / "data.txt",
+            out_dir=workspace / "elsewhere",
+            split=split,
+            fit_config=None if mode == "tune" else fit_config,
+            grid=grid if mode == "tune" else None,
+            log_every=5,
+            config_sha256=config.config_sha256,
+        )
+
+    @pytest.mark.parametrize("mode", ["fit", "eval", "tune"])
+    def test_run_section_alone_gives_dataclass_defaults(self, workspace, mode):
+        path = workspace / "bare.ini"
+        path.write_text("[run]\ndataset = data.txt\nout = out\n")
+        config = load_run_config(path, mode)
+        assert config == RunConfig(
+            mode=mode,
+            dataset=workspace / "data.txt",
+            out_dir=workspace / "out",
+            split=SplitSpec(),
+            fit_config=None if mode == "tune" else FitConfig(rank=4),
+            grid=GridSpec() if mode == "tune" else None,
+            config_sha256=config.config_sha256,
+        )
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("alpha = 1.5", "alpah = 3", "alpah"),
+        ("[fit]", "[Fit]", "[Fit]"),
+        ("[split]", "[DEFAULT]\nseed = 3\n\n[split]", "[DEFAULT]"),
+        ("n_restarts = 3", "n_restarts = 3\nmax_iters = 5", "max_iters"),
+    ])
+    @pytest.mark.parametrize("mode", ["fit", "tune"])
+    def test_unknown_key_or_section_exits_2_naming_it(self, workspace, capsys,
+                                                      mode, old, new, named):
+        (workspace / "run.ini").write_text(BASE_CONFIG.replace(old, new))
+        assert run(workspace, mode, "--config", "@/run.ini") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not (workspace / "out").exists()
+
+    def test_percent_sign_is_literal(self, workspace):
+        (workspace / "run.ini").write_text(
+            BASE_CONFIG.replace("out = out", "out = out%x")
+        )
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        assert (workspace / "out%x" / "W.txt").is_file()
 
 
 class TestFit:
@@ -147,6 +257,33 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "W.txt" in err
         assert "Traceback" not in err
+
+    def test_invalid_factors_exit_1_naming_them(self, workspace, capsys):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        w_path = workspace / "out" / "W.txt"
+        np.savetxt(w_path, 0.8 * np.loadtxt(w_path, ndmin=2), fmt="%.17g")
+        capsys.readouterr()
+        assert run(workspace, "eval", "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "W.txt" in err
+        assert "W rows do not sum to 1" in err
+
+    def test_overlapping_masks_exit_2(self, workspace, capsys):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        out = workspace / "out"
+        (out / "test_mask.txt").write_bytes((out / "val_mask.txt").read_bytes())
+        capsys.readouterr()
+        assert run(workspace, "eval", "--config", "@/run.ini") == 2
+        assert "validation and test masks overlap" in capsys.readouterr().err
+
+    def test_train_mask_is_not_read(self, workspace):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        assert run(workspace, "eval", "--config", "@/run.ini") == 0
+        csv_path = workspace / "out" / "completion_report.csv"
+        expected = csv_path.read_bytes()
+        (workspace / "out" / "train_mask.txt").write_text("not a mask\n")
+        assert run(workspace, "eval", "--config", "@/run.ini") == 0
+        assert csv_path.read_bytes() == expected
 
     def test_coin_factors_score_log_two(self, workspace):
         out = workspace / "out"

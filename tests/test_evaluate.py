@@ -6,6 +6,7 @@ import pytest
 from nbmf import (
     BinaryMatrix,
     CompletionReport,
+    ConfigError,
     EmptyMaskError,
     FactorPair,
     NumericalError,
@@ -155,3 +156,9 @@ class TestCompletionReport:
         mask = full_mask(4, 4)
         with pytest.raises(ValueError):
             completion_report(Y, mask, mask, np.full((4, 4), 0.5))
+
+    def test_overlapping_masks_are_a_config_error(self):
+        Y = random_binary_matrix(4, 4, 0.5, seed=11)
+        val, test = self._split(Y)
+        with pytest.raises(ConfigError, match="validation and test masks overlap"):
+            completion_report(Y, val, val, np.full((4, 4), 0.5))

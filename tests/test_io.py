@@ -3,6 +3,7 @@ import pytest
 
 from nbmf import (
     DimensionError,
+    FactorPair,
     ParseError,
     FitConfig,
     FitReport,
@@ -91,6 +92,38 @@ class TestFactorFiles:
         path.write_text(text)
         with pytest.raises(ParseError, match=name):
             read_factors(tmp_path)
+
+    @pytest.mark.parametrize("name", ["W.txt", "H.txt"])
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_empty_matrix_file(self, tmp_path, name, text):
+        write_factors(tmp_path, init_factors(4, 5, 3, seed=0), alpha=1.0, beta=1.0,
+                      epsilon=1e-12, seed=0, converged=True)
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ParseError, match=f"{name}: empty matrix file"):
+            read_factors(tmp_path)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("scaled_w_rows", "W rows do not sum to 1"),
+        ("negative_w", "W has negative entries"),
+        ("h_at_one", "H entries leave the clamped interval"),
+        ("h_below_epsilon", "H entries leave the clamped interval"),
+    ])
+    def test_invalid_factors_name_files(self, tmp_path, damage, message):
+        factors = init_factors(4, 5, 3, seed=0)
+        W, H = factors.W.copy(), factors.H.copy()
+        if damage == "scaled_w_rows":
+            W *= 0.8
+        elif damage == "negative_w":
+            W[0] = [0.5, 1.0, -0.5]
+        elif damage == "h_at_one":
+            H[1, 2] = 1.0
+        else:
+            H[1, 2] = 1e-13
+        write_factors(tmp_path, FactorPair(W, H), alpha=1.0, beta=1.0,
+                      epsilon=1e-12, seed=0, converged=True)
+        with pytest.raises(ParseError, match=message) as info:
+            read_factors(tmp_path)
+        assert "W.txt" in str(info.value) and "H.txt" in str(info.value)
 
 
 class TestReportFiles:

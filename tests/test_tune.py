@@ -234,6 +234,13 @@ class TestTestEvaluation:
                              n_restarts=3, base_seed=40)
         assert [r.restart_seed for r in ev.rows] == [40, 41, 42]
 
+    def test_overlapping_masks_rejected(self, small_problem):
+        Y, train, _, _ = small_problem
+        grid = GridSpec(rank_values=(1,), alpha_values=(1.0,), beta_values=(1.0,))
+        with pytest.raises(ConfigError, match="train and test masks overlap"):
+            run_test_evaluation(Y, train, train, grid.fit_config(1, 1.0, 1.0, 0),
+                                n_restarts=1)
+
     def test_planted_model_beats_coin(self):
         Y, _, _ = planted_dataset(60, 40, 3, h_alpha=3.0, h_beta=3.0, seed=6,
                                   w_concentration=0.3)
