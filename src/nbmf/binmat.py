@@ -245,27 +245,32 @@ def _splitmix64_keys(seed, count):
 def split_observations(matrix, spec):
     """Partition all M*N cells into train/validation/test masks.
 
-    Cells are shuffled by sorting on per-cell SplitMix64 keys derived from
-    ``spec.seed``, then cut by the fractions: train takes
-    floor(train_frac * M * N) cells, validation floor(val_frac * M * N),
-    and test the remainder.  The same spec always yields identical masks.
+    Cells are ranked by per-cell SplitMix64 keys derived from
+    ``spec.seed``, then cut by the fractions: train takes the
+    floor(train_frac * M * N) lowest keys, validation the next
+    floor(val_frac * M * N), and test the remainder.  The same spec always
+    yields identical masks.
     """
     if not isinstance(spec, SplitSpec):
         raise ConfigError("spec must be a SplitSpec")
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     total = n_rows * n_cols
     keys = _splitmix64_keys(spec.seed, total)
-    order = np.argsort(keys, kind="stable")
 
     n_train = math.floor(spec.train_frac * total)
     n_val = math.floor(spec.val_frac * total)
 
-    # Label every cell by the slice of the shuffle it falls in; reading the
-    # labels back in cell order gives each mask already sorted.
-    phase = np.empty(total, dtype=np.int8)
-    phase[order[:n_train]] = 0
-    phase[order[n_train:n_train + n_val]] = 1
-    phase[order[n_train + n_val:]] = 2
+    # The keys are distinct (SplitMix64 maps distinct states to distinct
+    # outputs), so selecting the keys of rank n_train and n_train + n_val
+    # is enough: a cell's label is the number of those keys it reaches.
+    # Rounding can put a cut at ``total`` (no test cell); it is skipped.
+    cuts = [n for n in (n_train, n_train + n_val) if n < total]
+    phase = np.zeros(total, dtype=np.int8)
+    if cuts:
+        selected = np.partition(keys, cuts)
+        for n in cuts:
+            phase += keys >= selected[n]
+    # Reading the labels back in cell order gives each mask already sorted.
     return tuple(
         ObservationMask._from_linear(n_rows, n_cols, np.flatnonzero(phase == k))
         for k in range(3)

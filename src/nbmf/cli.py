@@ -168,6 +168,25 @@ def load_run_config(config_path, mode, seed=None, out=None):
     )
 
 
+def _lock_holder(lock_path):
+    """Name the run that a lock file records, and say whether it is alive."""
+    try:
+        pid = int(lock_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):  # an empty lock, or one from an older run
+        return "another run"
+    if pid <= 0:
+        return "another run"
+    if os.name == "nt":  # signal 0 is CTRL_C_EVENT there, not a probe
+        return f"process {pid}"
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return f"process {pid}, which is no longer running"
+    except PermissionError:  # alive, under another user
+        pass
+    return f"process {pid}, which is still running"
+
+
 @contextmanager
 def _output_lock(out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -176,11 +195,12 @@ def _output_lock(out_dir):
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         raise NbmfError(
-            f"output directory {out_dir} is locked by another run "
+            f"output directory {out_dir} is locked by {_lock_holder(lock_path)} "
             f"(remove {lock_path} if that run is dead)"
         ) from None
     try:
-        os.close(fd)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
         yield
     finally:
         try:

@@ -68,11 +68,14 @@ def write_factors(out_dir, factors, *, alpha, beta, epsilon, seed, converged):
 
 
 def _read_matrix(path):
-    data = path.read_bytes()
-    if not data.strip():
+    # Bytes that are not UTF-8 become U+FFFD, which loadtxt rejects below.
+    lines = path.read_bytes().decode(errors="replace").splitlines()
+    # loadtxt skips '#' comments and blank lines, and only warns when that
+    # leaves no data.
+    if not any(line.partition("#")[0].strip() for line in lines):
         raise ParseError(f"{path}: empty matrix file")
     try:
-        matrix = np.loadtxt(data.decode().splitlines(), ndmin=2)
+        matrix = np.loadtxt(lines, ndmin=2)
     except ValueError as exc:
         raise ParseError(f"{path}: unreadable matrix ({exc})") from None
     if not np.isfinite(matrix).all():

@@ -25,18 +25,27 @@ unchanged, so the descent guarantee survives, and the simplex multiplier for
 row m becomes the number of observed cells in that row instead of N.
 
 Structure: ``_prepare`` turns one ``(Y, mask)`` pair into the observed ones
-``A``, the observed zeros ``B`` and the per-row observed counts; ``_ratios``
-writes ``A / P`` and ``B / (1 - P)`` for ``P = W @ H``, and ``_h_step`` and
-``_w_step`` are the only copies of the two half-updates and take those
-ratios as arguments.  :func:`fit` prepares once and computes two products per
-sweep, as the objective of one sweep and the H step of the next share ``P``;
-the public updates and :func:`objective` prepare per call.
+``A``, the observed zeros ``B``, the boolean ``unobserved`` cells and the
+per-row observed counts; ``_ratios`` writes ``R = A / P`` and
+``S = B / (1 - P)`` for ``P = W @ H``, and ``_h_step`` and ``_w_step`` are
+the only copies of the two half-updates and take those ratios as arguments.
+The objective is scored from the same ratios: ``R + S`` is ``1 / P`` on an
+observed one, ``1 / (1 - P)`` on an observed zero and 0 elsewhere, so the
+masked negative log-likelihood is ``sum(log(R + S + unobserved))``, one log
+per cell.  :func:`fit` prepares once and ends each sweep by checking that
+every cell of ``P`` lies in (0, 1), writing the ratios of ``P`` and scoring
+them; the next sweep's H step takes those ratios as they are, so a sweep
+computes two products and two ratio passes.  The public updates and
+:func:`objective` prepare per call.
 
 The public functions are pure: they read their inputs and return fresh
-arrays.  :func:`fit` owns three M-by-N arrays, ``P`` and two scratch arrays,
-which every full-size step of its sweep writes into, so the sweep allocates
-nothing of that size; the factors it returns or passes to ``on_sweep`` are
-fresh arrays that no later sweep overwrites.
+arrays.  :func:`fit` owns three M-by-N float arrays: ``P``, which the
+objective overwrites with its logs once the ratios are written, and the
+scratch pair that holds ``R`` and ``S``.  It also owns the prepared ``A``,
+``B`` and ``unobserved``.  Every full-size step of its sweep writes into
+those three arrays, so the sweep allocates nothing of that size; the
+factors it returns or passes to ``on_sweep`` are fresh arrays that no later
+sweep overwrites.
 """
 
 from __future__ import annotations
@@ -230,20 +239,23 @@ def reconstruct(factors):
 
 
 def _prepare(Y, mask):
-    """Dense observed ones ``A``, observed zeros ``B`` and per-row counts."""
+    """Dense observed ones ``A``, observed zeros ``B``, the boolean
+    complement of the mask and the per-row observed counts."""
     if Y.shape != mask.shape:
         raise DimensionError(
             f"mask shape {mask.shape} does not match matrix shape {Y.shape}"
         )
-    observed = mask.to_dense().astype(float)
+    observed = mask.to_dense()
+    unobserved = ~observed
+    observed = observed.astype(float)
     n_obs = observed.sum(axis=1)
     A = observed * Y.to_dense()
     B = np.subtract(observed, A, out=observed)
-    return A, B, n_obs
+    return A, B, unobserved, n_obs
 
 
 def _scratch(P):
-    """Two arrays shaped like ``P`` for :func:`_ratios` and the objective."""
+    """Two arrays shaped like ``P`` for :func:`_ratios`."""
     return np.empty_like(P), np.empty_like(P)
 
 
@@ -256,14 +268,24 @@ def _ratios(A, B, P, scratch):
     return R, S
 
 
-def _objective_arrays(A, B, P, H, prior, scratch):
-    """``-(A*log P + B*log1p(-P)).sum()`` plus the prior, built in ``scratch``."""
+def _checked_ratios(A, B, P, scratch):
+    """:func:`_ratios` once every cell of ``P``, observed or not, is in (0, 1)."""
     if P.min() <= 0.0 or P.max() >= 1.0:
         raise NumericalError("reconstruction left the open interval (0, 1)")
-    R, S = scratch
-    np.multiply(A, np.log(P, out=R), out=R)
-    np.multiply(B, np.log1p(np.negative(P, out=S), out=S), out=S)
-    value = -np.add(R, S, out=R).sum()
+    return _ratios(A, B, P, scratch)
+
+
+def _objective_arrays(R, S, unobserved, P, H, prior):
+    """``sum(log(R + S + unobserved))`` plus the prior, built in ``P``.
+
+    With ``R = A / P`` and ``S = B / (1 - P)`` from :func:`_checked_ratios`,
+    ``R + S`` is ``1 / P`` on an observed one, ``1 / (1 - P)`` on an observed
+    zero and 0 on an unobserved cell, where adding 1 makes the log vanish:
+    one log per cell gives the masked negative log-likelihood.  ``P`` is
+    overwritten.
+    """
+    np.add(R, S, out=P)
+    value = np.log(np.add(P, unobserved, out=P), out=P).sum()
     alpha, beta = prior.alpha, prior.beta
     if alpha != 1.0 or beta != 1.0:
         value -= ((alpha - 1.0) * np.log(H) + (beta - 1.0) * np.log1p(-H)).sum()
@@ -274,11 +296,13 @@ def objective(Y, mask, factors, prior):
     """MAP objective: masked negative log-likelihood plus prior penalty.
 
     The likelihood part sums over the cells in ``mask`` only; the prior
-    penalty always covers all of H.
+    penalty always covers all of H.  Raises :class:`NumericalError` if any
+    cell of ``W @ H`` leaves (0, 1).
     """
-    A, B, _ = _prepare(Y, mask)
+    A, B, unobserved, _ = _prepare(Y, mask)
     P = reconstruct(factors)
-    return _objective_arrays(A, B, P, factors.H, prior, _scratch(P))
+    R, S = _checked_ratios(A, B, P, _scratch(P))
+    return _objective_arrays(R, S, unobserved, P, factors.H, prior)
 
 
 def _h_step(R, S, W, H, alpha, beta, epsilon, clamp):
@@ -304,7 +328,7 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     prior mode otherwise.  With ``clamp`` the result is pulled into
     [epsilon, 1 - epsilon].
     """
-    A, B, _ = _prepare(Y, mask)
+    A, B, _, _ = _prepare(Y, mask)
     P = reconstruct(factors)
     R, S = _ratios(A, B, P, _scratch(P))
     return _h_step(R, S, factors.W, factors.H, prior.alpha, prior.beta,
@@ -333,7 +357,7 @@ def update_w(Y, mask, factors, epsilon=1e-12, clamp=True):
     observed cells are returned unchanged.  With ``clamp`` entries are
     floored at ``epsilon`` and the row renormalized.
     """
-    A, B, n_obs = _prepare(Y, mask)
+    A, B, _, n_obs = _prepare(Y, mask)
     P = reconstruct(factors)
     R, S = _ratios(A, B, P, _scratch(P))
     return _w_step(R, S, n_obs, factors.W, factors.H, epsilon, clamp)
@@ -361,12 +385,13 @@ def fit(Y, mask, config, on_sweep=None):
         raise ConfigError("fit expects a BinaryMatrix and an ObservationMask")
     if mask.n_cells == 0:
         raise EmptyMaskError("cannot fit on an empty mask")
-    A, B, n_obs = _prepare(Y, mask)
+    A, B, unobserved, n_obs = _prepare(Y, mask)
     prior, epsilon = config.prior, config.epsilon
 
-    def evaluate(P, H, sweep):
+    def evaluate(H, sweep):
         try:
-            value = _objective_arrays(A, B, P, H, prior, scratch)
+            R, S = _checked_ratios(A, B, P, scratch)
+            value = _objective_arrays(R, S, unobserved, P, H, prior)
         except NumericalError as exc:
             raise NumericalError(str(exc), iteration=sweep) from None
         if not np.isfinite(value):
@@ -380,16 +405,17 @@ def fit(Y, mask, config, on_sweep=None):
     P = W @ H
     scratch = _scratch(P)
 
-    trace = [evaluate(P, H, 0)]
+    trace = [evaluate(H, 0)]
     converged = False
 
     for sweep in range(1, config.max_iter + 1):
-        R, S = _ratios(A, B, P, scratch)
+        # evaluate left the ratios of the current P in the scratch pair
+        R, S = scratch
         H = _h_step(R, S, W, H, prior.alpha, prior.beta, epsilon, clamp=True)
         R, S = _ratios(A, B, np.matmul(W, H, out=P), scratch)
         W = _w_step(R, S, n_obs, W, H, epsilon, clamp=True)
         np.matmul(W, H, out=P)
-        trace.append(evaluate(P, H, sweep))
+        trace.append(evaluate(H, sweep))
         if on_sweep is not None:
             on_sweep(sweep, trace[-1], FactorPair(W, H))
         if _relative_change(trace[-2], trace[-1]) < config.tol:

@@ -294,6 +294,33 @@ class TestIndexStorage:
                 assert mask.linear.tolist() == sorted(expected.tolist())
 
 
+def _argsort_split(n_rows, n_cols, spec):
+    """Masks as consecutive slices of the stable argsort of the keys."""
+    from nbmf.binmat import _splitmix64_keys
+
+    total = n_rows * n_cols
+    order = np.argsort(_splitmix64_keys(spec.seed, total), kind="stable")
+    n_train = math.floor(spec.train_frac * total)
+    n_val = math.floor(spec.val_frac * total)
+    cuts = (order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:])
+    return [np.sort(cut) for cut in cuts]
+
+
+@pytest.mark.parametrize("shape, fractions, seed", [
+    ((1, 1), (0.7, 0.15, 0.15), 0),
+    ((1, 2), (0.3, 0.35, 0.35), 1),           # too small to hold a train cell
+    ((10, 1), (0.7, 0.3, 1e-17), 4),          # rounding leaves no test cell
+    ((37, 41), (0.5, 0.25, 0.25), 2**40),
+    ((64, 3), (0.1, 0.8, 0.1), -7),
+    ((300, 200), (0.7, 0.15, 0.15), 12345),
+])
+def test_split_by_selection_matches_argsort(shape, fractions, seed):
+    spec = SplitSpec(*fractions, seed=seed)
+    masks = split_observations(BinaryMatrix(*shape, []), spec)
+    for mask, expected in zip(masks, _argsort_split(*shape, spec), strict=True):
+        np.testing.assert_array_equal(mask.linear, expected)
+
+
 def _scanned(path):
     """What the line-by-line reference scanner makes of a file."""
     from nbmf.binmat import _scan_coords

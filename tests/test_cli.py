@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -220,6 +223,46 @@ class TestFit:
         (out / ".nbmf.lock").touch()
         assert run(workspace, "fit", "--config", "@/run.ini") == 1
 
+    def test_lock_names_the_running_process(self, workspace, monkeypatch):
+        lock = workspace / "out" / ".nbmf.lock"
+        real_fit, seen = nbmf.cli.fit, []
+
+        def fit_reading_lock(*args, **kwargs):
+            seen.append(lock.read_text())
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(nbmf.cli, "fit", fit_reading_lock)
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        assert seen == [f"{os.getpid()}\n"]
+        assert not lock.exists()
+
+    def test_lock_of_dead_process_is_reported_not_taken(self, workspace, capsys):
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        out = workspace / "out"
+        out.mkdir()
+        (out / ".nbmf.lock").write_text(f"{dead.pid}\n")
+        assert run(workspace, "fit", "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert f"process {dead.pid}, which is no longer running" in err
+        assert (out / ".nbmf.lock").read_text() == f"{dead.pid}\n"
+        assert not (out / "W.txt").exists()
+
+    def test_lock_of_live_process_is_reported(self, workspace, capsys):
+        out = workspace / "out"
+        out.mkdir()
+        (out / ".nbmf.lock").write_text(f"{os.getpid()}\n")
+        assert run(workspace, "fit", "--config", "@/run.ini") == 1
+        assert f"process {os.getpid()}, which is still running" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"", b"\xff\n", b"not a pid\n", b"0\n"])
+    def test_lock_naming_no_process_is_reported(self, workspace, capsys, content):
+        out = workspace / "out"
+        out.mkdir()
+        (out / ".nbmf.lock").write_bytes(content)
+        assert run(workspace, "fit", "--config", "@/run.ini") == 1
+        assert "is locked by another run" in capsys.readouterr().err
+
 
 class TestEval:
     def test_after_fit(self, workspace):
@@ -267,6 +310,14 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "W.txt" in err
         assert "W rows do not sum to 1" in err
+
+    def test_comment_only_factor_file_exits_1(self, workspace, capsys):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        (workspace / "out" / "W.txt").write_text("# nothing\n")
+        capsys.readouterr()
+        assert run(workspace, "eval", "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "W.txt: empty matrix file" in err
 
     def test_overlapping_masks_exit_2(self, workspace, capsys):
         assert run(workspace, "fit", "--config", "@/run.ini") == 0

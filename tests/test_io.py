@@ -102,6 +102,24 @@ class TestFactorFiles:
         with pytest.raises(ParseError, match=f"{name}: empty matrix file"):
             read_factors(tmp_path)
 
+    @pytest.mark.parametrize("name", ["W.txt", "H.txt"])
+    @pytest.mark.parametrize("text", ["# nothing\n", "\n# a\n  # b\n\n"])
+    def test_comment_only_matrix_file(self, tmp_path, name, text):
+        write_factors(tmp_path, init_factors(4, 5, 3, seed=0), alpha=1.0, beta=1.0,
+                      epsilon=1e-12, seed=0, converged=True)
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ParseError, match=f"{name}: empty matrix file"):
+            read_factors(tmp_path)
+
+    def test_comments_around_rows_are_skipped(self, tmp_path):
+        factors = init_factors(4, 5, 3, seed=0)
+        write_factors(tmp_path, factors, alpha=1.0, beta=1.0,
+                      epsilon=1e-12, seed=0, converged=True)
+        path = tmp_path / "W.txt"
+        path.write_text("# header\n" + path.read_text() + "# trailer\n")
+        read, _ = read_factors(tmp_path)
+        np.testing.assert_array_equal(read.W, factors.W)
+
     @pytest.mark.parametrize("damage, message", [
         ("scaled_w_rows", "W rows do not sum to 1"),
         ("negative_w", "W has negative entries"),

@@ -211,6 +211,14 @@ class TestObjective:
         with pytest.raises(NumericalError):
             objective(IDENTITY2, full_mask(2, 2), bad, BetaPrior())
 
+    @pytest.mark.parametrize("h00", [0.0, 1.0])
+    def test_out_of_domain_unobserved_cell_raises(self, h00):
+        # W @ H leaves (0, 1) only in column 0, which the mask leaves out
+        bad = FactorPair(np.ones((2, 1)), np.array([[h00, 0.5]]))
+        column_1 = ObservationMask(2, 2, frozenset([(0, 1), (1, 1)]))
+        with pytest.raises(NumericalError):
+            objective(IDENTITY2, column_1, bad, BetaPrior())
+
     def test_matches_naive_oracle(self, rng):
         for trial in range(5):
             M, N, K = 6, 5, 2
@@ -528,6 +536,54 @@ class TestFit:
         growth = [peak - held for (held, _), (_, peak) in zip(memory, memory[1:])]
         assert len(growth) == 4
         assert max(growth) < M * N * 8
+
+    def test_masked_trace_matches_naive_objective(self):
+        # row 2 and column 4 have no observed cells
+        M, N, K = 7, 6, 3
+        Y = random_binary_matrix(M, N, 0.45, seed=21)
+        cells = subsample_mask(M, N, 0.7, seed=21).cells
+        mask = ObservationMask(
+            M, N, frozenset((m, n) for m, n in cells if m != 2 and n != 4)
+        )
+        prior = BetaPrior(2.0, 1.5)
+        config = FitConfig(rank=K, prior=prior, max_iter=25, tol=1e-12, seed=3)
+        Yd, Od = Y.to_dense(), mask.to_dense()
+
+        def naive(factors):
+            return naive_objective(Yd, Od, factors.W, factors.H,
+                                   prior.alpha, prior.beta)
+
+        seen = []
+        _, report = fit(Y, mask, config,
+                        on_sweep=lambda it, value, factors: seen.append(
+                            (value, naive(factors))))
+        assert len(seen) == report.n_iter >= 10
+        start = init_factors(M, N, K, config.epsilon, config.seed)
+        assert report.objective_trace[0] == pytest.approx(naive(start), rel=1e-12)
+        for value, expected in seen:
+            assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_never_takes_log1p_of_a_full_size_array(self, monkeypatch):
+        import nbmf.solver as solver_mod
+
+        sizes = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def log1p(x, *args, **kwargs):
+                sizes.append(np.size(x))
+                return np.log1p(x, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "np", CountingNumpy())
+        M, N, K = 30, 40, 3
+        Y = random_binary_matrix(M, N, 0.5, seed=6)
+        fit(Y, subsample_mask(M, N, 0.8, seed=6),
+            FitConfig(rank=K, prior=BetaPrior(2.0, 1.5), max_iter=5, tol=1e-12))
+        # the prior term takes log1p of H only, once per evaluation
+        assert sizes == [K * N] * 6
 
     def test_masked_training_ignores_heldout_cells(self):
         # flipping held-out cells must not change the fit
