@@ -326,11 +326,12 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     ``alpha - 1`` and ``d`` the evidence for 0s plus ``beta - 1``.  A column
     with no observed cells stays put under the flat prior and moves to the
     prior mode otherwise.  With ``clamp`` the result is pulled into
-    [epsilon, 1 - epsilon].
+    [epsilon, 1 - epsilon].  Raises :class:`NumericalError` if any cell of
+    ``W @ H`` leaves (0, 1).
     """
     A, B, _, _ = _prepare(Y, mask)
     P = reconstruct(factors)
-    R, S = _ratios(A, B, P, _scratch(P))
+    R, S = _checked_ratios(A, B, P, _scratch(P))
     return _h_step(R, S, factors.W, factors.H, prior.alpha, prior.beta,
                    epsilon, clamp)
 
@@ -355,11 +356,12 @@ def update_w(Y, mask, factors, epsilon=1e-12, clamp=True):
     cells and divided by the number of observed cells in that row, which is
     exactly the simplex multiplier, so row sums return to 1.  Rows with no
     observed cells are returned unchanged.  With ``clamp`` entries are
-    floored at ``epsilon`` and the row renormalized.
+    floored at ``epsilon`` and the row renormalized.  Raises
+    :class:`NumericalError` if any cell of ``W @ H`` leaves (0, 1).
     """
     A, B, _, n_obs = _prepare(Y, mask)
     P = reconstruct(factors)
-    R, S = _ratios(A, B, P, _scratch(P))
+    R, S = _checked_ratios(A, B, P, _scratch(P))
     return _w_step(R, S, n_obs, factors.W, factors.H, epsilon, clamp)
 
 

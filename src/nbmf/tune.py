@@ -18,7 +18,7 @@ import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -305,8 +305,11 @@ def _run_jobs(jobs, n_jobs):
     While more than one worker thread runs, numpy's OpenBLAS is held to
     about cpus / workers threads, so the workers' matrix products share the
     cores instead of each spreading over all of them.  Callers exhaust the
-    generator (``zip(..., strict=True)``), which shuts the pool and lifts
-    the bound before they go on.
+    generator (``zip(..., strict=True)``) inside ``closing``, which shuts
+    the pool and lifts the bound before they go on, also when their own
+    loop body raises.  When a job raises, or the wait is interrupted
+    (Ctrl-C, or the generator is closed), the jobs that have not started
+    are cancelled; only the running ones are waited for.
     """
     workers = min(n_jobs, len(jobs))
     if workers <= 1:
@@ -316,8 +319,12 @@ def _run_jobs(jobs, n_jobs):
     with _blas_threads_at_most(max(1, _cpu_count() // workers)), \
             ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(job) for job in jobs]
-        for future in futures:
-            yield future.result()
+        try:
+            for future in futures:
+                yield future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def grid_search(Y, train_mask, val_mask, grid, n_jobs=1, resume_rows=None,
@@ -345,18 +352,18 @@ def grid_search(Y, train_mask, val_mask, grid, n_jobs=1, resume_rows=None,
             )
 
     fresh = {}
-    outcomes = _run_jobs([job for _, job in pending], n_jobs)
-    for (key, _), (score, n_iter, converged, wall) in zip(
-        pending, outcomes, strict=True
-    ):
-        row = GridRow(
-            rank=key[0], alpha=key[1], beta=key[2], restart_seed=key[3],
-            val_perplexity=score, test_perplexity=None,
-            n_iter=n_iter, converged=converged, wall_time=wall,
-        )
-        fresh[key] = row
-        if on_row is not None:
-            on_row(row)
+    with closing(_run_jobs([job for _, job in pending], n_jobs)) as outcomes:
+        for (key, _), (score, n_iter, converged, wall) in zip(
+            pending, outcomes, strict=True
+        ):
+            row = GridRow(
+                rank=key[0], alpha=key[1], beta=key[2], restart_seed=key[3],
+                val_perplexity=score, test_perplexity=None,
+                n_iter=n_iter, converged=converged, wall_time=wall,
+            )
+            fresh[key] = row
+            if on_row is not None:
+                on_row(row)
 
     rows = []
     for (rank, alpha, beta) in points:
@@ -440,17 +447,18 @@ def test_evaluation(Y, train_mask, test_mask, config, n_restarts=10, base_seed=0
         for seed in seeds
     ]
     rows = []
-    outcomes = _run_jobs([job for _, job in jobs], n_jobs)
-    for (seed, _), (score, n_iter, converged, wall) in zip(
-        jobs, outcomes, strict=True
-    ):
-        rows.append(
-            GridRow(
-                rank=config.rank, alpha=config.prior.alpha, beta=config.prior.beta,
-                restart_seed=seed, val_perplexity=None, test_perplexity=score,
-                n_iter=n_iter, converged=converged, wall_time=wall,
+    with closing(_run_jobs([job for _, job in jobs], n_jobs)) as outcomes:
+        for (seed, _), (score, n_iter, converged, wall) in zip(
+            jobs, outcomes, strict=True
+        ):
+            rows.append(
+                GridRow(
+                    rank=config.rank, alpha=config.prior.alpha,
+                    beta=config.prior.beta, restart_seed=seed,
+                    val_perplexity=None, test_perplexity=score,
+                    n_iter=n_iter, converged=converged, wall_time=wall,
+                )
             )
-        )
     values = [row.test_perplexity for row in rows if row.test_perplexity is not None]
     if not values:
         raise SearchError("every restart failed")

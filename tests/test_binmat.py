@@ -1,9 +1,11 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import nbmf.binmat
 from nbmf import (
     BinaryMatrix,
     BoundsError,
@@ -405,3 +407,131 @@ class TestParserParity:
         assert load_coordinate_file(path) == m
         save_coordinate_file(BinaryMatrix(3, 0, []), path)
         assert path.read_bytes() == b"3 0\n"
+
+
+def _reference_text(grid):
+    """The coordinate format written one Python line at a time."""
+    lines = [f"{grid.n_rows} {grid.n_cols}\n"]
+    for cell in grid.linear.tolist():
+        r, c = divmod(cell, grid.n_cols)
+        lines.append(f"{r} {c}\n")
+    return "".join(lines).encode()
+
+
+def _edge_values(width, rng):
+    """Values of 1 to ``width`` digits: 0, each 10**k - 1 and 10**k, random."""
+    values = {0, 10**width - 1}
+    for k in range(1, width):
+        values |= {10**k - 1, 10**k}
+    values |= set(rng.integers(0, 10**width, size=5).tolist())
+    return sorted(values)
+
+
+@pytest.fixture(params=[1, 5, 16, 1 << 17], ids=lambda n: f"chunk{n}")
+def chunk_bytes(request, monkeypatch):
+    """Small text chunks, so that tests cross many chunk edges."""
+    monkeypatch.setattr(nbmf.binmat, "_CHUNK_BYTES", request.param)
+    return request.param
+
+
+class TestChunkedText:
+    """The chunked reader and writer equal the line-at-a-time format."""
+
+    def check_writer(self, grid, tmp_path):
+        path = tmp_path / "grid.txt"
+        save_mask(grid, path)
+        assert path.read_bytes() == _reference_text(grid)
+        # the file stays on the fast path and reads back unchanged
+        assert nbmf.binmat._parse_plain(path.read_bytes()) is not None
+        assert load_mask(path) == grid
+
+    @pytest.mark.parametrize("row_width", range(1, 14))
+    def test_writer_widths(self, tmp_path, chunk_bytes, row_width):
+        rng = np.random.default_rng(row_width)
+        col_width = 14 - row_width
+        rows = _edge_values(row_width, rng)
+        cols = _edge_values(col_width, rng)
+        cells = [(r, c) for r in rows for c in cols[::3]] + [(rows[-1], cols[-1])]
+        self.check_writer(
+            ObservationMask(10**row_width, 10**col_width, cells), tmp_path
+        )
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 1), (9, 1),
+                                       (1, 10), (10, 10), (10, 100), (100, 10), (37, 41)])
+    def test_writer_shapes(self, tmp_path, chunk_bytes, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for density in (0.0, 0.3, 1.0):
+            keep = rng.random(shape) < density
+            cells = list(zip(*(idx.tolist() for idx in np.nonzero(keep))))
+            self.check_writer(ObservationMask(*shape, cells), tmp_path)
+
+    def test_random_files_agree_with_scanner(self, tmp_path, chunk_bytes):
+        pieces = ["# c", "  # indented", "#", "", " ", "0  1", " 2 3 ", "1\t2",
+                  "3", "4 5 6", "1 2 3 0", "x", "1.0 2", "\xa0", "# é"]
+        rng = np.random.default_rng(chunk_bytes)
+        path = tmp_path / "fuzz.txt"
+        for case in range(150):
+            lines = [] if case % 5 == 0 else ["4 6"]
+            for _ in range(rng.integers(0, 10)):
+                if rng.random() < 0.6:
+                    r, c = rng.integers(0, 5), rng.integers(0, 7)
+                    gap = " " * int(rng.integers(1, 3))
+                    lines.append(f"{r}{gap}{c}")
+                else:
+                    lines.append(str(rng.choice(pieces)))
+            sep = "\r\n" if rng.random() < 0.3 else "\n"
+            end = sep if rng.random() < 0.7 else ""
+            path.write_bytes((sep.join(lines) + end).encode())
+            assert _loaded(path) == _scanned(path), path.read_bytes()
+
+    @pytest.mark.parametrize("lines, error, line", [
+        (["4 4", "0 0", "0 1", "1 0", "1 1", "1 1"], DuplicateError, 6),
+        (["4 4", "2 2", "0 1", "3 3", "# c", "", "0 1"], DuplicateError, 7),
+        (["4 4", "3 3", "2 2", "1 1", "3 3"], DuplicateError, 5),
+        (["2 2", "0 0", "1 1", "0 1", "1 2"], BoundsError, 5),
+        (["4 4", "0 0", "1 1", "2 2 3 3"], ParseError, 4),
+        (["4 4 0 0", "1 1"], ParseError, 1),
+        (["4 4", "", "0", "1"], ParseError, 3),
+        (["4 4", "0 0", "1  ", " 1"], ParseError, 3),
+    ])
+    def test_rejected_across_chunks_with_line(self, tmp_path, chunk_bytes, lines,
+                                              error, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        with pytest.raises(error, match=f"line {line}:"):
+            load_coordinate_file(path)
+
+    def test_out_of_order_cells_are_sorted(self, tmp_path, chunk_bytes):
+        path = tmp_path / "shuffled.txt"
+        path.write_bytes(b"5 5\n4 4\n0 3\n2 1\n0 0\n3 2\n")
+        mask = load_mask(path)
+        assert mask.linear.tolist() == [0, 3, 11, 17, 24]
+
+
+class TestTextMemory:
+    """Coordinate I/O holds only chunk-sized temporaries beside its input
+    and output (tracemalloc peaks on a 700k-cell mask)."""
+
+    @pytest.fixture(scope="class")
+    def mask(self):
+        return split_observations(BinaryMatrix(1000, 1000, []), SplitSpec(seed=1))[0]
+
+    @staticmethod
+    def traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_save_mask_peak(self, mask, tmp_path):
+        assert mask.n_cells >= 500_000
+        peak = self.traced_peak(save_mask, mask, tmp_path / "mask.txt")
+        assert peak <= 45 * mask.n_cells
+
+    def test_load_mask_peak(self, mask, tmp_path):
+        path = tmp_path / "mask.txt"
+        save_mask(mask, path)
+        peak = self.traced_peak(load_mask, path)
+        assert peak <= 70 * mask.n_cells

@@ -293,6 +293,13 @@ class TestUpdateH:
                 got = update_h(Y, mask, factors, prior, clamp=False)
                 np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("h00", [0.0, 1.0])
+    def test_out_of_domain_reconstruction_raises(self, h00):
+        # column 0 of W @ H is h00, on the boundary of (0, 1)
+        bad = FactorPair(np.ones((2, 1)), np.array([[h00, 0.5]]))
+        with pytest.raises(NumericalError):
+            update_h(IDENTITY2, full_mask(2, 2), bad, BetaPrior())
+
 
 class TestUpdateW:
     def test_rank_one_fixed_point(self):
@@ -340,6 +347,13 @@ class TestUpdateW:
                 )
                 got = update_w(Y, mask, factors, clamp=False)
                 np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("h00", [0.0, 1.0])
+    def test_out_of_domain_reconstruction_raises(self, h00):
+        # column 0 of W @ H is h00, on the boundary of (0, 1)
+        bad = FactorPair(np.ones((2, 1)), np.array([[h00, 0.5]]))
+        with pytest.raises(NumericalError):
+            update_w(IDENTITY2, full_mask(2, 2), bad)
 
 
 class TestSingleUpdateDescent:

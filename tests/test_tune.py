@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -368,3 +370,56 @@ class TestBlasThreadBound:
         with pytest.raises(RuntimeError):
             list(nbmf.tune._run_jobs([boom, boom], n_jobs=2))
         assert calls[0]() == before
+
+
+class TestPoolCancellation:
+    def test_failure_cancels_queued_jobs(self):
+        calls = nbmf.tune._openblas_thread_calls()
+        before = calls[0]() if calls else None
+        started = []
+        lock = threading.Lock()
+
+        def boom():
+            with lock:
+                started.append("boom")
+            raise RuntimeError("job failed")
+
+        def slow():
+            with lock:
+                started.append("slow")
+            time.sleep(0.1)
+
+        begin = time.perf_counter()
+        with pytest.raises(RuntimeError, match="job failed"):
+            list(nbmf.tune._run_jobs([boom] + [slow] * 20, n_jobs=2))
+        assert time.perf_counter() - begin < 0.3
+        assert len(started) <= 3
+        if calls:
+            assert calls[0]() == before
+
+    def test_failing_row_callback_cancels_queued_fits(self, monkeypatch,
+                                                      small_problem):
+        # grid_search's own loop raises (say, the partial CSV cannot be
+        # written); the queued fits must not run while the error is handled
+        started = []
+        lock = threading.Lock()
+
+        def slow_fit(*args):
+            with lock:
+                started.append(1)
+            time.sleep(0.05)
+            return 1.0, 1, True, 0.05
+
+        def failing_row(row):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(nbmf.tune, "_fit_and_score", slow_fit)
+        Y, train, val, _ = small_problem
+        grid = GridSpec(rank_values=(1, 2, 3, 4), alpha_values=(1.0, 2.0),
+                        beta_values=(1.0, 2.0), n_restarts=1, max_iter=5)
+        with pytest.raises(OSError) as caught:
+            grid_search(Y, train, val, grid, n_jobs=2, on_row=failing_row)
+        # the error is still held, as by a caller reporting it
+        time.sleep(0.3)
+        assert len(started) <= 4
+        assert "disk full" in str(caught.value)
