@@ -376,42 +376,26 @@ def _chunk_values(buf):
     zero or two tokens, and no token is longer than 18 digits.
     """
     digit = buf - np.uint8(_DIGIT0)
+    is_newline = buf == _NEWLINE
+    if not (is_newline | (buf == _SPACE) | (digit <= 9)).all():
+        return None
     seps = np.flatnonzero(digit > 9)
     # run[i]: digits between separator i - 1 and separator i, counting a
     # separator before the first byte and after the last.
     bounds = np.concatenate(([-1], seps, [buf.size]))
     run = np.diff(bounds) - 1
-    if run[:-1].all():
-        # Every gap is one byte, so that byte decides: a space inside a
-        # pair, a newline between pairs.  The last token may end the text
-        # (a file without a final newline).
-        n_tokens = seps.size + bool(run[-1])
-        between = buf[seps]
-        if n_tokens % 2 or not (
-            (between[0::2] == _SPACE).all() and (between[1::2] == _NEWLINE).all()
-        ):
-            return None
-        ends = bounds[1:n_tokens + 1] - 1
-        widths = run[:n_tokens]
-    else:
-        is_newline = buf == _NEWLINE
-        if not (is_newline | (buf == _SPACE) | (digit <= 9)).all():
-            return None
-        holds = run > 0
-        ends = bounds[1:][holds] - 1
-        widths = run[holds]
-        if ends.size % 2:
-            return None
-        if ends.size:
-            # No newline between the tokens of a pair, at least one between
-            # a pair and the next.
-            newlines_to_next = np.add.reduceat(
-                is_newline, ends - widths + 1, dtype=np.intp
-            )
-            if newlines_to_next[0::2].any() or not newlines_to_next[1:-1:2].all():
-                return None
+    holds = run > 0
+    ends = bounds[1:][holds] - 1
+    widths = run[holds]
+    if ends.size % 2:
+        return None
     if ends.size == 0:
         return np.empty(0, dtype=np.int64)
+    # No newline between the tokens of a pair, at least one between a pair
+    # and the next.
+    newlines_to_next = np.add.reduceat(is_newline, ends - widths + 1, dtype=np.intp)
+    if newlines_to_next[0::2].any() or not newlines_to_next[1:-1:2].all():
+        return None
     max_width = int(widths.max())
     if max_width > 18:
         return None
@@ -422,7 +406,9 @@ def _chunk_values(buf):
     for k in range(1, max_width):
         place = digit[ends - k]
         place *= widths > k
-        values += place * np.int64(10**k)
+        # Widen before scaling: a uint8 product may wrap under value-based
+        # casting (NumPy < 2).
+        values += np.multiply(place, 10**k, dtype=np.int64)
     return values
 
 

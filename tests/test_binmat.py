@@ -379,6 +379,18 @@ class TestParserParity:
         path.write_bytes(b"2 2\n# note\r1 1\n")
         assert load_coordinate_file(path).ones == frozenset([(1, 1)])
 
+    def test_token_widths_at_the_int64_limit(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_bytes(b"999999999999999999 1\n999999999999999998 0\n")
+        assert nbmf.binmat._parse_plain(path.read_bytes()) is not None
+        assert load_coordinate_file(path).ones == frozenset([(10**18 - 2, 0)])
+        # wider tokens can overflow int64, so the scanner reads them
+        path.write_bytes(b"3 3\n" + b"0" * 19 + b"2 1\n")
+        assert load_coordinate_file(path).ones == frozenset([(2, 1)])
+        path.write_bytes(b"3 3\n" + b"9" * 20 + b" 1\n")
+        with pytest.raises(BoundsError, match="line 2:"):
+            load_coordinate_file(path)
+
     def test_random_files_agree_with_scanner(self, tmp_path):
         pieces = ["0", "1", "2", "3", "10", "007", "-1", "+1", "1_0", "1.0",
                   "x", "#", " ", "  ", "\t", "\n", "\r\n", "\r", "\x0c",

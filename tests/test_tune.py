@@ -387,13 +387,14 @@ class TestPoolCancellation:
         def slow():
             with lock:
                 started.append("slow")
-            time.sleep(0.1)
+            time.sleep(0.2)
 
+        # Uncancelled, the 20 queued jobs would take about 2 s on 2 workers.
         begin = time.perf_counter()
         with pytest.raises(RuntimeError, match="job failed"):
             list(nbmf.tune._run_jobs([boom] + [slow] * 20, n_jobs=2))
-        assert time.perf_counter() - begin < 0.3
         assert len(started) <= 3
+        assert time.perf_counter() - begin < 1.0
         if calls:
             assert calls[0]() == before
 
