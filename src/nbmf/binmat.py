@@ -314,8 +314,15 @@ def _scan_coords(path):
     shape = None
     coords = []
     seen = set()
-    with open(path, encoding="utf-8") as handle:
+    # Bytes that are not UTF-8 decode to lone surrogates, which no UTF-8
+    # text holds, so the line that carries one can be named.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError("not UTF-8 text", line=line_no) from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

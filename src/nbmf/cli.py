@@ -24,7 +24,8 @@ from .binmat import SplitSpec, load_coordinate_file, load_mask, save_mask, \
     split_observations
 from .errors import ConfigError, DimensionError, NbmfError
 from .evaluate import completion_report, predict_from_factors
-from .io import H_FILE, META_FILE, W_FILE, read_factors, write_factors, write_report
+from .io import H_FILE, META_FILE, W_FILE, _write_json, read_factors, write_factors, \
+    write_report
 from .solver import BetaPrior, FitConfig, fit
 from .tune import GridResult, GridSpec, append_csv_row, export_heatmap, grid_search, \
     test_evaluation
@@ -211,15 +212,12 @@ def _output_lock(out_dir):
 
 def _write_manifest(config, artifacts, seeds):
     path = config.out_dir / f"manifest_{config.mode}.json"
-    payload = {
+    _write_json(path, {
         "mode": config.mode,
         "config_sha256": config.config_sha256,
         "seeds": seeds,
         "artifacts": sorted(artifacts),
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    })
     return path
 
 
@@ -291,8 +289,7 @@ def cmd_eval(config):
         pred = predict_from_factors(factors)
         report = completion_report(Y, val, test, pred)
         json_path = config.out_dir / COMPLETION_JSON
-        with open(json_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(report.to_json() + "\n")
+        _write_json(json_path, report.to_dict())
         csv_path = config.out_dir / COMPLETION_CSV
         with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(report.CSV_HEADER + "\n")
@@ -368,8 +365,7 @@ def cmd_tune(config, n_jobs):
         heatmap_path = config.out_dir / HEATMAP_CSV
         export_heatmap(results, best.rank, heatmap_path)
         stats_path = config.out_dir / BOXSTATS_JSON
-        with open(stats_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(evaluation.to_json() + "\n")
+        _write_json(stats_path, evaluation.to_dict())
         _write_manifest(
             config,
             [grid_path.name, heatmap_path.name, stats_path.name],
@@ -384,54 +380,46 @@ def cmd_tune(config, n_jobs):
     return 0
 
 
-@contextmanager
-def _summarizing(path):
-    """Turn a JSON artifact that does not parse, or lacks a field, into an error."""
-    try:
-        yield
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise NbmfError(f"cannot summarize {path}: {exc!r}") from None
+def _manifest_summary(payload):
+    return (
+        f"{payload['mode']}: config {payload['config_sha256'][:12]} "
+        f"seeds {payload['seeds']} artifacts {', '.join(payload['artifacts'])}"
+    )
+
+
+# The line ``nbmf report`` prints for each JSON artifact, after the manifests'.
+_SUMMARIES = (
+    (REPORT_JSON, lambda payload: (
+        f"fit report: n_iter={payload['n_iter']} converged={payload['converged']} "
+        f"final_objective={payload['objective_trace'][-1]:.6f}"
+    )),
+    (COMPLETION_JSON, lambda payload: (
+        f"completion: val_perplexity={payload['validation']['perplexity']:.6f} "
+        f"test_perplexity={payload['test']['perplexity']:.6f}"
+    )),
+    (BOXSTATS_JSON, lambda payload: (
+        f"tune: rank={payload['rank']} alpha={payload['alpha']} "
+        f"beta={payload['beta']} "
+        f"median_test_perplexity={payload['stats']['median']:.6f}"
+    )),
+)
 
 
 def cmd_report(out_dir):
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
         raise ConfigError(f"output directory not found: {out_dir}")
-    found = False
-    for manifest in sorted(out_dir.glob("manifest_*.json")):
-        found = True
-        with _summarizing(manifest):
-            payload = json.loads(manifest.read_text(encoding="utf-8"))
-            print(
-                f"{payload['mode']}: config {payload['config_sha256'][:12]} "
-                f"seeds {payload['seeds']} artifacts {', '.join(payload['artifacts'])}"
-            )
-    report_path = out_dir / REPORT_JSON
-    if report_path.is_file():
-        with _summarizing(report_path):
-            payload = json.loads(report_path.read_text(encoding="utf-8"))
-            print(
-                f"fit report: n_iter={payload['n_iter']} converged={payload['converged']} "
-                f"final_objective={payload['objective_trace'][-1]:.6f}"
-            )
-    completion_path = out_dir / COMPLETION_JSON
-    if completion_path.is_file():
-        with _summarizing(completion_path):
-            payload = json.loads(completion_path.read_text(encoding="utf-8"))
-            print(
-                f"completion: val_perplexity={payload['validation']['perplexity']:.6f} "
-                f"test_perplexity={payload['test']['perplexity']:.6f}"
-            )
-    stats_path = out_dir / BOXSTATS_JSON
-    if stats_path.is_file():
-        with _summarizing(stats_path):
-            payload = json.loads(stats_path.read_text(encoding="utf-8"))
-            stats = payload["stats"]
-            print(
-                f"tune: rank={payload['rank']} alpha={payload['alpha']} "
-                f"beta={payload['beta']} median_test_perplexity={stats['median']:.6f}"
-            )
-    if not found:
+    manifests = sorted(out_dir.glob("manifest_*.json"))
+    summaries = [(path, _manifest_summary) for path in manifests] + [
+        (out_dir / name, summary) for name, summary in _SUMMARIES
+        if (out_dir / name).is_file()
+    ]
+    for path, summary in summaries:
+        try:
+            print(summary(json.loads(path.read_text(encoding="utf-8"))))
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise NbmfError(f"cannot summarize {path}: {exc!r}") from None
+    if not manifests:
         print(f"no manifests in {out_dir}")
     return 0
 

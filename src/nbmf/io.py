@@ -97,15 +97,18 @@ def read_factors(in_dir):
     in_dir = Path(in_dir)
     meta_path = in_dir / META_FILE
     meta = {}
-    with open(meta_path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(maxsplit=1)
-            if len(parts) != 2:
-                raise ParseError(f"malformed meta line {line!r}", line=line_no)
-            meta[parts[0]] = parts[1]
+    try:
+        with open(meta_path, encoding="utf-8") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                parts = line.split(maxsplit=1)
+                if len(parts) != 2:
+                    raise ParseError(f"malformed meta line {line!r}", line=line_no)
+                meta[parts[0]] = parts[1]
+    except UnicodeDecodeError:
+        raise ParseError(f"{meta_path}: not UTF-8 text") from None
     try:
         parsed = {key: int(meta[key]) for key in _INT_KEYS}
         parsed.update({key: float(meta[key]) for key in _FLOAT_KEYS})
@@ -131,11 +134,17 @@ def read_factors(in_dir):
     return factors, parsed
 
 
+def _write_json(path, payload):
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8", newline="\n",
+    )
+
+
 def write_report(path, report):
     """Write a :class:`FitReport` as JSON."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(path, report.to_dict())
 
 
 def read_report(path):

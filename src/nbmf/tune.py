@@ -8,7 +8,8 @@ statistics.  Grid points are independent jobs and may run on a thread pool;
 the result table is always assembled in grid order, and reruns with the same
 worker count are identical.  Across worker counts the last bits can differ
 on matrices large enough for multi-threaded BLAS, because the pool changes
-how many threads numpy's OpenBLAS uses per product (see ``_run_jobs``).
+how many threads numpy's OpenBLAS uses per product: ``_run_jobs`` holds it
+to about cpus / workers threads while the pool runs.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ _CSV_COLUMNS = (
     "rank", "alpha", "beta", "restart_seed",
     "val_perplexity", "test_perplexity", "n_iter", "converged",
 )
+# Checkpoint rows (append_csv_row) also keep each fit's wall time.
+_CHECKPOINT_COLUMNS = _CSV_COLUMNS + ("wall_time",)
 
 
 def _format_cell(value):
@@ -133,10 +136,6 @@ def _format_cell(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _csv_columns(include_wall_time):
-    return _CSV_COLUMNS + (("wall_time",) if include_wall_time else ())
 
 
 def _csv_line(values):
@@ -150,16 +149,16 @@ def _row_line(row, columns):
 def append_csv_row(path, row):
     """Append one row, with wall time, to a checkpoint CSV.
 
-    A missing file is created with its header first.  The bytes equal those
-    :meth:`GridResult.to_csv` writes with ``include_wall_time=True``.
+    A missing file is created with its header first.  The columns are those
+    of :meth:`GridResult.to_csv` plus ``wall_time``, so
+    :meth:`GridResult.from_csv` reads either file.
     """
-    columns = _csv_columns(include_wall_time=True)
     path = Path(path)
     fresh = not path.is_file()
     with open(path, "a", encoding="utf-8", newline="\n") as handle:
         if fresh:
-            handle.write(_csv_line(columns))
-        handle.write(_row_line(row, columns))
+            handle.write(_csv_line(_CHECKPOINT_COLUMNS))
+        handle.write(_row_line(row, _CHECKPOINT_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -177,18 +176,16 @@ class GridResult:
     def __iter__(self):
         return iter(self.rows)
 
-    def to_csv(self, path, include_wall_time=False):
+    def to_csv(self, path):
         """Write one row per fit.
 
-        Wall time is excluded by default so that re-running the same search
-        produces a byte-identical file; pass ``include_wall_time=True`` for
-        working files (for example resume checkpoints).
+        Wall time is left out, so re-running the same search produces a
+        byte-identical file; :func:`append_csv_row` writes checkpoints with it.
         """
-        columns = _csv_columns(include_wall_time)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(_csv_line(columns))
+            handle.write(_csv_line(_CSV_COLUMNS))
             for row in self.rows:
-                handle.write(_row_line(row, columns))
+                handle.write(_row_line(row, _CSV_COLUMNS))
 
     @classmethod
     def from_csv(cls, path):
@@ -304,12 +301,12 @@ def _run_jobs(jobs, n_jobs):
 
     While more than one worker thread runs, numpy's OpenBLAS is held to
     about cpus / workers threads, so the workers' matrix products share the
-    cores instead of each spreading over all of them.  Callers exhaust the
-    generator (``zip(..., strict=True)``) inside ``closing``, which shuts
-    the pool and lifts the bound before they go on, also when their own
-    loop body raises.  When a job raises, or the wait is interrupted
-    (Ctrl-C, or the generator is closed), the jobs that have not started
-    are cancelled; only the running ones are waited for.
+    cores instead of each spreading over all of them.  Callers consume the
+    generator inside ``closing``, which shuts the pool and lifts the bound
+    before they go on, also when their own loop body raises.  When a job
+    raises, or the wait is interrupted (Ctrl-C, or the generator is closed),
+    the iterator of ``Executor.map`` cancels the jobs that have not started;
+    only the running ones are waited for.
     """
     workers = min(n_jobs, len(jobs))
     if workers <= 1:
@@ -318,13 +315,30 @@ def _run_jobs(jobs, n_jobs):
         return
     with _blas_threads_at_most(max(1, _cpu_count() // workers)), \
             ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        try:
-            for future in futures:
-                yield future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        yield from pool.map(lambda job: job(), jobs)
+
+
+def _scored_rows(Y, train_mask, eval_mask, configs, column, n_jobs):
+    """Fit each config and score it on ``eval_mask``; yield rows in config order.
+
+    The score goes into the perplexity column named by ``column``.  Consume
+    the generator inside ``closing`` so that the queued fits stop as soon as
+    the loop over it ends.
+    """
+    jobs = [
+        functools.partial(_fit_and_score, Y, train_mask, eval_mask, config)
+        for config in configs
+    ]
+    with closing(_run_jobs(jobs, n_jobs)) as outcomes:
+        for config, (score, n_iter, converged, wall) in zip(
+            configs, outcomes, strict=True
+        ):
+            scores = {"val_perplexity": None, "test_perplexity": None, column: score}
+            yield GridRow(
+                rank=config.rank, alpha=config.prior.alpha, beta=config.prior.beta,
+                restart_seed=config.seed, **scores,
+                n_iter=n_iter, converged=converged, wall_time=wall,
+            )
 
 
 def grid_search(Y, train_mask, val_mask, grid, n_jobs=1, resume_rows=None,
@@ -340,36 +354,15 @@ def grid_search(Y, train_mask, val_mask, grid, n_jobs=1, resume_rows=None,
     """
     _require_disjoint(train_mask, val_mask, "train and validation")
     done = {row.key: row for row in (resume_rows or [])}
-
-    points = grid.points()
-    pending = []
-    for (rank, alpha, beta) in points:
-        key = (rank, alpha, beta, grid.base_seed)
-        if key not in done:
-            config = grid.fit_config(rank, alpha, beta, grid.base_seed)
-            pending.append(
-                (key, lambda cfg=config: _fit_and_score(Y, train_mask, val_mask, cfg))
-            )
-
-    fresh = {}
-    with closing(_run_jobs([job for _, job in pending], n_jobs)) as outcomes:
-        for (key, _), (score, n_iter, converged, wall) in zip(
-            pending, outcomes, strict=True
-        ):
-            row = GridRow(
-                rank=key[0], alpha=key[1], beta=key[2], restart_seed=key[3],
-                val_perplexity=score, test_perplexity=None,
-                n_iter=n_iter, converged=converged, wall_time=wall,
-            )
-            fresh[key] = row
+    keys = [(*point, grid.base_seed) for point in grid.points()]
+    pending = [grid.fit_config(*key) for key in keys if key not in done]
+    with closing(_scored_rows(Y, train_mask, val_mask, pending, "val_perplexity",
+                              n_jobs)) as fresh:
+        for row in fresh:
+            done[row.key] = row
             if on_row is not None:
                 on_row(row)
-
-    rows = []
-    for (rank, alpha, beta) in points:
-        key = (rank, alpha, beta, grid.base_seed)
-        rows.append(done.get(key) or fresh[key])
-    result = GridResult(tuple(rows))
+    result = GridResult(tuple(done[key] for key in keys))
     return result, best_row(result.rows)
 
 
@@ -436,52 +429,29 @@ def test_evaluation(Y, train_mask, test_mask, config, n_restarts=10, base_seed=0
     if n_restarts < 1:
         raise ConfigError("n_restarts must be >= 1")
     _require_disjoint(train_mask, test_mask, "train and test")
-    seeds = [base_seed + i for i in range(n_restarts)]
-    jobs = [
-        (
-            seed,
-            lambda s=seed: _fit_and_score(
-                Y, train_mask, test_mask, replace(config, seed=s)
-            ),
-        )
-        for seed in seeds
-    ]
-    rows = []
-    with closing(_run_jobs([job for _, job in jobs], n_jobs)) as outcomes:
-        for (seed, _), (score, n_iter, converged, wall) in zip(
-            jobs, outcomes, strict=True
-        ):
-            rows.append(
-                GridRow(
-                    rank=config.rank, alpha=config.prior.alpha,
-                    beta=config.prior.beta, restart_seed=seed,
-                    val_perplexity=None, test_perplexity=score,
-                    n_iter=n_iter, converged=converged, wall_time=wall,
-                )
-            )
+    restarts = [replace(config, seed=base_seed + i) for i in range(n_restarts)]
+    rows = tuple(
+        _scored_rows(Y, train_mask, test_mask, restarts, "test_perplexity", n_jobs)
+    )
     values = [row.test_perplexity for row in rows if row.test_perplexity is not None]
     if not values:
         raise SearchError("every restart failed")
-    return TestEvaluation(rows=tuple(rows), stats=BoxStats.from_values(values))
+    return TestEvaluation(rows=rows, stats=BoxStats.from_values(values))
 
 
-def export_heatmap(results, rank, path, aggregate="mean"):
+def export_heatmap(results, rank, path):
     """Write validation perplexity as a CSV matrix for one rank.
 
-    Alpha values index the rows and beta values the columns; each cell
-    aggregates the non-failed restarts at that grid point (mean by default,
-    median via ``aggregate="median"``).  Combinations absent from the
-    results stay empty.  Raises :class:`KeyError` for a rank that never
-    appears in the results.
+    Alpha values index the rows and beta values the columns; each cell holds
+    the mean over the non-failed restarts at that grid point.  Combinations
+    absent from the results stay empty.  Raises :class:`KeyError` for a rank
+    that never appears in the results.
     """
-    if aggregate not in ("mean", "median"):
-        raise ConfigError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
     matching = [row for row in results if row.rank == rank]
     if not matching:
         raise KeyError(f"rank {rank} does not appear in the results")
     alphas = sorted({row.alpha for row in matching})
     betas = sorted({row.beta for row in matching})
-    combine = np.mean if aggregate == "mean" else np.median
 
     lines = ["alpha\\beta," + ",".join(repr(b) for b in betas)]
     for alpha in alphas:
@@ -493,7 +463,7 @@ def export_heatmap(results, rank, path, aggregate="mean"):
                 if row.alpha == alpha and row.beta == beta
                 and row.val_perplexity is not None
             ]
-            cells.append(repr(float(combine(values))) if values else "")
+            cells.append(repr(float(np.mean(values))) if values else "")
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -195,6 +195,17 @@ class TestCoordinateFile:
         with pytest.raises(ParseError, match="line 2"):
             load_coordinate_file(path)
 
+    @pytest.mark.parametrize("data, line", [
+        (b"3 3\n0 1\n\xff 2\n", 3),
+        (b"3 3\r# caf\xe9\n0 1\n", 2),  # in a comment, after a bare CR
+        (b"3 3\n0 1\n2 2 \xe2\x82\n", 3),  # a sequence cut short
+    ])
+    def test_non_utf8_byte_names_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"line {line}: not UTF-8 text"):
+            load_coordinate_file(path)
+
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("3 3\n1 1\n1 1\n")

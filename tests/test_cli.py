@@ -188,6 +188,17 @@ class TestFit:
         assert run(workspace, "fit", "--config", "@/run.ini") == 2
         assert "nowhere.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name", [
+        ("fit", "data.txt"), ("eval", "out/val_mask.txt"),
+    ])
+    def test_non_utf8_coordinate_file_exits_1(self, workspace, capsys, command, name):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        (workspace / name).write_bytes(b"18 12\n0 1\n\xff 2\n")
+        capsys.readouterr()
+        assert run(workspace, command, "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 3: not UTF-8 text" in err
+
     def test_mode_mismatch_exits_2(self, workspace):
         (workspace / "run.ini").write_text("[run]\nmode = tune\n" + BASE_CONFIG[6:])
         assert run(workspace, "fit", "--config", "@/run.ini") == 2
@@ -318,6 +329,15 @@ class TestEval:
         assert run(workspace, "eval", "--config", "@/run.ini") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "W.txt: empty matrix file" in err
+
+    def test_non_utf8_meta_exits_1_naming_it(self, workspace, capsys):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        meta = workspace / "out" / "meta.txt"
+        meta.write_bytes(meta.read_bytes().replace(b"converged", b"conv\xe9rged"))
+        capsys.readouterr()
+        assert run(workspace, "eval", "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "meta.txt: not UTF-8 text" in err
 
     def test_overlapping_masks_exit_2(self, workspace, capsys):
         assert run(workspace, "fit", "--config", "@/run.ini") == 0
@@ -464,7 +484,8 @@ class TestTune:
         rows = GridResult.from_csv(partial).rows
         assert len(rows) == 4
         rewritten = workspace / "rewritten.csv"
-        GridResult(rows).to_csv(rewritten, include_wall_time=True)
+        for row in rows:
+            nbmf.tune.append_csv_row(rewritten, row)
         assert partial.read_bytes() == rewritten.read_bytes()
 
     def test_seed_override_sets_base_seed(self, workspace):

@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,6 +183,21 @@ class TestGridSearch:
             [r.val_perplexity for r in full]
         assert best_resumed.key == best_full.key
 
+    def test_resume_on_the_pool_matches_serial_search(self, small_problem):
+        Y, train, val, _ = small_problem
+        grid = GridSpec(rank_values=(1, 2), alpha_values=(1.0, 2.0),
+                        beta_values=(1.0, 3.0), base_seed=4)
+        full, best_full = grid_search(Y, train, val, grid)
+        fresh = []
+        resumed, best_resumed = grid_search(
+            Y, train, val, grid, n_jobs=2, resume_rows=full.rows[1::2],
+            on_row=fresh.append,
+        )
+        timeless = lambda rows: [replace(row, wall_time=0.0) for row in rows]
+        assert timeless(resumed) == timeless(full)
+        assert timeless(fresh) == timeless(full.rows[0::2])
+        assert best_resumed.key == best_full.key
+
     def test_failed_fit_marks_row_and_is_excluded(self, small_problem, monkeypatch):
         Y, train, val, _ = small_problem
         real_fit = nbmf.tune.fit
@@ -293,9 +309,6 @@ class TestExportHeatmap:
         export_heatmap(rows, 2, path)
         assert float(path.read_text().splitlines()[1].split(",")[1]) == \
             pytest.approx(0.5)
-        export_heatmap(rows, 2, path, aggregate="median")
-        assert float(path.read_text().splitlines()[1].split(",")[1]) == \
-            pytest.approx(0.5)
 
     def test_missing_combination_left_empty(self, tmp_path):
         rows = GridResult((
@@ -326,9 +339,13 @@ class TestCheckpointRows:
         appended = tmp_path / "partial.csv"
         for row in rows:
             nbmf.tune.append_csv_row(appended, row)
-        written = tmp_path / "full.csv"
-        GridResult(rows).to_csv(written, include_wall_time=True)
-        assert appended.read_bytes() == written.read_bytes()
+        assert appended.read_bytes() == (
+            b"rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
+            b"n_iter,converged,wall_time\n"
+            b"2,1.5,3.0,4,0.61803398875,,10,true,0.0\n"
+            b"8,9.0,1.0,4,,,0,false,0.0\n"
+            b"4,1.0,2.0,4,0.5,0.25,17,true,0.3333333333333333\n"
+        )
         assert GridResult.from_csv(appended).rows == tuple(rows)
 
 
@@ -397,6 +414,29 @@ class TestPoolCancellation:
         assert time.perf_counter() - begin < 1.0
         if calls:
             assert calls[0]() == before
+
+    def test_failed_restart_cancels_queued_restarts(self, monkeypatch,
+                                                    small_problem):
+        started = []
+        lock = threading.Lock()
+
+        def fit_and_score(Y, train_mask, eval_mask, config):
+            with lock:
+                started.append(config.seed)
+            if config.seed == 0:
+                raise RuntimeError("restart failed")
+            time.sleep(0.2)
+            return 1.0, 1, True, 0.2
+
+        monkeypatch.setattr(nbmf.tune, "_fit_and_score", fit_and_score)
+        Y, train, _, test = small_problem
+        config = GridSpec().fit_config(1, 1.0, 1.0, 0)
+        # Uncancelled, the 19 queued restarts would take about 2 s on 2 workers.
+        begin = time.perf_counter()
+        with pytest.raises(RuntimeError, match="restart failed"):
+            run_test_evaluation(Y, train, test, config, n_restarts=20, n_jobs=2)
+        assert time.perf_counter() - begin < 1.0
+        assert len(started) <= 3
 
     def test_failing_row_callback_cancels_queued_fits(self, monkeypatch,
                                                       small_problem):
