@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     ConfigError,
     DimensionError,
     DuplicateError,
+    NbmfError,
     ParseError,
 )
 
@@ -306,6 +308,8 @@ def density(matrix):
 # ---------------------------------------------------------------------------
 
 _DIGIT0, _SPACE, _NEWLINE = ord("0"), ord(" "), ord("\n")
+# A sign and ASCII digits; int() alone would also take "1_0" and other digits.
+_TOKEN = re.compile(r"[+-]?[0-9]+")
 # Chosen by timing the reader and the writer on 700k- and 4.2M-line files.
 _CHUNK_BYTES = 1 << 17
 
@@ -314,43 +318,48 @@ def _scan_coords(path):
     shape = None
     coords = []
     seen = set()
-    # Bytes that are not UTF-8 decode to lone surrogates, which no UTF-8
-    # text holds, so the line that carries one can be named.
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            if not raw.isascii():
-                try:
-                    raw.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError("not UTF-8 text", line=line_no) from None
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected two integers, got {line!r}", line=line_no)
-            try:
+    try:
+        # Bytes that are not UTF-8 decode to lone surrogates, which no UTF-8
+        # text holds, so the line that carries one can be named.
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                if not raw.isascii():
+                    try:
+                        raw.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ParseError("not UTF-8 text", line=line_no) from None
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 2 or not all(map(_TOKEN.fullmatch, parts)):
+                    raise ParseError(f"expected two integers, got {line!r}",
+                                     line=line_no)
                 first, second = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"expected two integers, got {line!r}", line=line_no)
-            if shape is None:
-                if first < 0 or second < 0:
-                    raise ParseError(f"negative shape {line!r}", line=line_no)
-                shape = (first, second)
-                continue
-            if not (0 <= first < shape[0] and 0 <= second < shape[1]):
-                raise BoundsError(
-                    f"line {line_no}: coordinate ({first}, {second}) outside a "
-                    f"{shape[0]}x{shape[1]} grid"
-                )
-            if (first, second) in seen:
-                raise DuplicateError(
-                    f"line {line_no}: coordinate ({first}, {second}) listed twice"
-                )
-            seen.add((first, second))
-            coords.append((first, second))
-    if shape is None:
-        raise ParseError("missing 'M N' header line")
+                if shape is None:
+                    if first < 0 or second < 0:
+                        raise ParseError(f"negative shape {line!r}", line=line_no)
+                    if first * second > _INT64_MAX:
+                        raise DimensionError(f"line {line_no}: a {first}x{second} "
+                                             "grid has too many cells")
+                    shape = (first, second)
+                    continue
+                if not (0 <= first < shape[0] and 0 <= second < shape[1]):
+                    raise BoundsError(
+                        f"line {line_no}: coordinate ({first}, {second}) outside a "
+                        f"{shape[0]}x{shape[1]} grid"
+                    )
+                if (first, second) in seen:
+                    raise DuplicateError(
+                        f"line {line_no}: coordinate ({first}, {second}) listed twice"
+                    )
+                seen.add((first, second))
+                coords.append((first, second))
+        if shape is None:
+            raise ParseError("missing 'M N' header line")
+    except NbmfError as exc:  # every error names the file; ParseError.line stays
+        exc.args = (f"{path}: {exc}",)
+        raise
     return shape, coords
 
 

@@ -317,19 +317,20 @@ def _read_partial_rows(path):
     complete = data.rfind(b"\n") + 1
     if complete < len(data):
         print(f"dropping the torn last line of {path.name}")
-        if complete == 0:
-            path.unlink()
-            return ()
         os.truncate(path, complete)
+    if complete == 0:  # not even the header was written whole
+        path.unlink()
+        return ()
     try:
-        rows = GridResult.from_csv(path).rows
+        table = GridResult.from_csv(path)
     except (KeyError, ValueError) as exc:
         raise ConfigError(
             f"cannot resume from {path}: malformed row ({exc}); remove the file "
             "to start the search over"
         ) from None
-    print(f"resuming: {len(rows)} grid rows found in {path.name}")
-    return rows
+    table.to_csv(path)  # appends go on under this version's header
+    print(f"resuming: {len(table)} grid rows found in {path.name}")
+    return table.rows
 
 
 def cmd_tune(config, n_jobs):

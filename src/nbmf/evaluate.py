@@ -55,7 +55,7 @@ def perplexity(Y, mask, pred):
         raise EmptyMaskError("perplexity over an empty mask is undefined")
     rows, cols = mask.indices()
     p = pred[rows, cols]
-    if p.min() < 0.0 or p.max() > 1.0:
+    if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both comparisons
         raise NumericalError("predictions must lie in [0, 1]")
     is_one = Y.ones_at(mask)
     with np.errstate(divide="ignore"):

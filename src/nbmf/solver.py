@@ -134,15 +134,18 @@ class FactorPair:
     def validate(self, epsilon=1e-12, atol=1e-9):
         """Raise if the factor invariants do not hold.
 
-        Checks W >= 0 with unit row sums (within ``atol``), H within
-        [epsilon, 1 - epsilon], and the reconstruction inside (0, 1).
+        Checks finite entries, W >= 0 with unit row sums (within ``atol``),
+        H within [epsilon, 1 - epsilon], and the reconstruction inside (0, 1).
         """
-        if self.W.min() < 0:
+        w_low, h_low, h_high = self.W.min(), self.H.min(), self.H.max()
+        if not np.isfinite([w_low, self.W.max(), h_low, h_high]).all():
+            raise ValueError("W or H has non-finite entries")
+        if w_low < 0:
             raise ValueError("W has negative entries")
         row_sums = self.W.sum(axis=1)
         if np.abs(row_sums - 1.0).max() > atol:
             raise ValueError("W rows do not sum to 1")
-        if self.H.min() < epsilon or self.H.max() > 1.0 - epsilon:
+        if h_low < epsilon or h_high > 1.0 - epsilon:
             raise ValueError("H entries leave the clamped interval")
         product = self.W @ self.H
         if product.min() <= 0.0 or product.max() >= 1.0:
@@ -270,7 +273,7 @@ def _ratios(A, B, P, scratch):
 
 def _checked_ratios(A, B, P, scratch):
     """:func:`_ratios` once every cell of ``P``, observed or not, is in (0, 1)."""
-    if P.min() <= 0.0 or P.max() >= 1.0:
+    if not (P.min() > 0.0 and P.max() < 1.0):  # NaN fails both comparisons
         raise NumericalError("reconstruction left the open interval (0, 1)")
     return _ratios(A, B, P, scratch)
 

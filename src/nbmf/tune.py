@@ -120,12 +120,20 @@ class GridRow:
         return self.val_perplexity is None and self.test_perplexity is None
 
 
-_CSV_COLUMNS = (
-    "rank", "alpha", "beta", "restart_seed",
-    "val_perplexity", "test_perplexity", "n_iter", "converged",
-)
-# Checkpoint rows (append_csv_row) also keep each fit's wall time.
-_CHECKPOINT_COLUMNS = _CSV_COLUMNS + ("wall_time",)
+def _optional_float(cell):
+    return float(cell) if cell else None
+
+
+# The columns of grid_result.csv and of its checkpoint, in order, each with
+# the parser of its cells.  Wall time is left out, so re-running the same
+# search writes the same bytes; readers skip columns outside the table, such
+# as the wall_time of older checkpoints.
+_CSV_COLUMNS = {
+    "rank": int, "alpha": float, "beta": float, "restart_seed": int,
+    "val_perplexity": _optional_float, "test_perplexity": _optional_float,
+    "n_iter": int, "converged": {"true": True, "false": False}.__getitem__,
+}
+_CSV_HEADER = ",".join(_CSV_COLUMNS) + "\n"
 
 
 def _format_cell(value):
@@ -133,32 +141,26 @@ def _format_cell(value):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # for a float, the shortest text that reads back exactly
 
 
-def _csv_line(values):
-    return ",".join(values) + "\n"
-
-
-def _row_line(row, columns):
-    return _csv_line(_format_cell(getattr(row, column)) for column in columns)
+def _row_line(row):
+    return ",".join(_format_cell(getattr(row, name)) for name in _CSV_COLUMNS) + "\n"
 
 
 def append_csv_row(path, row):
-    """Append one row, with wall time, to a checkpoint CSV.
+    """Append one row to a checkpoint CSV.
 
-    A missing file is created with its header first.  The columns are those
-    of :meth:`GridResult.to_csv` plus ``wall_time``, so
+    A missing file is created with its header first.  The header and the
+    row lines are those of :meth:`GridResult.to_csv`, so
     :meth:`GridResult.from_csv` reads either file.
     """
     path = Path(path)
     fresh = not path.is_file()
     with open(path, "a", encoding="utf-8", newline="\n") as handle:
         if fresh:
-            handle.write(_csv_line(_CHECKPOINT_COLUMNS))
-        handle.write(_row_line(row, _CHECKPOINT_COLUMNS))
+            handle.write(_CSV_HEADER)
+        handle.write(_row_line(row))
 
 
 @dataclass(frozen=True)
@@ -177,46 +179,28 @@ class GridResult:
         return iter(self.rows)
 
     def to_csv(self, path):
-        """Write one row per fit.
-
-        Wall time is left out, so re-running the same search produces a
-        byte-identical file; :func:`append_csv_row` writes checkpoints with it.
-        """
+        """Write one row per fit."""
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(_csv_line(_CSV_COLUMNS))
-            for row in self.rows:
-                handle.write(_row_line(row, _CSV_COLUMNS))
+            handle.write(_CSV_HEADER)
+            handle.writelines(map(_row_line, self.rows))
 
     @classmethod
     def from_csv(cls, path):
-        path = Path(path)
         rows = []
         with open(path, encoding="utf-8") as handle:
             header = handle.readline().strip().split(",")
-            for raw in handle:
+            fields = [(name, parse, header.index(name))
+                      for name, parse in _CSV_COLUMNS.items()]
+            for line_no, raw in enumerate(handle, start=2):
                 line = raw.strip()
                 if not line:
                     continue
-                values = dict(zip(header, line.split(",")))
-                rows.append(
-                    GridRow(
-                        rank=int(values["rank"]),
-                        alpha=float(values["alpha"]),
-                        beta=float(values["beta"]),
-                        restart_seed=int(values["restart_seed"]),
-                        val_perplexity=(
-                            float(values["val_perplexity"])
-                            if values["val_perplexity"] else None
-                        ),
-                        test_perplexity=(
-                            float(values["test_perplexity"])
-                            if values["test_perplexity"] else None
-                        ),
-                        n_iter=int(values["n_iter"]),
-                        converged=values["converged"] == "true",
-                        wall_time=float(values.get("wall_time") or 0.0),
-                    )
-                )
+                cells = line.split(",")
+                if len(cells) != len(header):
+                    raise ValueError(
+                        f"line {line_no}: {len(cells)} fields, not {len(header)}")
+                values = {name: parse(cells[i]) for name, parse, i in fields}
+                rows.append(GridRow(**values, wall_time=0.0))
         return cls(tuple(rows))
 
 

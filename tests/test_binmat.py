@@ -206,6 +206,21 @@ class TestCoordinateFile:
         with pytest.raises(ParseError, match=f"line {line}: not UTF-8 text"):
             load_coordinate_file(path)
 
+    @pytest.mark.parametrize("pair", ["1_0 3", "2 \u0661", "\uff12 3", "2 1\u0663"],
+                             ids=["underscore", "arabic-indic", "fullwidth", "mixed"])
+    def test_token_is_a_sign_and_ascii_digits(self, tmp_path, pair):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"20 20\n+2 -0\n{pair}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 3: expected two integers"):
+            load_coordinate_file(path)
+
+    def test_oversized_header_names_file_and_line(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("# 2**64 cells\n4294967296 4294967296\n0 0\n")
+        with pytest.raises(DimensionError, match="too many cells") as info:
+            load_mask(path)
+        assert str(info.value).startswith(f"{path}: line 2: ")
+
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("3 3\n1 1\n1 1\n")

@@ -198,6 +198,7 @@ class TestFit:
         assert run(workspace, command, "--config", "@/run.ini") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 3: not UTF-8 text" in err
+        assert f"{workspace / name}: line 3" in err
 
     def test_mode_mismatch_exits_2(self, workspace):
         (workspace / "run.ini").write_text("[run]\nmode = tune\n" + BASE_CONFIG[6:])
@@ -464,6 +465,20 @@ class TestTune:
         assert (workspace / "resumed" / "grid_result.csv").read_bytes() == \
             (workspace / "full" / "grid_result.csv").read_bytes()
 
+    def test_empty_partial_file_starts_over(self, workspace, monkeypatch):
+        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/full") == 0
+        (workspace / "resumed").mkdir()
+        partial = workspace / "resumed" / "grid_partial.csv"
+        partial.write_bytes(b"")  # interrupted before the header was written
+
+        def interrupted(*args, **kwargs):
+            raise NbmfError("interrupted")
+
+        monkeypatch.setattr(nbmf.cli, "test_evaluation", interrupted)
+        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 1
+        assert partial.read_bytes() == \
+            (workspace / "full" / "grid_result.csv").read_bytes()
+
     def test_malformed_partial_row_exits_2(self, workspace, capsys):
         (workspace / "out").mkdir()
         (workspace / "out" / "grid_partial.csv").write_text(
@@ -472,6 +487,50 @@ class TestTune:
         )
         assert run(workspace, "tune", "--config", "@/run.ini") == 2
         assert "grid_partial.csv" in capsys.readouterr().err
+
+    def test_checkpoint_with_wall_time_column_resumes_without_refits(
+            self, workspace, capsys, monkeypatch):
+        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/full") == 0
+        reference = (workspace / "full" / "grid_result.csv").read_text()
+
+        # a checkpoint of an older version: one more column, wall_time
+        resumed_dir = workspace / "resumed"
+        resumed_dir.mkdir()
+        lines = reference.splitlines()
+        partial = resumed_dir / "grid_partial.csv"
+        partial.write_text(
+            lines[0] + ",wall_time\n" + "".join(line + ",0.25\n" for line in lines[1:3])
+        )
+
+        def interrupted(*args, **kwargs):
+            raise NbmfError("interrupted")
+
+        # stop after the grid, so that the checkpoint stays behind
+        monkeypatch.setattr(nbmf.cli, "test_evaluation", interrupted)
+        capsys.readouterr()
+        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 1
+        console = capsys.readouterr().out
+        assert "resuming: 2 grid rows" in console
+        assert console.count("grid rank=") == 2  # only the two missing points
+        assert partial.read_text() == reference
+        monkeypatch.undo()
+        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 0
+        assert (resumed_dir / "grid_result.csv").read_text() == reference
+
+    @pytest.mark.parametrize("row", [
+        "1,1.0,1.0,5,0.6,,10,true,0.0",  # one field too many
+        "1,1.0,1.0,5,0.6,,10",  # one field too few
+        "1,1.0,1.0,5,0.6,,10,maybe",
+    ])
+    def test_partial_row_off_the_schema_exits_2(self, workspace, capsys, row):
+        (workspace / "out").mkdir()
+        (workspace / "out" / "grid_partial.csv").write_text(
+            "rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
+            "n_iter,converged\n1,1.0,1.0,5,0.7,,12,false\n" + row + "\n"
+        )
+        assert run(workspace, "tune", "--config", "@/run.ini") == 2
+        err = capsys.readouterr().err
+        assert "grid_partial.csv" in err and "malformed row" in err
 
     def test_partial_rows_written_like_grid_result(self, workspace, monkeypatch):
         # stop the run after the grid so its checkpoint file stays behind

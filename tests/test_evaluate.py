@@ -69,6 +69,11 @@ class TestPerplexity:
         with pytest.raises(NumericalError):
             perplexity(Y, full_mask(2, 2), np.full((2, 2), 1.5))
 
+    def test_nan_prediction_is_out_of_range(self):
+        Y = BinaryMatrix(1, 2, frozenset([(0, 0)]))
+        with pytest.raises(NumericalError, match=r"must lie in \[0, 1\]"):
+            perplexity(Y, full_mask(1, 2), np.array([[0.5, np.nan]]))
+
     def test_value_independent_of_cell_insertion_order(self):
         Y = random_binary_matrix(6, 6, 0.5, seed=3)
         pred = np.random.default_rng(0).uniform(0.1, 0.9, (6, 6))

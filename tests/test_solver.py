@@ -180,6 +180,11 @@ class TestReconstruct:
         with pytest.raises(DimensionError):
             FactorPair(np.ones((2, 2)), np.ones((3, 2)))
 
+    def test_validate_rejects_nan_factors(self):
+        factors = FactorPair(np.full((2, 2), np.nan), np.full((2, 3), np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            factors.validate()
+
 
 IDENTITY2 = BinaryMatrix(2, 2, frozenset([(0, 0), (1, 1)]))
 HALF_FACTORS = FactorPair(np.ones((2, 1)), np.array([[0.5, 0.5]]))
@@ -210,6 +215,16 @@ class TestObjective:
         bad = FactorPair(np.ones((2, 1)), np.array([[1.5, 0.5]]))
         with pytest.raises(NumericalError):
             objective(IDENTITY2, full_mask(2, 2), bad, BetaPrior())
+
+    @pytest.mark.parametrize("call", [
+        lambda f: objective(IDENTITY2, full_mask(2, 2), f, BetaPrior()),
+        lambda f: update_h(IDENTITY2, full_mask(2, 2), f, BetaPrior()),
+        lambda f: update_w(IDENTITY2, full_mask(2, 2), f),
+    ], ids=["objective", "update_h", "update_w"])
+    def test_nan_reconstruction_raises(self, call):
+        nan_w = FactorPair(np.array([[np.nan], [1.0]]), np.array([[0.5, 0.5]]))
+        with pytest.raises(NumericalError):
+            call(nan_w)
 
     @pytest.mark.parametrize("h00", [0.0, 1.0])
     def test_out_of_domain_unobserved_cell_raises(self, h00):

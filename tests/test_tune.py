@@ -341,12 +341,26 @@ class TestCheckpointRows:
             nbmf.tune.append_csv_row(appended, row)
         assert appended.read_bytes() == (
             b"rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
-            b"n_iter,converged,wall_time\n"
-            b"2,1.5,3.0,4,0.61803398875,,10,true,0.0\n"
-            b"8,9.0,1.0,4,,,0,false,0.0\n"
-            b"4,1.0,2.0,4,0.5,0.25,17,true,0.3333333333333333\n"
+            b"n_iter,converged\n"
+            b"2,1.5,3.0,4,0.61803398875,,10,true\n"
+            b"8,9.0,1.0,4,,,0,false\n"
+            b"4,1.0,2.0,4,0.5,0.25,17,true\n"
         )
-        assert GridResult.from_csv(appended).rows == tuple(rows)
+        assert GridResult.from_csv(appended).rows == \
+            tuple(replace(row, wall_time=0.0) for row in rows)
+
+    def test_appended_rows_equal_to_csv_byte_for_byte(self, tmp_path):
+        rows = [
+            make_row(16, 9.0, 1.5, 1e-300, seed=2**40),
+            GridRow(rank=1, alpha=1.0, beta=1.0, restart_seed=0,
+                    val_perplexity=None, test_perplexity=0.1 + 0.2, n_iter=2000,
+                    converged=False, wall_time=12.5),
+        ]
+        appended, written = tmp_path / "partial.csv", tmp_path / "result.csv"
+        for row in rows:
+            nbmf.tune.append_csv_row(appended, row)
+        GridResult(rows).to_csv(written)
+        assert appended.read_bytes() == written.read_bytes()
 
 
 class TestBlasThreadBound:
