@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binmat import _TOKEN
 from .errors import DimensionError, ParseError
 from .solver import FactorPair, FitReport
 
@@ -32,8 +33,26 @@ W_FILE = "W.txt"
 H_FILE = "H.txt"
 META_FILE = "meta.txt"
 
-_FLOAT_KEYS = ("alpha", "beta", "epsilon")
-_INT_KEYS = ("n_rows", "n_cols", "rank", "seed")
+
+def _meta_int(value):
+    # the grammar of coordinate tokens; int() would also take "1_0" and "２"
+    if not _TOKEN.fullmatch(value):
+        raise ValueError
+    return int(value)
+
+
+def _meta_bool(value):
+    if value not in ("true", "false"):
+        raise ValueError
+    return value == "true"
+
+
+# meta.txt key -> parser of its value
+_META_KEYS = {
+    "n_rows": _meta_int, "n_cols": _meta_int, "rank": _meta_int,
+    "seed": _meta_int, "alpha": float, "beta": float, "epsilon": float,
+    "converged": _meta_bool,
+}
 
 
 def _write_matrix(path, array):
@@ -83,22 +102,11 @@ def _read_matrix(path):
     return matrix
 
 
-def read_factors(in_dir):
-    """Read factors written by :func:`write_factors`.
-
-    Returns ``(FactorPair, meta)`` where meta holds the parsed header
-    values.  A matrix file that is empty, does not parse or holds a
-    non-finite entry raises :class:`ParseError` naming the file; shape
-    disagreements between the header and the matrices raise
-    :class:`DimensionError`; factors that break the invariants of
-    :meth:`FactorPair.validate` at the header's ``epsilon`` raise
-    :class:`ParseError` naming both matrix files.
-    """
-    in_dir = Path(in_dir)
-    meta_path = in_dir / META_FILE
+def _read_meta(path):
+    """The values of a ``meta.txt``; every error names the file."""
     meta = {}
     try:
-        with open(meta_path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             for line_no, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line:
@@ -107,15 +115,39 @@ def read_factors(in_dir):
                 if len(parts) != 2:
                     raise ParseError(f"malformed meta line {line!r}", line=line_no)
                 meta[parts[0]] = parts[1]
+        parsed = {}
+        for key, parse in _META_KEYS.items():
+            if key not in meta:
+                raise ParseError(f"incomplete factor header: no {key!r}")
+            try:
+                parsed[key] = parse(meta[key])
+            except ValueError:
+                raise ParseError(f"bad {key} value {meta[key]!r}") from None
     except UnicodeDecodeError:
-        raise ParseError(f"{meta_path}: not UTF-8 text") from None
-    try:
-        parsed = {key: int(meta[key]) for key in _INT_KEYS}
-        parsed.update({key: float(meta[key]) for key in _FLOAT_KEYS})
-        parsed["converged"] = meta["converged"] == "true"
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"incomplete factor header: {exc}") from None
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    except ParseError as exc:  # ParseError.line stays
+        exc.args = (f"{path}: {exc}",)
+        raise
+    return parsed
 
+
+def read_factors(in_dir):
+    """Read factors written by :func:`write_factors`.
+
+    Returns ``(FactorPair, meta)`` where meta holds the parsed header
+    values.  A ``meta.txt`` line that is not ``key value``, a missing key or
+    a value outside its key's grammar (integers as an optional sign and
+    ASCII digits, ``converged`` as ``true`` or ``false``) raises
+    :class:`ParseError` naming ``meta.txt``.  A matrix file that is empty,
+    does not parse or holds a non-finite entry raises :class:`ParseError`
+    naming the file; shape
+    disagreements between the header and the matrices raise
+    :class:`DimensionError`; factors that break the invariants of
+    :meth:`FactorPair.validate` at the header's ``epsilon`` raise
+    :class:`ParseError` naming both matrix files.
+    """
+    in_dir = Path(in_dir)
+    parsed = _read_meta(in_dir / META_FILE)
     w_path, h_path = in_dir / W_FILE, in_dir / H_FILE
     W = _read_matrix(w_path)
     H = _read_matrix(h_path)

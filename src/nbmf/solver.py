@@ -26,26 +26,26 @@ row m becomes the number of observed cells in that row instead of N.
 
 Structure: ``_prepare`` turns one ``(Y, mask)`` pair into the observed ones
 ``A``, the observed zeros ``B``, the boolean ``unobserved`` cells and the
-per-row observed counts; ``_ratios`` writes ``R = A / P`` and
-``S = B / (1 - P)`` for ``P = W @ H``, and ``_h_step`` and ``_w_step`` are
-the only copies of the two half-updates and take those ratios as arguments.
-The objective is scored from the same ratios: ``R + S`` is ``1 / P`` on an
-observed one, ``1 / (1 - P)`` on an observed zero and 0 elsewhere, so the
-masked negative log-likelihood is ``sum(log(R + S + unobserved))``, one log
-per cell.  :func:`fit` prepares once and ends each sweep by checking that
-every cell of ``P`` lies in (0, 1), writing the ratios of ``P`` and scoring
-them; the next sweep's H step takes those ratios as they are, so a sweep
-computes two products and two ratio passes.  The public updates and
-:func:`objective` prepare per call.
+per-row observed counts; ``_ratios`` writes ``R = A / P`` into a scratch
+array and then ``S = B / (1 - P)`` over ``P = W @ H``, and ``_h_step`` and
+``_w_step`` are the only copies of the two half-updates and take those
+ratios as arguments.  The objective is scored from the same ratios: ``R + S``
+is ``1 / P`` on an observed one, ``1 / (1 - P)`` on an observed zero and 0
+elsewhere, so the masked negative log-likelihood is
+``sum(log(R + S + unobserved))``, one log per cell.  :func:`fit` prepares
+once and ends each sweep by checking that every cell of ``P`` lies in
+(0, 1), writing the ratios of ``P``, taking the next sweep's H step from
+them and only then scoring them; so a sweep computes two products and two
+ratio passes.  The public updates and :func:`objective` prepare per call.
 
 The public functions are pure: they read their inputs and return fresh
-arrays.  :func:`fit` owns three M-by-N float arrays: ``P``, which the
-objective overwrites with its logs once the ratios are written, and the
-scratch pair that holds ``R`` and ``S``.  It also owns the prepared ``A``,
+arrays.  :func:`fit` owns two M-by-N float arrays: ``P``, which holds ``S``
+after each ratio pass, and ``R``, which the objective overwrites with its
+logs once the next H step has read it.  It also owns the prepared ``A``,
 ``B`` and ``unobserved``.  Every full-size step of its sweep writes into
-those three arrays, so the sweep allocates nothing of that size; the
-factors it returns or passes to ``on_sweep`` are fresh arrays that no later
-sweep overwrites.
+``P`` and ``R``, so the sweep allocates nothing of that size; the factors it
+returns or passes to ``on_sweep`` are fresh arrays that no later sweep
+overwrites.  The H step taken after the last evaluation is discarded.
 """
 
 from __future__ import annotations
@@ -257,38 +257,35 @@ def _prepare(Y, mask):
     return A, B, unobserved, n_obs
 
 
-def _scratch(P):
-    """Two arrays shaped like ``P`` for :func:`_ratios`."""
-    return np.empty_like(P), np.empty_like(P)
+def _ratios(A, B, P, R):
+    """Write ``A / P`` into ``R``, then ``B / (1 - P)`` over ``P``.
 
-
-def _ratios(A, B, P, scratch):
-    """Write ``A / P`` and ``B / (1 - P)`` into the two scratch arrays."""
-    R, S = scratch
+    Returns ``(R, S)``, where ``S`` is the array ``P`` was.
+    """
     np.divide(A, P, out=R)
-    np.subtract(1.0, P, out=S)
-    np.divide(B, S, out=S)
-    return R, S
+    np.subtract(1.0, P, out=P)
+    np.divide(B, P, out=P)
+    return R, P
 
 
-def _checked_ratios(A, B, P, scratch):
+def _checked_ratios(A, B, P, R):
     """:func:`_ratios` once every cell of ``P``, observed or not, is in (0, 1)."""
     if not (P.min() > 0.0 and P.max() < 1.0):  # NaN fails both comparisons
         raise NumericalError("reconstruction left the open interval (0, 1)")
-    return _ratios(A, B, P, scratch)
+    return _ratios(A, B, P, R)
 
 
-def _objective_arrays(R, S, unobserved, P, H, prior):
-    """``sum(log(R + S + unobserved))`` plus the prior, built in ``P``.
+def _objective_arrays(R, S, unobserved, out, H, prior):
+    """``sum(log(R + S + unobserved))`` plus the prior, built in ``out``.
 
     With ``R = A / P`` and ``S = B / (1 - P)`` from :func:`_checked_ratios`,
     ``R + S`` is ``1 / P`` on an observed one, ``1 / (1 - P)`` on an observed
     zero and 0 on an unobserved cell, where adding 1 makes the log vanish:
-    one log per cell gives the masked negative log-likelihood.  ``P`` is
-    overwritten.
+    one log per cell gives the masked negative log-likelihood.  ``out`` may
+    be ``R`` itself; it is overwritten.
     """
-    np.add(R, S, out=P)
-    value = np.log(np.add(P, unobserved, out=P), out=P).sum()
+    np.add(R, S, out=out)
+    value = np.log(np.add(out, unobserved, out=out), out=out).sum()
     alpha, beta = prior.alpha, prior.beta
     if alpha != 1.0 or beta != 1.0:
         value -= ((alpha - 1.0) * np.log(H) + (beta - 1.0) * np.log1p(-H)).sum()
@@ -304,8 +301,8 @@ def objective(Y, mask, factors, prior):
     """
     A, B, unobserved, _ = _prepare(Y, mask)
     P = reconstruct(factors)
-    R, S = _checked_ratios(A, B, P, _scratch(P))
-    return _objective_arrays(R, S, unobserved, P, factors.H, prior)
+    R, S = _checked_ratios(A, B, P, np.empty_like(P))
+    return _objective_arrays(R, S, unobserved, R, factors.H, prior)
 
 
 def _h_step(R, S, W, H, alpha, beta, epsilon, clamp):
@@ -334,7 +331,7 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     """
     A, B, _, _ = _prepare(Y, mask)
     P = reconstruct(factors)
-    R, S = _checked_ratios(A, B, P, _scratch(P))
+    R, S = _checked_ratios(A, B, P, np.empty_like(P))
     return _h_step(R, S, factors.W, factors.H, prior.alpha, prior.beta,
                    epsilon, clamp)
 
@@ -364,7 +361,7 @@ def update_w(Y, mask, factors, epsilon=1e-12, clamp=True):
     """
     A, B, _, n_obs = _prepare(Y, mask)
     P = reconstruct(factors)
-    R, S = _checked_ratios(A, B, P, _scratch(P))
+    R, S = _checked_ratios(A, B, P, np.empty_like(P))
     return _w_step(R, S, n_obs, factors.W, factors.H, epsilon, clamp)
 
 
@@ -393,34 +390,36 @@ def fit(Y, mask, config, on_sweep=None):
     A, B, unobserved, n_obs = _prepare(Y, mask)
     prior, epsilon = config.prior, config.epsilon
 
-    def evaluate(H, sweep):
+    def evaluate(W, H, sweep):
+        """Score ``P = W @ H`` and return the score with the next sweep's H."""
         try:
             R, S = _checked_ratios(A, B, P, scratch)
-            value = _objective_arrays(R, S, unobserved, P, H, prior)
         except NumericalError as exc:
             raise NumericalError(str(exc), iteration=sweep) from None
+        next_H = _h_step(R, S, W, H, prior.alpha, prior.beta, epsilon, clamp=True)
+        value = _objective_arrays(R, S, unobserved, R, H, prior)
         if not np.isfinite(value):
             raise NumericalError("non-finite objective", iteration=sweep)
-        return value
+        return value, next_H
 
     start = time.perf_counter()
     factors = init_factors(Y.n_rows, Y.n_cols, config.rank, epsilon, config.seed)
     W, H = factors.W, factors.H
-    # The loop writes every full-size result into P or the scratch pair.
+    # The loop writes every full-size result into P or the scratch array.
     P = W @ H
-    scratch = _scratch(P)
+    scratch = np.empty_like(P)
 
-    trace = [evaluate(H, 0)]
+    value, next_H = evaluate(W, H, 0)
+    trace = [value]
     converged = False
 
     for sweep in range(1, config.max_iter + 1):
-        # evaluate left the ratios of the current P in the scratch pair
-        R, S = scratch
-        H = _h_step(R, S, W, H, prior.alpha, prior.beta, epsilon, clamp=True)
+        H = next_H
         R, S = _ratios(A, B, np.matmul(W, H, out=P), scratch)
         W = _w_step(R, S, n_obs, W, H, epsilon, clamp=True)
         np.matmul(W, H, out=P)
-        trace.append(evaluate(H, sweep))
+        value, next_H = evaluate(W, H, sweep)
+        trace.append(value)
         if on_sweep is not None:
             on_sweep(sweep, trace[-1], FactorPair(W, H))
         if _relative_change(trace[-2], trace[-1]) < config.tol:

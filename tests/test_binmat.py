@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -398,6 +399,21 @@ class TestParserParity:
         path = tmp_path / "messy.txt"
         path.write_bytes(b"# c\r\n  # indented\r\n2 3\r\n 0  1 \r\n1 2")
         assert load_coordinate_file(path).ones == frozenset([(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("text, line", [
+        ("3 3\n0\u30001\n2\u00a02\n", 2),  # ideographic and no-break spaces
+        ("3 3\n0\x1c1\n2\x0b2\n", 2),  # ASCII control characters
+        ("3 3\n0 1\u3000\n", 2),
+        ("3 3\n0 1\n\x0c\n", 3),
+    ])
+    def test_only_spaces_and_tabs_separate_tokens(self, tmp_path, text, line):
+        path = tmp_path / "spaces.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}:"):
+            load_coordinate_file(path)
+        # a comment line may hold any text
+        path.write_bytes("# \u00e9\u3000\x0b\n3 3\n\t0 \t1\t\n".encode())
+        assert load_coordinate_file(path).ones == frozenset([(0, 1)])
 
     def test_lone_carriage_return_ends_a_comment(self, tmp_path):
         # universal newlines: the scanner reads "1 1" as a data line

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -339,6 +340,16 @@ class TestEval:
         assert run(workspace, "eval", "--config", "@/run.ini") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "meta.txt: not UTF-8 text" in err
+
+    def test_loose_meta_value_exits_1_naming_it(self, workspace, capsys):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        meta = workspace / "out" / "meta.txt"
+        meta.write_text(re.sub(r"converged \w+", "converged maybe", meta.read_text()))
+        capsys.readouterr()
+        assert run(workspace, "eval", "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "meta.txt: bad converged value 'maybe'" in err
 
     def test_overlapping_masks_exit_2(self, workspace, capsys):
         assert run(workspace, "fit", "--config", "@/run.ini") == 0

@@ -143,6 +143,26 @@ class TestFactorFiles:
             read_factors(tmp_path)
         assert "W.txt" in str(info.value) and "H.txt" in str(info.value)
 
+    @pytest.mark.parametrize("old, new, message, line", [
+        ("seed 0", "seed", "line 7: malformed meta line 'seed'", 7),
+        ("rank 2\n", "", "incomplete factor header: no 'rank'", None),
+        ("converged true", "converged maybe", "bad converged value 'maybe'", None),
+        ("converged true", "converged True", "bad converged value 'True'", None),
+        ("rank 2", "rank ２", "bad rank value '２'", None),
+        ("seed 0", "seed 1_0", "bad seed value '1_0'", None),
+    ])
+    def test_bad_meta_names_file(self, tmp_path, old, new, message, line):
+        write_factors(tmp_path, init_factors(4, 5, 2, seed=0), alpha=1.0, beta=1.0,
+                      epsilon=1e-12, seed=0, converged=True)
+        path = tmp_path / "meta.txt"
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_factors(tmp_path)
+        assert str(info.value) == f"{path}: {message}"
+        assert info.value.line == line
+
 
 class TestReportFiles:
     def test_round_trip(self, tmp_path):

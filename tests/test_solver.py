@@ -566,6 +566,23 @@ class TestFit:
         assert len(growth) == 4
         assert max(growth) < M * N * 8
 
+    def test_fit_holds_four_full_size_float_arrays(self):
+        # A, B, P and the scratch array (8 bytes a cell each) plus the
+        # boolean unobserved mask: 33 bytes a cell and small factor arrays
+        M, N = 300, 400
+        Y = random_binary_matrix(M, N, 0.5, seed=8)
+        mask = subsample_mask(M, N, 0.7, seed=8)
+        config = FitConfig(rank=4, max_iter=5, tol=1e-12)
+        fit(Y, mask, config)  # warm: first-call allocations are not the fit's
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fit(Y, mask, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / (M * N) < 36
+
     def test_masked_trace_matches_naive_objective(self):
         # row 2 and column 4 have no observed cells
         M, N, K = 7, 6, 3
