@@ -11,11 +11,13 @@ yields byte-identical factor files.
 from __future__ import annotations
 
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 
-from .binmat import _TOKEN
+from .binmat import _GAP, _TOKEN
 from .errors import DimensionError, ParseError
 from .solver import FactorPair, FitReport
 
@@ -41,6 +43,26 @@ def _meta_int(value):
     return int(value)
 
 
+# An ASCII decimal; float() would also take "nan", "inf", "1_0" and other digits.
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _meta_float(value):
+    if not _DECIMAL.fullmatch(value):
+        raise ValueError
+    number = float(value)
+    if not math.isfinite(number):  # "1e999"
+        raise ValueError
+    return number
+
+
+def _meta_epsilon(value):
+    number = _meta_float(value)
+    if not 0.0 < number < 0.5:
+        raise ValueError
+    return number
+
+
 def _meta_bool(value):
     if value not in ("true", "false"):
         raise ValueError
@@ -50,7 +72,8 @@ def _meta_bool(value):
 # meta.txt key -> parser of its value
 _META_KEYS = {
     "n_rows": _meta_int, "n_cols": _meta_int, "rank": _meta_int,
-    "seed": _meta_int, "alpha": float, "beta": float, "epsilon": float,
+    "seed": _meta_int, "alpha": _meta_float, "beta": _meta_float,
+    "epsilon": _meta_epsilon,
     "converged": _meta_bool,
 }
 
@@ -108,12 +131,14 @@ def _read_meta(path):
     try:
         with open(path, encoding="utf-8") as handle:
             for line_no, raw in enumerate(handle, start=1):
-                line = raw.strip()
+                line = raw.strip(" \t\n")
                 if not line:
                     continue
-                parts = line.split(maxsplit=1)
+                parts = _GAP.split(line, maxsplit=1)
                 if len(parts) != 2:
                     raise ParseError(f"malformed meta line {line!r}", line=line_no)
+                if parts[0] in meta:
+                    raise ParseError(f"{parts[0]!r} given twice", line=line_no)
                 meta[parts[0]] = parts[1]
         parsed = {}
         for key, parse in _META_KEYS.items():
@@ -135,16 +160,16 @@ def read_factors(in_dir):
     """Read factors written by :func:`write_factors`.
 
     Returns ``(FactorPair, meta)`` where meta holds the parsed header
-    values.  A ``meta.txt`` line that is not ``key value``, a missing key or
-    a value outside its key's grammar (integers as an optional sign and
-    ASCII digits, ``converged`` as ``true`` or ``false``) raises
-    :class:`ParseError` naming ``meta.txt``.  A matrix file that is empty,
-    does not parse or holds a non-finite entry raises :class:`ParseError`
-    naming the file; shape
-    disagreements between the header and the matrices raise
-    :class:`DimensionError`; factors that break the invariants of
-    :meth:`FactorPair.validate` at the header's ``epsilon`` raise
-    :class:`ParseError` naming both matrix files.
+    values.  A ``meta.txt`` line that is not ``key value``, a key given
+    twice, a missing key or a value outside its key's grammar (keys and values separated by ASCII
+    spaces or tabs, integers as an optional sign and ASCII digits, floats as
+    finite ASCII decimals, ``epsilon`` inside (0, 0.5), ``converged`` as
+    ``true`` or ``false``) raises :class:`ParseError` naming ``meta.txt``.
+    A matrix file that is empty, does not parse or holds a non-finite entry
+    raises :class:`ParseError` naming the file; shape disagreements between
+    the header and the matrices raise :class:`DimensionError`; factors that
+    break the invariants of :meth:`FactorPair.validate` at the header's
+    ``epsilon`` raise :class:`ParseError` naming both matrix files.
     """
     in_dir = Path(in_dir)
     parsed = _read_meta(in_dir / META_FILE)

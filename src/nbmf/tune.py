@@ -10,6 +10,13 @@ worker count are identical.  Across worker counts the last bits can differ
 on matrices large enough for multi-threaded BLAS, because the pool changes
 how many threads numpy's OpenBLAS uses per product: ``_run_jobs`` holds it
 to about cpus / workers threads while the pool runs.
+
+The train cells are prepared once per :func:`grid_search` or
+:func:`test_evaluation` call: ``_scored_rows`` holds a ``_shared_problem``
+block of the solver open around its pool, and every fit inside reads the
+same read-only ``A``, ``B`` and ``unobserved`` (17 bytes a matrix cell).  A
+pool of ``n_jobs`` workers then holds about 17 + 16 * n_jobs bytes a cell,
+not 33 * n_jobs.  The jobs still call ``fit(Y, mask, config)``.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, SearchError
 from .evaluate import _require_disjoint, perplexity
-from .solver import BetaPrior, FitConfig, fit, reconstruct
+from .solver import BetaPrior, FitConfig, _shared_problem, fit, reconstruct
 
 __all__ = [
     "GridSpec",
@@ -305,15 +312,19 @@ def _run_jobs(jobs, n_jobs):
 def _scored_rows(Y, train_mask, eval_mask, configs, column, n_jobs):
     """Fit each config and score it on ``eval_mask``; yield rows in config order.
 
-    The score goes into the perplexity column named by ``column``.  Consume
-    the generator inside ``closing`` so that the queued fits stop as soon as
-    the loop over it ends.
+    The score goes into the perplexity column named by ``column``.  Every
+    fit reads one read-only problem prepared from ``(Y, train_mask)``.
+    Consume the generator inside ``closing`` so that the queued fits stop
+    and the shared problem is dropped as soon as the loop over it ends.
     """
+    if not configs:
+        return
     jobs = [
         functools.partial(_fit_and_score, Y, train_mask, eval_mask, config)
         for config in configs
     ]
-    with closing(_run_jobs(jobs, n_jobs)) as outcomes:
+    with _shared_problem(Y, train_mask), \
+            closing(_run_jobs(jobs, n_jobs)) as outcomes:
         for config, (score, n_iter, converged, wall) in zip(
             configs, outcomes, strict=True
         ):

@@ -76,6 +76,22 @@ class TestFactorFiles:
             read_factors(tmp_path)
 
 
+    @pytest.mark.parametrize("alpha, beta, epsilon", [
+        (1.0, 1.0, 1e-12),
+        (2.5, 1e16, 5e-324),
+        (1.0000000000000002, 123456789.125, 0.49999999999999994),
+    ])
+    def test_written_floats_read_back(self, tmp_path, alpha, beta, epsilon):
+        write_factors(tmp_path, FactorPair(np.full((2, 1), 1.0), np.full((1, 3), 0.5)),
+                      alpha=alpha, beta=beta, epsilon=epsilon, seed=-3,
+                      converged=False)
+        text = (tmp_path / "meta.txt").read_text(encoding="utf-8")
+        (tmp_path / "meta.txt").write_text(
+            text.replace("alpha ", "alpha\t \t"), encoding="utf-8")
+        _, meta = read_factors(tmp_path)
+        assert (meta["alpha"], meta["beta"], meta["epsilon"]) == (alpha, beta, epsilon)
+        assert meta["seed"] == -3
+
     @pytest.mark.parametrize("name", ["W.txt", "H.txt"])
     @pytest.mark.parametrize("damage", ["torn_row", "nan", "inf", "word"])
     def test_damaged_matrix_names_file(self, tmp_path, name, damage):
@@ -150,6 +166,17 @@ class TestFactorFiles:
         ("converged true", "converged True", "bad converged value 'True'", None),
         ("rank 2", "rank ２", "bad rank value '２'", None),
         ("seed 0", "seed 1_0", "bad seed value '1_0'", None),
+        ("rank 2", "rank\u00a02", "line 3: malformed meta line 'rank\\xa02'", 3),
+        ("seed 0", "seed\x0b0", "line 7: malformed meta line 'seed\\x0b0'", 7),
+        ("seed 0", "seed 0\u3000", "bad seed value '0\\u3000'", None),
+        ("seed 0", "rank 3", "line 7: 'rank' given twice", 7),
+        ("epsilon 1e-12", "epsilon nan", "bad epsilon value 'nan'", None),
+        ("epsilon 1e-12", "epsilon 0.5", "bad epsilon value '0.5'", None),
+        ("epsilon 1e-12", "epsilon 0", "bad epsilon value '0'", None),
+        ("alpha 1.0", "alpha 1_0", "bad alpha value '1_0'", None),
+        ("alpha 1.0", "alpha -inf", "bad alpha value '-inf'", None),
+        ("alpha 1.0", "alpha １.0", "bad alpha value '１.0'", None),
+        ("beta 1.0", "beta 1e999", "bad beta value '1e999'", None),
     ])
     def test_bad_meta_names_file(self, tmp_path, old, new, message, line):
         write_factors(tmp_path, init_factors(4, 5, 2, seed=0), alpha=1.0, beta=1.0,

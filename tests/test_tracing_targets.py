@@ -4,8 +4,9 @@
 ``TRACED`` table with recording wrappers, and ``perfbench/run.py --trace 1``
 fails when a layer metric has no span.  These tests read that table (the
 benchmark files are not changed here) and check that every target still
-exists and that ``completion_report`` still calls the two traced functions
-its layer metrics come from.
+exists, that ``completion_report`` still calls the two traced functions
+its layer metrics come from, and that a grid search with its restarts still
+calls ``fit``, ``perplexity`` and ``to_dense`` through the traced names.
 """
 
 import importlib
@@ -54,3 +55,24 @@ def test_completion_report_reaches_traced_calls():
     assert "evaluate.perplexity" in below
     reached = {s.name for s in tracer.spans if s.id != report.id}
     assert "binmat.ObservationMask.indices" in reached
+
+
+def test_tune_reaches_traced_calls():
+    # the traced tune-grid workload feeds its solver and evaluate metrics
+    # from these spans, and binmat.to_dense from the one preparation of the
+    # train cells per tune call
+    Y, _, _ = nbmf.planted_dataset(24, 18, 2, seed=1)
+    train, val, test = split_observations(Y, SplitSpec(seed=5))
+    grid = nbmf.GridSpec(rank_values=(1, 2), alpha_values=(1.0, 2.0),
+                         beta_values=(1.0,), n_restarts=3, max_iter=20)
+    with tracing.Tracer() as tracer:
+        results, best = nbmf.grid_search(Y, train, val, grid, n_jobs=2)
+        evaluation = nbmf.test_evaluation(
+            Y, train, test, grid.fit_config(best.rank, best.alpha, best.beta, 0),
+            n_restarts=grid.n_restarts, n_jobs=2,
+        )
+    n_fits = len(results) + len(evaluation.rows)
+    names = [span.name for span in tracer.spans]
+    assert names.count("solver.fit") == n_fits == 7
+    assert names.count("evaluate.perplexity") == n_fits
+    assert any(name.endswith(".to_dense") for name in names)

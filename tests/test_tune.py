@@ -1,15 +1,20 @@
 import math
+import sys
 import threading
 import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import nbmf.solver
 import nbmf.tune
 from nbmf import (
     BinaryMatrix,
     ConfigError,
+    FitConfig,
     GridResult,
     GridRow,
     GridSpec,
@@ -18,8 +23,10 @@ from nbmf import (
     SplitSpec,
     best_row,
     export_heatmap,
+    fit,
     grid_search,
     planted_dataset,
+    random_binary_matrix,
     split_observations,
 )
 from nbmf import test_evaluation as run_test_evaluation
@@ -478,3 +485,146 @@ class TestPoolCancellation:
         time.sleep(0.3)
         assert len(started) <= 4
         assert "disk full" in str(caught.value)
+
+
+@pytest.fixture
+def prepared(monkeypatch):
+    """Each ``(mask, problem)`` that ``solver._prepare`` builds, in order."""
+    real_prepare = nbmf.solver._prepare
+    calls = []
+
+    def recording_prepare(Y, mask):
+        problem = real_prepare(Y, mask)
+        calls.append((mask, problem))
+        return problem
+
+    monkeypatch.setattr(nbmf.solver, "_prepare", recording_prepare)
+    return calls
+
+
+SHARED_GRID = GridSpec(rank_values=(1, 2), alpha_values=(1.0, 2.0),
+                       beta_values=(1.0,), n_restarts=3, max_iter=30)
+
+
+class TestSharedProblem:
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_prepared_once_per_call_and_read_only(self, small_problem, prepared,
+                                                  n_jobs):
+        Y, train, val, test = small_problem
+        _, best = grid_search(Y, train, val, SHARED_GRID, n_jobs=n_jobs)
+        assert len(prepared) == 1 and prepared[0][0] is train
+        config = SHARED_GRID.fit_config(best.rank, best.alpha, best.beta, 0)
+        run_test_evaluation(Y, train, test, config, n_restarts=3, n_jobs=n_jobs)
+        assert len(prepared) == 2 and prepared[1][0] is train
+        assert nbmf.solver._SHARED == {}
+        # a sweep that wrote to A, B or unobserved would have raised, and
+        # would leave other bytes than a fresh preparation
+        fresh = nbmf.solver._prepare(Y, train)
+        for _, problem in prepared[:2]:
+            for array, expected in zip(problem, fresh, strict=True):
+                assert not array.flags.writeable
+                assert array.tobytes() == expected.tobytes()
+
+    def test_complete_resume_prepares_nothing(self, small_problem, prepared):
+        Y, train, val, _ = small_problem
+        done, _ = grid_search(Y, train, val, SHARED_GRID)
+        prepared.clear()
+        resumed, _ = grid_search(Y, train, val, SHARED_GRID, resume_rows=done.rows)
+        assert resumed == done and prepared == []
+
+    def test_dense_data_is_a_config_error(self, small_problem):
+        Y, train, val, _ = small_problem
+        with pytest.raises(ConfigError, match="BinaryMatrix"):
+            grid_search(Y.to_dense(), train, val, SHARED_GRID)
+        assert nbmf.solver._SHARED == {}
+
+    def test_shared_rows_equal_unshared_fits(self, small_problem):
+        Y, train, val, _ = small_problem
+        results, _ = grid_search(Y, train, val, SHARED_GRID, n_jobs=2)
+        for row in results:
+            config = SHARED_GRID.fit_config(row.rank, row.alpha, row.beta,
+                                            row.restart_seed)
+            score, n_iter, converged, _ = nbmf.tune._fit_and_score(
+                Y, train, val, config)
+            assert (score, n_iter, converged) == (
+                row.val_perplexity, row.n_iter, row.converged)
+
+    def test_registry_empty_after_a_fit_raises(self, small_problem, monkeypatch):
+        Y, train, val, _ = small_problem
+        real_fit = nbmf.tune.fit
+        seen = []
+
+        def failing_fit(Y, mask, config, on_sweep=None):
+            seen.append(len(nbmf.solver._SHARED))
+            if config.rank == 2:
+                raise RuntimeError("fit failed")
+            return real_fit(Y, mask, config, on_sweep=on_sweep)
+
+        monkeypatch.setattr(nbmf.tune, "fit", failing_fit)
+        for n_jobs in (1, 2):
+            with pytest.raises(RuntimeError, match="fit failed"):
+                grid_search(Y, train, val, SHARED_GRID, n_jobs=n_jobs)
+            assert nbmf.solver._SHARED == {}
+        assert seen and set(seen) == {1}
+
+    def test_registry_empty_after_the_rows_are_closed_early(self, small_problem):
+        Y, train, val, _ = small_problem
+        configs = [SHARED_GRID.fit_config(*point, 0)
+                   for point in SHARED_GRID.points()]
+        rows = nbmf.tune._scored_rows(Y, train, val, configs, "val_perplexity", 2)
+        next(rows)
+        assert len(nbmf.solver._SHARED) == 1
+        rows.close()
+        assert nbmf.solver._SHARED == {}
+
+    def test_nested_blocks_share_one_problem(self, small_problem, prepared):
+        Y, train, val, _ = small_problem
+        with nbmf.solver._shared_problem(Y, train):
+            grid_search(Y, train, val, SHARED_GRID, n_jobs=2)
+            assert len(nbmf.solver._SHARED) == 1
+        assert len(prepared) == 1
+        assert nbmf.solver._SHARED == {}
+
+    def test_concurrent_blocks_keep_count(self, small_problem):
+        # more threads than cores enter and leave blocks on one pair; a lost
+        # update of the count would delete the entry twice or leave it behind
+        Y, train, _, _ = small_problem
+        configs = [FitConfig(rank=2, max_iter=10, tol=1e-12, seed=s)
+                   for s in range(16)]
+        expected = [fit(Y, train, config)[1].objective_trace for config in configs]
+
+        def shared_fit(config):
+            with nbmf.solver._shared_problem(Y, train):
+                return fit(Y, train, config)[1].objective_trace
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(shared_fit, c) for c in configs]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert nbmf.solver._SHARED == {}
+
+    def test_pool_holds_one_prepared_problem(self):
+        # one shared A, B and unobserved (17 bytes a cell) plus P and R per
+        # worker (16 bytes a cell each): about 49 bytes a cell, where two
+        # workers that each prepare hold 2 x 33.  Measured: 51.5 with one
+        # shared problem, 68.5 with one per fit.
+        M, N = 300, 400
+        Y = random_binary_matrix(M, N, 0.5, seed=8)
+        train, val, _ = split_observations(Y, SplitSpec(seed=8))
+        grid = GridSpec(rank_values=(4,), alpha_values=(1.0, 2.0, 3.0, 4.0),
+                        beta_values=(1.0, 2.0), n_restarts=1, max_iter=20,
+                        tol=1e-12)
+        grid_search(Y, train, val, grid, n_jobs=2)  # warm
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            grid_search(Y, train, val, grid, n_jobs=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / (M * N) < 60
