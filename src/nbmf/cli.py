@@ -17,15 +17,15 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .binmat import SplitSpec, load_coordinate_file, load_mask, save_mask, \
     split_observations
 from .errors import ConfigError, DimensionError, NbmfError
 from .evaluate import completion_report, predict_from_factors
-from .io import H_FILE, META_FILE, W_FILE, _write_json, read_factors, write_factors, \
-    write_report
+from .io import H_FILE, META_FILE, W_FILE, _write_json, _write_text, read_factors, \
+    write_factors, write_report
 from .solver import BetaPrior, FitConfig, fit
 from .tune import GridResult, GridSpec, append_csv_row, export_heatmap, grid_search, \
     test_evaluation
@@ -69,7 +69,8 @@ def _words(parse):
 
 # Every config key, by section, with the parser of its value.  Parsed values
 # go straight into SplitSpec, FitConfig/BetaPrior and GridSpec, so a key left
-# out takes the default of the dataclass field it fills.
+# out takes the default of the dataclass field it fills, and those classes
+# check every value before the dataset is read.
 _CONFIG_KEYS = {
     "run": {"mode": str, "dataset": str, "out": str},
     "split": {"train": float, "val": float, "test": float, "seed": int},
@@ -149,14 +150,14 @@ def load_run_config(config_path, mode, seed=None, out=None):
     run_fields = _pop_fields(RunConfig, fit_keys)  # [fit] log_every
     fit_config = grid = None
     if mode in ("fit", "eval"):
+        if seed is not None:
+            fit_keys["seed"] = seed
         prior = BetaPrior(**_pop_fields(BetaPrior, fit_keys))
         fit_config = FitConfig(**{"rank": 4, **fit_keys}, prior=prior)
-        if seed is not None:
-            fit_config = replace(fit_config, seed=seed)
     elif mode == "tune":
-        grid = GridSpec(**sections["tune"])
         if seed is not None:
-            grid = replace(grid, base_seed=seed)
+            sections["tune"]["base_seed"] = seed
+        grid = GridSpec(**sections["tune"])
     return RunConfig(
         mode=mode,
         dataset=dataset,
@@ -291,9 +292,7 @@ def cmd_eval(config):
         json_path = config.out_dir / COMPLETION_JSON
         _write_json(json_path, report.to_dict())
         csv_path = config.out_dir / COMPLETION_CSV
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(report.CSV_HEADER + "\n")
-            handle.write(report.to_csv_row() + "\n")
+        _write_text(csv_path, report.CSV_HEADER + "\n" + report.to_csv_row() + "\n")
         _write_manifest(
             config, [json_path.name, csv_path.name], {"split": config.split.seed}
         )

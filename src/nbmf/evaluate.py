@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptyMaskError, NumericalError
+from .io import _cell_text, _json_text
 from .solver import reconstruct
 
 __all__ = [
@@ -148,7 +149,7 @@ class CompletionReport:
         )
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_dict())
 
     @classmethod
     def from_json(cls, text):
@@ -156,13 +157,11 @@ class CompletionReport:
 
     def to_csv_row(self):
         """The report as one CSV line (matching ``CSV_HEADER``)."""
-        parts = []
+        cells = []
         for block in (self.validation, self.test):
-            parts.extend(
-                [repr(block.perplexity), str(block.n_cells), str(block.tp),
-                 str(block.fp), str(block.fn), str(block.tn)]
-            )
-        return ",".join(parts)
+            cells += [block.perplexity, block.n_cells, block.tp, block.fp,
+                      block.fn, block.tn]
+        return ",".join(map(_cell_text, cells))
 
 
 def _require_disjoint(first, second, what):

@@ -1,4 +1,4 @@
-"""On-disk formats for factors and fit reports.
+"""On-disk formats for factors and fit reports, and the text of every artifact.
 
 Factors are written as two dense text matrices (one row per line,
 space-separated ``%.17g`` decimals, which round-trip float64 exactly) plus a
@@ -6,6 +6,11 @@ small ``meta.txt`` of "key value" lines recording the shapes, prior, clamp,
 seed, and convergence outcome.  Reports are JSON.  All files are UTF-8 with
 LF line endings and deterministic formatting, so rewriting the same run
 yields byte-identical factor files.
+
+The text of every other artifact is made here too: ``evaluate``, ``tune``
+and ``cli`` write theirs with :func:`_write_text`, :func:`_json_text` and
+:func:`_cell_text`.  Only the mask files (streamed by ``binmat``) and the
+tune checkpoint (appended a row at a time) are written elsewhere.
 """
 
 from __future__ import annotations
@@ -78,6 +83,31 @@ _META_KEYS = {
 }
 
 
+def _write_text(path, text):
+    """Write ``text`` to ``path`` as UTF-8 with LF line endings."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _json_text(payload):
+    """``payload`` as indented JSON with sorted keys, without a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _write_json(path, payload):
+    """Write :func:`_json_text` of ``payload`` and a final newline."""
+    _write_text(path, _json_text(payload) + "\n")
+
+
+def _cell_text(value):
+    """The text of a CSV cell or ``meta.txt`` value; a float's ``str`` is the
+    shortest text that reads back exactly."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def _write_matrix(path, array):
     np.savetxt(path, np.atleast_2d(array), fmt="%.17g", newline="\n")
 
@@ -97,15 +127,15 @@ def write_factors(out_dir, factors, *, alpha, beta, epsilon, seed, converged):
         "n_rows": factors.n_rows,
         "n_cols": factors.n_cols,
         "rank": factors.rank,
-        "alpha": repr(float(alpha)),
-        "beta": repr(float(beta)),
-        "epsilon": repr(float(epsilon)),
+        "alpha": float(alpha),
+        "beta": float(beta),
+        "epsilon": float(epsilon),
         "seed": int(seed),
-        "converged": "true" if converged else "false",
+        "converged": bool(converged),
     }
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as handle:
-        for key, value in meta.items():
-            handle.write(f"{key} {value}\n")
+    _write_text(meta_path, "".join(
+        f"{key} {_cell_text(value)}\n" for key, value in meta.items()
+    ))
     return [w_path, h_path, meta_path]
 
 
@@ -189,14 +219,6 @@ def read_factors(in_dir):
     except ValueError as exc:
         raise ParseError(f"{w_path} and {h_path} are not valid factors: {exc}") from None
     return factors, parsed
-
-
-def _write_json(path, payload):
-    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8", newline="\n",
-    )
 
 
 def write_report(path, report):

@@ -164,7 +164,10 @@ class FactorPair:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Rank, prior, and stopping control for one training run."""
+    """Rank, prior, stopping control and seed for one training run.
+
+    With :class:`BetaPrior`, the one check of these settings.
+    """
 
     rank: int
     prior: BetaPrior = field(default_factory=BetaPrior)
@@ -184,6 +187,8 @@ class FitConfig:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (0.0 < self.epsilon < 1e-3):
             raise ConfigError(f"epsilon must lie in (0, 1e-3), got {self.epsilon}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -251,6 +256,11 @@ def reconstruct(factors):
     return factors.W @ factors.H
 
 
+def _require_matrix_and_mask(Y, mask):
+    if not isinstance(Y, BinaryMatrix) or not isinstance(mask, ObservationMask):
+        raise ConfigError("fit expects a BinaryMatrix and an ObservationMask")
+
+
 def _prepare(Y, mask):
     """Dense observed ones ``A``, observed zeros ``B``, the boolean
     complement of the mask and the per-row observed counts."""
@@ -295,8 +305,7 @@ def _shared_problem(Y, mask):
     on the same pair, nested or on other threads, share one entry, and the
     last one to exit drops it.
     """
-    if not isinstance(Y, BinaryMatrix) or not isinstance(mask, ObservationMask):
-        raise ConfigError("fit expects a BinaryMatrix and an ObservationMask")
+    _require_matrix_and_mask(Y, mask)
     key = (id(Y), id(mask))
     with _SHARED_LOCK:
         entry = _SHARED.get(key)
@@ -334,11 +343,21 @@ def _ratios(A, B, P, R):
     return R, P
 
 
-def _checked_ratios(A, B, P, R):
-    """:func:`_ratios` once every cell of ``P``, observed or not, is in (0, 1)."""
+def _checked_ratios(A, B, P, R, sweep=None):
+    """:func:`_ratios` once every cell of ``P``, observed or not, is in (0, 1);
+    the :class:`NumericalError` raised otherwise carries ``sweep``."""
     if not (P.min() > 0.0 and P.max() < 1.0):  # NaN fails both comparisons
-        raise NumericalError("reconstruction left the open interval (0, 1)")
+        raise NumericalError("reconstruction left the open interval (0, 1)",
+                             iteration=sweep)
     return _ratios(A, B, P, R)
+
+
+def _ratios_of(Y, mask, factors):
+    """``(R, S, unobserved, n_obs)`` of ``W @ H`` on ``(Y, mask)``."""
+    A, B, unobserved, n_obs = _problem(Y, mask)
+    P = reconstruct(factors)
+    R, S = _checked_ratios(A, B, P, np.empty_like(P))
+    return R, S, unobserved, n_obs
 
 
 def _objective_arrays(R, S, unobserved, out, H, prior):
@@ -365,9 +384,7 @@ def objective(Y, mask, factors, prior):
     penalty always covers all of H.  Raises :class:`NumericalError` if any
     cell of ``W @ H`` leaves (0, 1).
     """
-    A, B, unobserved, _ = _problem(Y, mask)
-    P = reconstruct(factors)
-    R, S = _checked_ratios(A, B, P, np.empty_like(P))
+    R, S, unobserved, _ = _ratios_of(Y, mask, factors)
     return _objective_arrays(R, S, unobserved, R, factors.H, prior)
 
 
@@ -395,9 +412,7 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     [epsilon, 1 - epsilon].  Raises :class:`NumericalError` if any cell of
     ``W @ H`` leaves (0, 1).
     """
-    A, B, _, _ = _problem(Y, mask)
-    P = reconstruct(factors)
-    R, S = _checked_ratios(A, B, P, np.empty_like(P))
+    R, S, _, _ = _ratios_of(Y, mask, factors)
     return _h_step(R, S, factors.W, factors.H, prior.alpha, prior.beta,
                    epsilon, clamp)
 
@@ -425,9 +440,7 @@ def update_w(Y, mask, factors, epsilon=1e-12, clamp=True):
     floored at ``epsilon`` and the row renormalized.  Raises
     :class:`NumericalError` if any cell of ``W @ H`` leaves (0, 1).
     """
-    A, B, _, n_obs = _problem(Y, mask)
-    P = reconstruct(factors)
-    R, S = _checked_ratios(A, B, P, np.empty_like(P))
+    R, S, _, n_obs = _ratios_of(Y, mask, factors)
     return _w_step(R, S, n_obs, factors.W, factors.H, epsilon, clamp)
 
 
@@ -447,10 +460,10 @@ def fit(Y, mask, config, on_sweep=None):
     each sweep.
 
     Returns ``(FactorPair, FitReport)``.  Raises :class:`NumericalError`
-    (carrying the sweep index) if the objective ever turns non-finite.
+    (carrying the sweep index) if a cell of ``W @ H`` leaves (0, 1) or the
+    objective turns non-finite.
     """
-    if not isinstance(Y, BinaryMatrix) or not isinstance(mask, ObservationMask):
-        raise ConfigError("fit expects a BinaryMatrix and an ObservationMask")
+    _require_matrix_and_mask(Y, mask)
     if mask.n_cells == 0:
         raise EmptyMaskError("cannot fit on an empty mask")
     A, B, unobserved, n_obs = _problem(Y, mask)
@@ -458,10 +471,7 @@ def fit(Y, mask, config, on_sweep=None):
 
     def evaluate(W, H, sweep):
         """Score ``P = W @ H`` and return the score with the next sweep's H."""
-        try:
-            R, S = _checked_ratios(A, B, P, scratch)
-        except NumericalError as exc:
-            raise NumericalError(str(exc), iteration=sweep) from None
+        R, S = _checked_ratios(A, B, P, scratch, sweep)
         next_H = _h_step(R, S, W, H, prior.alpha, prior.beta, epsilon, clamp=True)
         value = _objective_arrays(R, S, unobserved, R, H, prior)
         if not np.isfinite(value):

@@ -17,13 +17,18 @@ block of the solver open around its pool, and every fit inside reads the
 same read-only ``A``, ``B`` and ``unobserved`` (17 bytes a matrix cell).  A
 pool of ``n_jobs`` workers then holds about 17 + 16 * n_jobs bytes a cell,
 not 33 * n_jobs.  The jobs still call ``fit(Y, mask, config)``.
+
+:class:`GridSpec` checks its fit settings by building the
+:class:`~nbmf.solver.FitConfig` of every candidate.  This module owns the
+columns of the tune tables and the heatmap layout; ``io`` owns the text of
+their cells, the JSON of ``boxstats.json`` and the writing of every file
+but the appended checkpoint.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
@@ -34,6 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, SearchError
 from .evaluate import _require_disjoint, perplexity
+from .io import _cell_text, _json_text, _write_text
 from .solver import BetaPrior, FitConfig, _shared_problem, fit, reconstruct
 
 __all__ = [
@@ -56,33 +62,35 @@ TIE_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class GridSpec:
-    """The search grid plus the fit settings shared by every candidate."""
+    """The search grid plus the fit settings shared by every candidate.
+
+    An empty axis, a value listed twice on one axis or a setting that no
+    :class:`FitConfig` accepts raises :class:`ConfigError` here.
+    """
 
     rank_values: tuple = (2, 4, 8, 16)
     alpha_values: tuple = (1.0, 1.5, 2.0, 3.0, 5.0, 9.0)
     beta_values: tuple = (1.0, 1.5, 2.0, 3.0, 5.0, 9.0)
     n_restarts: int = 10
     base_seed: int = 0
-    tol: float = 1e-5
-    max_iter: int = 2000
-    epsilon: float = 1e-12
+    tol: float = FitConfig.tol
+    max_iter: int = FitConfig.max_iter
+    epsilon: float = FitConfig.epsilon
 
     def __post_init__(self):
-        object.__setattr__(self, "rank_values", tuple(int(k) for k in self.rank_values))
-        object.__setattr__(
-            self, "alpha_values", tuple(float(a) for a in self.alpha_values)
-        )
-        object.__setattr__(
-            self, "beta_values", tuple(float(b) for b in self.beta_values)
-        )
-        if not self.rank_values or not self.alpha_values or not self.beta_values:
-            raise ConfigError("grid axes must be nonempty")
-        if min(self.rank_values) < 1:
-            raise ConfigError("ranks must be >= 1")
-        if min(self.alpha_values) < 1.0 or min(self.beta_values) < 1.0:
-            raise ConfigError("alpha and beta grid values must be >= 1")
+        for axis, kind in (("rank_values", int), ("alpha_values", float),
+                           ("beta_values", float)):
+            values = tuple(kind(value) for value in getattr(self, axis))
+            if not values:
+                raise ConfigError(f"{axis} must be nonempty")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"{axis} lists {value} twice")
+            object.__setattr__(self, axis, values)
         if self.n_restarts < 1:
             raise ConfigError("n_restarts must be >= 1")
+        for point in self.points():
+            self.fit_config(*point, self.base_seed)
 
     def points(self):
         """Grid points in deterministic (rank, alpha, beta) order."""
@@ -143,16 +151,8 @@ _CSV_COLUMNS = {
 _CSV_HEADER = ",".join(_CSV_COLUMNS) + "\n"
 
 
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)  # for a float, the shortest text that reads back exactly
-
-
 def _row_line(row):
-    return ",".join(_format_cell(getattr(row, name)) for name in _CSV_COLUMNS) + "\n"
+    return ",".join(_cell_text(getattr(row, name)) for name in _CSV_COLUMNS) + "\n"
 
 
 def append_csv_row(path, row):
@@ -187,9 +187,7 @@ class GridResult:
 
     def to_csv(self, path):
         """Write one row per fit."""
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(_CSV_HEADER)
-            handle.writelines(map(_row_line, self.rows))
+        _write_text(path, _CSV_HEADER + "".join(map(_row_line, self.rows)))
 
     @classmethod
     def from_csv(cls, path):
@@ -410,7 +408,7 @@ class TestEvaluation:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_dict())
 
 
 def test_evaluation(Y, train_mask, test_mask, config, n_restarts=10, base_seed=0,
@@ -448,9 +446,9 @@ def export_heatmap(results, rank, path):
     alphas = sorted({row.alpha for row in matching})
     betas = sorted({row.beta for row in matching})
 
-    lines = ["alpha\\beta," + ",".join(repr(b) for b in betas)]
+    lines = ["alpha\\beta," + ",".join(map(_cell_text, betas))]
     for alpha in alphas:
-        cells = [repr(alpha)]
+        cells = [alpha]
         for beta in betas:
             values = [
                 row.val_perplexity
@@ -458,7 +456,6 @@ def export_heatmap(results, rank, path):
                 if row.alpha == alpha and row.beta == beta
                 and row.val_perplexity is not None
             ]
-            cells.append(repr(float(np.mean(values))) if values else "")
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+            cells.append(float(np.mean(values)) if values else None)
+        lines.append(",".join(map(_cell_text, cells)))
+    _write_text(path, "\n".join(lines) + "\n")

@@ -12,13 +12,19 @@ import pytest
 import nbmf.cli
 from nbmf import (
     BetaPrior,
+    CompletionReport,
     FactorPair,
     FitConfig,
     GridResult,
     GridSpec,
     NbmfError,
     SplitSpec,
+    completion_report,
+    load_coordinate_file,
+    load_mask,
     planted_dataset,
+    predict_from_factors,
+    read_factors,
     save_coordinate_file,
     write_factors,
 )
@@ -160,6 +166,28 @@ class TestConfig:
         assert err.startswith("config error:") and named in err
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("mode, old, new, flags", [
+        ("fit", "seed = 11", "seed = -1", ()),
+        ("fit", None, None, ("--seed", "-1")),
+        ("tune", None, None, ("--seed", "-1")),
+        ("tune", "base_seed = 5", "base_seed = 5\ntol = 0", ()),
+    ])
+    def test_bad_fit_setting_exits_2_before_any_output(self, workspace, capsys,
+                                                        mode, old, new, flags):
+        if old is not None:
+            (workspace / "run.ini").write_text(BASE_CONFIG.replace(old, new))
+        assert run(workspace, mode, "--config", "@/run.ini", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (workspace / "out").exists()
+
+    def test_seed_flag_replaces_a_bad_configured_seed(self, workspace):
+        (workspace / "run.ini").write_text(
+            BASE_CONFIG.replace("seed = 11", "seed = -1")
+        )
+        config = load_run_config(workspace / "run.ini", "fit", seed=4)
+        assert config.fit_config.seed == 4
+
     def test_percent_sign_is_literal(self, workspace):
         (workspace / "run.ini").write_text(
             BASE_CONFIG.replace("out = out", "out = out%x")
@@ -286,6 +314,20 @@ class TestEval:
             assert math.isfinite(payload[block]["perplexity"])
         csv_lines = (workspace / "out" / "completion_report.csv").read_text().splitlines()
         assert len(csv_lines) == 2
+
+    def test_written_reports_are_to_json_and_to_csv_row(self, workspace):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        assert run(workspace, "eval", "--config", "@/run.ini") == 0
+        out = workspace / "out"
+        factors, _ = read_factors(out)
+        val, test = (load_mask(out / f"{name}_mask.txt") for name in ("val", "test"))
+        report = completion_report(load_coordinate_file(workspace / "data.txt"),
+                                   val, test, predict_from_factors(factors))
+        assert (out / "completion_report.json").read_bytes() == \
+            (report.to_json() + "\n").encode("utf-8")
+        assert (out / "completion_report.csv").read_bytes() == (
+            CompletionReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
+        ).encode("utf-8")
 
     def test_missing_factors_exit_2(self, workspace, capsys):
         assert run(workspace, "eval", "--config", "@/run.ini") == 2
@@ -572,6 +614,11 @@ class TestReport:
         console = capsys.readouterr().out
         assert "fit report:" in console
         assert "completion:" in console
+
+    def test_directory_without_manifests_says_so(self, workspace, capsys):
+        (workspace / "empty").mkdir()
+        assert run(workspace, "report", "--out", "@/empty") == 0
+        assert capsys.readouterr().out == f"no manifests in {workspace / 'empty'}\n"
 
     def test_missing_dir_exits_2(self, workspace):
         assert run(workspace, "report", "--out", "@/missing") == 2

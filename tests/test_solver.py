@@ -118,6 +118,7 @@ class TestFitConfig:
             {"rank": 2, "max_iter": 0},
             {"rank": 2, "epsilon": 0.0},
             {"rank": 2, "epsilon": 1e-2},
+            {"rank": 1, "seed": -1},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -496,6 +497,26 @@ class TestFit:
         with pytest.raises(NumericalError) as excinfo:
             fit(Y, full_mask(5, 5), FitConfig(rank=2, seed=0))
         assert excinfo.value.iteration == 2
+
+    def test_reconstruction_leaving_unit_interval_carries_sweep_index(
+            self, monkeypatch):
+        import nbmf.solver as solver_mod
+
+        real = solver_mod._w_step
+        calls = {"count": 0}
+
+        def collapsing(R, S, n_obs, W, H, epsilon, clamp):
+            calls["count"] += 1
+            new_W = real(R, S, n_obs, W, H, epsilon, clamp)
+            # a zero W makes every cell of W @ H zero after the second sweep
+            return np.zeros_like(new_W) if calls["count"] == 2 else new_W
+
+        monkeypatch.setattr(solver_mod, "_w_step", collapsing)
+        Y = random_binary_matrix(5, 5, 0.5, seed=0)
+        with pytest.raises(NumericalError, match="open interval") as excinfo:
+            fit(Y, full_mask(5, 5), FitConfig(rank=2, tol=1e-15, seed=0))
+        assert excinfo.value.iteration == 2
+        assert str(excinfo.value).startswith("iteration 2: ")
 
     @pytest.mark.parametrize("prior", [BetaPrior(), BetaPrior(2.0, 1.5)])
     def test_sweeps_equal_replayed_public_updates(self, prior):

@@ -30,6 +30,7 @@ from nbmf import (
     split_observations,
 )
 from nbmf import test_evaluation as run_test_evaluation
+from nbmf.io import _write_json
 
 LOG2 = math.log(2)
 
@@ -62,10 +63,26 @@ class TestGridSpec:
             {"beta_values": (1.0, 0.9)},
             {"n_restarts": 0},
             {"rank_values": (0,)},
+            {"tol": 0},
+            {"max_iter": 0},
+            {"epsilon": 0.5},
+            {"alpha_values": (float("nan"),)},
+            {"beta_values": (float("inf"),)},
+            {"base_seed": -1},
+            {"rank_values": (2, 2)},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
+            GridSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rank_values": (4, 2, 4)}, "rank_values lists 4 twice"),
+        ({"alpha_values": (1, 2, 1.0)}, "alpha_values lists 1.0 twice"),
+        ({"beta_values": (3.0, 3)}, "beta_values lists 3.0 twice"),
+    ])
+    def test_duplicate_value_names_axis_and_value(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
             GridSpec(**kwargs)
 
     def test_points_order(self):
@@ -265,6 +282,25 @@ class TestTestEvaluation:
         with pytest.raises(ConfigError, match="train and test masks overlap"):
             run_test_evaluation(Y, train, train, grid.fit_config(1, 1.0, 1.0, 0),
                                 n_restarts=1)
+
+    def test_all_restarts_failed_raises_search_error(self, small_problem,
+                                                      monkeypatch):
+        def broken_fit(*args, **kwargs):
+            raise NumericalError("boom", iteration=0)
+
+        monkeypatch.setattr(nbmf.tune, "fit", broken_fit)
+        Y, train, _, test = small_problem
+        config = GridSpec().fit_config(1, 1.0, 1.0, 0)
+        with pytest.raises(SearchError, match="every restart failed"):
+            run_test_evaluation(Y, train, test, config, n_restarts=2)
+
+    def test_to_json_is_the_written_json(self, small_problem, tmp_path):
+        Y, train, _, test = small_problem
+        config = GridSpec().fit_config(1, 2.0, 1.5, 0)
+        ev = run_test_evaluation(Y, train, test, config, n_restarts=2)
+        _write_json(tmp_path / "boxstats.json", ev.to_dict())
+        assert (tmp_path / "boxstats.json").read_bytes() == \
+            (ev.to_json() + "\n").encode("utf-8")
 
     def test_planted_model_beats_coin(self):
         Y, _, _ = planted_dataset(60, 40, 3, h_alpha=3.0, h_beta=3.0, seed=6,
