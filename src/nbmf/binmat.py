@@ -13,14 +13,17 @@ that array; the ``ones`` and ``cells`` frozensets of ``(row, col)`` tuples
 are views built on demand for callers that want Python sets.
 
 All types here are immutable after construction and safe to share across
-threads; the operations are pure functions of their arguments.
+threads.  Datasets and masks are written here, and every file of the
+package through :func:`_replaced`, whole or not at all.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 import re
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +50,30 @@ __all__ = [
 ]
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+def _integer_setting(name, value):
+    """``operator.index(value)``, else a :class:`ConfigError` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+@contextmanager
+def _replaced(path):
+    """A binary handle on ``.<name>.tmp`` beside ``path``, renamed over
+    ``path`` when the block ends and removed if it raises."""
+    head, name = os.path.split(path)
+    temporary = os.path.join(head, f".{name}.tmp")
+    try:
+        with open(temporary, "wb") as handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temporary)
+        raise
 
 
 def _linear_from_pairs(pairs, n_rows, n_cols, what):
@@ -216,6 +243,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _integer_setting("seed", self.seed)
         for name in ("train_frac", "val_frac", "test_frac"):
             frac = getattr(self, name)
             if not (0.0 < frac < 1.0):
@@ -511,10 +539,8 @@ def _put_digits(block, values):
 def _write_coords(path, grid):
     """Write the header and one "row col" line per cell, in sorted order."""
     n_rows, n_cols = grid.shape
-    with open(path, "wb") as handle:
+    with _replaced(path) as handle:
         handle.write(f"{n_rows} {n_cols}\n".encode("ascii"))
-        if grid.linear.size == 0:
-            return
         row_width, col_width = len(str(n_rows - 1)), len(str(n_cols - 1))
         width = row_width + col_width + 2
         step = max(1, _CHUNK_BYTES // width)

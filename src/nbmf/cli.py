@@ -4,7 +4,8 @@ Runs are described by a flat INI config (sections ``[run]``, ``[split]``,
 ``[fit]``, ``[tune]``); the subcommand picks the action.  Every run writes a
 manifest with the config hash, seeds, and artifact list into the output
 directory, and takes a lock file there so concurrent runs cannot trample
-each other.  Exit codes are stable: 0 success, 1 runtime or numerical
+each other.  ``io`` and ``binmat`` write every file but the lock, whole or
+not at all.  Exit codes are stable: 0 success, 1 runtime or numerical
 failure, 2 configuration error.
 """
 
@@ -27,8 +28,7 @@ from .evaluate import completion_report, predict_from_factors
 from .io import H_FILE, META_FILE, W_FILE, _write_json, _write_text, read_factors, \
     write_factors, write_report
 from .solver import BetaPrior, FitConfig, fit
-from .tune import GridResult, GridSpec, append_csv_row, export_heatmap, grid_search, \
-    test_evaluation
+from .tune import GridResult, GridSpec, export_heatmap, grid_search, test_evaluation
 
 __all__ = ["main", "RunConfig", "load_run_config"]
 
@@ -219,7 +219,6 @@ def _write_manifest(config, artifacts, seeds):
         "seeds": seeds,
         "artifacts": sorted(artifacts),
     })
-    return path
 
 
 def _split_dataset(config):
@@ -279,14 +278,14 @@ def cmd_eval(config):
                 f"missing factor file: {config.out_dir / name} (run fit first)"
             )
     Y = load_coordinate_file(config.dataset)
-    factors, meta = read_factors(config.out_dir)
-    if (meta["n_rows"], meta["n_cols"]) != Y.shape:
-        raise DimensionError(
-            f"factors describe a {meta['n_rows']}x{meta['n_cols']} matrix "
-            f"but the dataset is {Y.shape[0]}x{Y.shape[1]}"
-        )
-    val, test = _scored_masks(config, Y)
     with _output_lock(config.out_dir):
+        factors, meta = read_factors(config.out_dir)
+        if (meta["n_rows"], meta["n_cols"]) != Y.shape:
+            raise DimensionError(
+                f"factors describe a {meta['n_rows']}x{meta['n_cols']} matrix "
+                f"but the dataset is {Y.shape[0]}x{Y.shape[1]}"
+            )
+        val, test = _scored_masks(config, Y)
         pred = predict_from_factors(factors)
         report = completion_report(Y, val, test, pred)
         json_path = config.out_dir / COMPLETION_JSON
@@ -306,19 +305,10 @@ def cmd_eval(config):
 def _read_partial_rows(path):
     """Rows checkpointed by an interrupted tune, or () when there are none.
 
-    Rows are appended one line at a time, so an interrupted append leaves a
-    last line without its newline.  That line is cut from the file, and its
-    grid point is fitted again.
+    Tune only ever replaces the checkpoint whole, so one that does not parse
+    stops the resume and is left as it is.
     """
     if not path.is_file():
-        return ()
-    data = path.read_bytes()
-    complete = data.rfind(b"\n") + 1
-    if complete < len(data):
-        print(f"dropping the torn last line of {path.name}")
-        os.truncate(path, complete)
-    if complete == 0:  # not even the header was written whole
-        path.unlink()
         return ()
     try:
         table = GridResult.from_csv(path)
@@ -327,7 +317,6 @@ def _read_partial_rows(path):
             f"cannot resume from {path}: malformed row ({exc}); remove the file "
             "to start the search over"
         ) from None
-    table.to_csv(path)  # appends go on under this version's header
     print(f"resuming: {len(table)} grid rows found in {path.name}")
     return table.rows
 
@@ -336,11 +325,11 @@ def cmd_tune(config, n_jobs):
     Y, train, val, test = _split_dataset(config)
     with _output_lock(config.out_dir):
         partial_path = config.out_dir / GRID_PARTIAL_CSV
-        resume_rows = _read_partial_rows(partial_path)
-        total = len(config.grid.points())
+        checkpoint = list(_read_partial_rows(partial_path))
 
         def on_row(row):
-            append_csv_row(partial_path, row)
+            checkpoint.append(row)
+            GridResult(checkpoint).to_csv(partial_path)
             shown = "failed" if row.val_perplexity is None \
                 else f"{row.val_perplexity:.6f}"
             print(
@@ -350,7 +339,7 @@ def cmd_tune(config, n_jobs):
 
         results, best = grid_search(
             Y, train, val, config.grid, n_jobs=n_jobs,
-            resume_rows=resume_rows, on_row=on_row,
+            resume_rows=tuple(checkpoint), on_row=on_row,
         )
         evaluation = test_evaluation(
             Y, train, test,
@@ -376,7 +365,7 @@ def cmd_tune(config, n_jobs):
             f"best rank={best.rank} alpha={best.alpha} beta={best.beta} "
             f"median_test_perplexity={evaluation.stats.median:.6f}"
         )
-        print(f"total grid points: {total}")
+        print(f"total grid points: {len(config.grid.points())}")
     return 0
 
 
@@ -483,10 +472,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NbmfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NbmfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,8 +9,8 @@ yields byte-identical factor files.
 
 The text of every other artifact is made here too: ``evaluate``, ``tune``
 and ``cli`` write theirs with :func:`_write_text`, :func:`_json_text` and
-:func:`_cell_text`.  Only the mask files (streamed by ``binmat``) and the
-tune checkpoint (appended a row at a time) are written elsewhere.
+:func:`_cell_text`.  Only the coordinate files are written by ``binmat``;
+both modules write through its ``_replaced``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binmat import _GAP, _TOKEN
+from .binmat import _GAP, _TOKEN, _replaced
 from .errors import DimensionError, ParseError
 from .solver import FactorPair, FitReport
 
@@ -85,7 +85,8 @@ _META_KEYS = {
 
 def _write_text(path, text):
     """Write ``text`` to ``path`` as UTF-8 with LF line endings."""
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    with _replaced(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 def _json_text(payload):
@@ -109,7 +110,8 @@ def _cell_text(value):
 
 
 def _write_matrix(path, array):
-    np.savetxt(path, np.atleast_2d(array), fmt="%.17g", newline="\n")
+    with _replaced(path) as handle:
+        np.savetxt(handle, np.atleast_2d(array), fmt="%.17g", newline="\n")
 
 
 def write_factors(out_dir, factors, *, alpha, beta, epsilon, seed, converged):

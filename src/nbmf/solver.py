@@ -65,7 +65,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .binmat import BinaryMatrix, ObservationMask
+from .binmat import BinaryMatrix, ObservationMask, _integer_setting
 from .errors import ConfigError, DimensionError, EmptyMaskError, NumericalError
 
 __all__ = [
@@ -179,15 +179,15 @@ class FitConfig:
     def __post_init__(self):
         if not isinstance(self.prior, BetaPrior):
             raise ConfigError("prior must be a BetaPrior")
-        if self.rank < 1:
+        if _integer_setting("rank", self.rank) < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         if not self.tol > 0:
             raise ConfigError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
+        if _integer_setting("max_iter", self.max_iter) < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (0.0 < self.epsilon < 1e-3):
             raise ConfigError(f"epsilon must lie in (0, 1e-3), got {self.epsilon}")
-        if self.seed < 0:
+        if _integer_setting("seed", self.seed) < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 

@@ -21,8 +21,8 @@ not 33 * n_jobs.  The jobs still call ``fit(Y, mask, config)``.
 :class:`GridSpec` checks its fit settings by building the
 :class:`~nbmf.solver.FitConfig` of every candidate.  This module owns the
 columns of the tune tables and the heatmap layout; ``io`` owns the text of
-their cells, the JSON of ``boxstats.json`` and the writing of every file
-but the appended checkpoint.
+their cells, the JSON of ``boxstats.json`` and the writing of every file.
+:meth:`GridResult.to_csv` writes ``grid_result.csv`` and its checkpoint.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binmat import _integer_setting
 from .errors import ConfigError, NumericalError, SearchError
 from .evaluate import _require_disjoint, perplexity
 from .io import _cell_text, _json_text, _write_text
@@ -52,7 +53,6 @@ __all__ = [
     "grid_search",
     "test_evaluation",
     "export_heatmap",
-    "append_csv_row",
 ]
 
 # Ties in validation perplexity closer than this are broken toward the
@@ -78,7 +78,8 @@ class GridSpec:
     epsilon: float = FitConfig.epsilon
 
     def __post_init__(self):
-        for axis, kind in (("rank_values", int), ("alpha_values", float),
+        rank = functools.partial(_integer_setting, "rank_values")
+        for axis, kind in (("rank_values", rank), ("alpha_values", float),
                            ("beta_values", float)):
             values = tuple(kind(value) for value in getattr(self, axis))
             if not values:
@@ -87,7 +88,7 @@ class GridSpec:
                 if value in values[:i]:
                     raise ConfigError(f"{axis} lists {value} twice")
             object.__setattr__(self, axis, values)
-        if self.n_restarts < 1:
+        if _integer_setting("n_restarts", self.n_restarts) < 1:
             raise ConfigError("n_restarts must be >= 1")
         for point in self.points():
             self.fit_config(*point, self.base_seed)
@@ -148,26 +149,6 @@ _CSV_COLUMNS = {
     "val_perplexity": _optional_float, "test_perplexity": _optional_float,
     "n_iter": int, "converged": {"true": True, "false": False}.__getitem__,
 }
-_CSV_HEADER = ",".join(_CSV_COLUMNS) + "\n"
-
-
-def _row_line(row):
-    return ",".join(_cell_text(getattr(row, name)) for name in _CSV_COLUMNS) + "\n"
-
-
-def append_csv_row(path, row):
-    """Append one row to a checkpoint CSV.
-
-    A missing file is created with its header first.  The header and the
-    row lines are those of :meth:`GridResult.to_csv`, so
-    :meth:`GridResult.from_csv` reads either file.
-    """
-    path = Path(path)
-    fresh = not path.is_file()
-    with open(path, "a", encoding="utf-8", newline="\n") as handle:
-        if fresh:
-            handle.write(_CSV_HEADER)
-        handle.write(_row_line(row))
 
 
 @dataclass(frozen=True)
@@ -186,8 +167,11 @@ class GridResult:
         return iter(self.rows)
 
     def to_csv(self, path):
-        """Write one row per fit."""
-        _write_text(path, _CSV_HEADER + "".join(map(_row_line, self.rows)))
+        """Write the header and one row per fit."""
+        rows = [[_cell_text(getattr(row, name)) for name in _CSV_COLUMNS]
+                for row in self.rows]
+        _write_text(path, "".join(",".join(cells) + "\n"
+                                  for cells in [_CSV_COLUMNS, *rows]))
 
     @classmethod
     def from_csv(cls, path):
@@ -419,7 +403,7 @@ def test_evaluation(Y, train_mask, test_mask, config, n_restarts=10, base_seed=0
     ignored and replaced by ``base_seed + i`` for restart i.  Quartiles use
     numpy's default linear interpolation.
     """
-    if n_restarts < 1:
+    if _integer_setting("n_restarts", n_restarts) < 1:
         raise ConfigError("n_restarts must be >= 1")
     _require_disjoint(train_mask, test_mask, "train and test")
     restarts = [replace(config, seed=base_seed + i) for i in range(n_restarts)]

@@ -86,6 +86,10 @@ class TestSplitSpec:
         with pytest.raises(ConfigError):
             SplitSpec(*fracs, seed=0)
 
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            SplitSpec(seed=1.5)
+
 
 class TestSplitObservations:
     def test_exact_fraction_sizes(self):
@@ -254,6 +258,27 @@ class TestCoordinateFile:
             path = tmp_path / f"mask{i}.txt"
             save_mask(mask, path)
             assert load_mask(path) == mask
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "mask.txt"
+        save_mask(ObservationMask(2, 2, [(0, 1)]), path)
+        before = path.read_bytes()
+        calls = []
+        real_put_digits = nbmf.binmat._put_digits
+
+        def failing_put_digits(block, values):
+            calls.append(values.size)
+            if len(calls) == 4:  # the column digits of the second chunk
+                raise OSError("no space left on device")
+            real_put_digits(block, values)
+
+        monkeypatch.setattr(nbmf.binmat, "_CHUNK_BYTES", 64)
+        monkeypatch.setattr(nbmf.binmat, "_put_digits", failing_put_digits)
+        mask = ObservationMask(50, 50, [(r, c) for r in range(50) for c in (0, 25)])
+        with pytest.raises(OSError, match="no space left"):
+            save_mask(mask, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["mask.txt"]
 
 
 class TestIndexStorage:

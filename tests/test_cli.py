@@ -2,9 +2,12 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +70,10 @@ def workspace(tmp_path):
 
 def run(workspace, *args):
     return main([arg.replace("@", str(workspace)) for arg in args])
+
+
+def temporary_files(directory):
+    return [path.name for path in directory.iterdir() if path.name.endswith(".tmp")]
 
 
 EVERY_KEY_CONFIG = """\
@@ -427,6 +434,22 @@ class TestEval:
         assert run(workspace, "eval", "--config", "@/run.ini") == 0
         assert (workspace / "out" / "completion_report.csv").read_bytes() == first
 
+    def test_reads_the_run_directory_only_under_the_lock(self, workspace, capsys,
+                                                         monkeypatch):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        (workspace / "out" / ".nbmf.lock").write_text(f"{os.getpid()}\n")
+        reads = []
+        real_read_factors = nbmf.cli.read_factors
+
+        def recording_read_factors(path):
+            reads.append(path)
+            return real_read_factors(path)
+
+        monkeypatch.setattr(nbmf.cli, "read_factors", recording_read_factors)
+        assert run(workspace, "eval", "--config", "@/run.ini") == 1
+        assert "is locked by" in capsys.readouterr().err
+        assert reads == []
+
 
 class TestTune:
     def test_writes_artifacts_and_prints_best(self, workspace, capsys):
@@ -493,44 +516,23 @@ class TestTune:
         assert run(workspace, "tune", "--config", "@/run.ini") == 2
         assert "$NBMF_JOBS must be an integer >= 1" in capsys.readouterr().err
 
-    def test_torn_partial_line_is_refit(self, workspace, capsys):
-        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/full") == 0
-        reference = (workspace / "full" / "grid_result.csv").read_text()
-
-        # an interrupted append leaves the last row without its newline
-        resumed_dir = workspace / "resumed"
-        resumed_dir.mkdir()
-        header = ("rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
-                  "n_iter,converged,wall_time")
-        body = [line + ",0.0" for line in reference.splitlines()[1:3]]
-        (resumed_dir / "grid_partial.csv").write_text(
-            header + "\n" + body[0] + "\n" + body[1][:9]
-        )
-        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 0
-        assert "torn" in capsys.readouterr().out
-        assert (resumed_dir / "grid_result.csv").read_text() == reference
-
-    def test_torn_partial_header_starts_over(self, workspace):
-        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/full") == 0
-        (workspace / "resumed").mkdir()
-        (workspace / "resumed" / "grid_partial.csv").write_text("rank,alp")
-        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 0
-        assert (workspace / "resumed" / "grid_result.csv").read_bytes() == \
-            (workspace / "full" / "grid_result.csv").read_bytes()
-
-    def test_empty_partial_file_starts_over(self, workspace, monkeypatch):
-        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/full") == 0
-        (workspace / "resumed").mkdir()
-        partial = workspace / "resumed" / "grid_partial.csv"
-        partial.write_bytes(b"")  # interrupted before the header was written
-
-        def interrupted(*args, **kwargs):
-            raise NbmfError("interrupted")
-
-        monkeypatch.setattr(nbmf.cli, "test_evaluation", interrupted)
-        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 1
-        assert partial.read_bytes() == \
-            (workspace / "full" / "grid_result.csv").read_bytes()
+    # tune replaces its checkpoint whole, so none of these was written by it
+    @pytest.mark.parametrize("content", [
+        b"rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,n_iter,"
+        b"converged\n1,1.0,1.0,5,0.7,,12,false\n2,1.0,1",
+        b"rank,alp",
+        b"",
+    ], ids=["torn-row", "torn-header", "empty"])
+    def test_unparsable_checkpoint_exits_2_and_is_kept(self, workspace, capsys,
+                                                       content):
+        out = workspace / "out"
+        out.mkdir()
+        partial = out / "grid_partial.csv"
+        partial.write_bytes(content)
+        assert run(workspace, "tune", "--config", "@/run.ini") == 2
+        assert "grid_partial.csv" in capsys.readouterr().err
+        assert partial.read_bytes() == content
+        assert not (out / "grid_result.csv").exists()
 
     def test_malformed_partial_row_exits_2(self, workspace, capsys):
         (workspace / "out").mkdir()
@@ -596,14 +598,77 @@ class TestTune:
         rows = GridResult.from_csv(partial).rows
         assert len(rows) == 4
         rewritten = workspace / "rewritten.csv"
-        for row in rows:
-            nbmf.tune.append_csv_row(rewritten, row)
+        GridResult(rows).to_csv(rewritten)
         assert partial.read_bytes() == rewritten.read_bytes()
 
     def test_seed_override_sets_base_seed(self, workspace):
         assert run(workspace, "tune", "--config", "@/run.ini", "--seed", "70") == 0
         stats = json.loads((workspace / "out" / "boxstats.json").read_text())
         assert stats["restart_seeds"] == [70, 71, 72]
+
+
+# Each fit of this grid runs all 400 sweeps (about 0.1 s on one core), so a
+# tune run spends about a second in its grid.
+SLOW_TUNE_CONFIG = """\
+[run]
+dataset = data.txt
+
+[split]
+seed = 3
+
+[tune]
+rank_values = 2 3
+alpha_values = 1 2
+beta_values = 1 2
+n_restarts = 2
+base_seed = 5
+tol = 1e-12
+max_iter = 400
+"""
+
+
+class TestInterruptedWrites:
+    def test_runs_leave_no_temporary_files(self, workspace):
+        for mode in ("fit", "eval", "tune"):
+            assert run(workspace, mode, "--config", "@/run.ini") == 0
+        assert temporary_files(workspace / "out") == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs SIGKILL")
+    def test_killed_tune_resumes_to_the_same_bytes(self, tmp_path, capsys):
+        Y, _, _ = planted_dataset(120, 160, 3, seed=4)
+        save_coordinate_file(Y, tmp_path / "data.txt")
+        (tmp_path / "run.ini").write_text(SLOW_TUNE_CONFIG)
+        assert run(tmp_path, "tune", "--config", "@/run.ini", "--out", "@/full") == 0
+
+        out = tmp_path / "out"
+        partial = out / "grid_partial.csv"
+        src = Path(nbmf.cli.__file__).resolve().parents[1]
+        process = subprocess.Popen(
+            [sys.executable, "-m", "nbmf.cli", "tune", "--config",
+             str(tmp_path / "run.ini"), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            # the checkpoint is replaced whole, so a line count is never torn
+            while not (partial.is_file() and partial.read_text().count("\n") >= 2):
+                assert process.poll() is None, "tune ended before it was killed"
+                assert time.monotonic() < deadline, "no checkpoint row within 60 s"
+                time.sleep(0.005)
+            process.send_signal(signal.SIGKILL)
+        finally:
+            process.kill()
+            process.wait(timeout=30)
+        assert process.returncode == -signal.SIGKILL
+
+        (out / ".nbmf.lock").unlink()  # a stale lock is never taken over
+        capsys.readouterr()
+        assert run(tmp_path, "tune", "--config", "@/run.ini", "--out", "@/out") == 0
+        assert "resuming:" in capsys.readouterr().out
+        for name in ("grid_result.csv", "heatmap.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        assert temporary_files(out) == []
 
 
 class TestReport:

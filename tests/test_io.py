@@ -15,6 +15,7 @@ from nbmf import (
     write_factors,
     write_report,
 )
+from nbmf.io import _write_text
 from conftest import full_mask
 
 
@@ -197,3 +198,11 @@ class TestReportFiles:
         path = tmp_path / "report.json"
         write_report(path, report)
         assert read_report(path) == report
+
+    def test_failed_encoding_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        _write_text(path, "before\n")
+        with pytest.raises(UnicodeEncodeError):
+            _write_text(path, "after \udc80\n")  # a lone surrogate
+        assert path.read_bytes() == b"before\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -125,6 +125,15 @@ class TestFitConfig:
         with pytest.raises(ConfigError):
             FitConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"rank": 2.5}, "rank"),
+        ({"rank": 2, "max_iter": 2.5}, "max_iter"),
+        ({"rank": 2, "seed": 1.5}, "seed"),
+    ])
+    def test_integer_settings_must_be_integers(self, kwargs, name):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            FitConfig(**kwargs)
+
 
 class TestFitReport:
     def test_iteration_count_must_match_trace(self):

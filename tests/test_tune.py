@@ -85,6 +85,14 @@ class TestGridSpec:
         with pytest.raises(ConfigError, match=message):
             GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"rank_values": (2.5,)}, "rank_values"),
+        ({"n_restarts": 2.5}, "n_restarts"),
+    ])
+    def test_integer_settings_must_be_integers(self, kwargs, name):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            GridSpec(**kwargs)
+
     def test_points_order(self):
         grid = GridSpec(rank_values=(1, 2), alpha_values=(1.0,), beta_values=(1.0, 2.0))
         assert grid.points() == [(1, 1.0, 1.0), (1, 1.0, 2.0),
@@ -283,6 +291,12 @@ class TestTestEvaluation:
             run_test_evaluation(Y, train, train, grid.fit_config(1, 1.0, 1.0, 0),
                                 n_restarts=1)
 
+    def test_fractional_restart_count_rejected(self, small_problem):
+        Y, train, _, test = small_problem
+        config = GridSpec().fit_config(1, 1.0, 1.0, 0)
+        with pytest.raises(ConfigError, match="n_restarts must be an integer"):
+            run_test_evaluation(Y, train, test, config, n_restarts=2.5)
+
     def test_all_restarts_failed_raises_search_error(self, small_problem,
                                                       monkeypatch):
         def broken_fit(*args, **kwargs):
@@ -378,32 +392,24 @@ class TestCheckpointRows:
             GridRow(rank=4, alpha=1.0, beta=2.0, restart_seed=4,
                     val_perplexity=0.5, test_perplexity=0.25, n_iter=17,
                     converged=True, wall_time=1.0 / 3.0),
-        ]
-        appended = tmp_path / "partial.csv"
-        for row in rows:
-            nbmf.tune.append_csv_row(appended, row)
-        assert appended.read_bytes() == (
-            b"rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
-            b"n_iter,converged\n"
-            b"2,1.5,3.0,4,0.61803398875,,10,true\n"
-            b"8,9.0,1.0,4,,,0,false\n"
-            b"4,1.0,2.0,4,0.5,0.25,17,true\n"
-        )
-        assert GridResult.from_csv(appended).rows == \
-            tuple(replace(row, wall_time=0.0) for row in rows)
-
-    def test_appended_rows_equal_to_csv_byte_for_byte(self, tmp_path):
-        rows = [
             make_row(16, 9.0, 1.5, 1e-300, seed=2**40),
             GridRow(rank=1, alpha=1.0, beta=1.0, restart_seed=0,
                     val_perplexity=None, test_perplexity=0.1 + 0.2, n_iter=2000,
                     converged=False, wall_time=12.5),
         ]
-        appended, written = tmp_path / "partial.csv", tmp_path / "result.csv"
-        for row in rows:
-            nbmf.tune.append_csv_row(appended, row)
+        written = tmp_path / "partial.csv"
         GridResult(rows).to_csv(written)
-        assert appended.read_bytes() == written.read_bytes()
+        assert written.read_bytes() == (
+            b"rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
+            b"n_iter,converged\n"
+            b"2,1.5,3.0,4,0.61803398875,,10,true\n"
+            b"8,9.0,1.0,4,,,0,false\n"
+            b"4,1.0,2.0,4,0.5,0.25,17,true\n"
+            b"16,9.0,1.5,1099511627776,1e-300,,10,true\n"
+            b"1,1.0,1.0,0,,0.30000000000000004,2000,false\n"
+        )
+        assert GridResult.from_csv(written).rows == \
+            tuple(replace(row, wall_time=0.0) for row in rows)
 
 
 class TestBlasThreadBound:
