@@ -312,10 +312,10 @@ def _read_partial_rows(path):
         return ()
     try:
         table = GridResult.from_csv(path)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(
-            f"cannot resume from {path}: malformed row ({exc}); remove the file "
-            "to start the search over"
+            f"cannot resume from {path}: malformed checkpoint ({exc}); remove "
+            "the file to start the search over"
         ) from None
     print(f"resuming: {len(table)} grid rows found in {path.name}")
     return table.rows

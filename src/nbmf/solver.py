@@ -26,34 +26,41 @@ row m becomes the number of observed cells in that row instead of N.
 
 Structure: ``_prepare`` turns one ``(Y, mask)`` pair into the observed ones
 ``A``, the observed zeros ``B``, the boolean ``unobserved`` cells and the
-per-row observed counts; ``_ratios`` writes ``R = A / P`` into a scratch
-array and then ``S = B / (1 - P)`` over ``P = W @ H``, and ``_h_step`` and
-``_w_step`` are the only copies of the two half-updates and take those
-ratios as arguments.  The objective is scored from the same ratios: ``R + S``
-is ``1 / P`` on an observed one, ``1 / (1 - P)`` on an observed zero and 0
-elsewhere, so the masked negative log-likelihood is
-``sum(log(R + S + unobserved))``, one log per cell.  :func:`fit` prepares
-once and ends each sweep by checking that every cell of ``P`` lies in
-(0, 1), writing the ratios of ``P``, taking the next sweep's H step from
-them and only then scoring them; so a sweep computes two products and two
-ratio passes.
+per-row observed counts.  Every pass walks the rows in blocks (``_blocks``):
+a matrix of at most 2**17 cells is one block, a larger one is cut into
+blocks of about 2**16 cells, whose working set stays in cache.  On a block,
+``_block_ratios`` computes ``P = W @ H``, checks that every cell lies in
+(0, 1) and writes ``R = A / P`` and then ``S = B / (1 - P)`` over ``P``.
+``_w_step`` takes a block's W-step rows from its ratios, ``_numerators``
+adds its share ``W.T @ R`` and ``W.T @ S`` of the H step, and
+``_log_likelihood`` its share of the objective: ``R + S`` is ``1 / P`` on
+an observed one, ``1 / (1 - P)`` on an observed zero and 0 elsewhere, so
+the masked negative log-likelihood is ``sum(log(R + S + unobserved))``, one
+log per cell.  Only the K-by-N numerators and that sum couple the rows, and
+they are summed in block order.  ``_h_step`` takes the next H from the
+summed numerators.  :func:`update_w`, :func:`update_h` and
+:func:`objective` are each one loop over the blocks.  :func:`fit` prepares
+once and makes each sweep one loop: a block takes its W step, then scores
+the new rows and adds their numerators, and after the loop the next
+sweep's H is taken; so a sweep computes two products and two ratio passes
+per block.
 
-Every call prepares its own problem, except inside a ``_shared_problem``
-block: there :func:`fit`, the public updates and :func:`objective` find the
-block's problem by the identity of their ``(Y, mask)`` pair and only read
-it.  ``tune`` holds one block open around each pool of fits, so the fits of
-a grid search or of a restart set share one copy of ``A``, ``B`` and
-``unobserved`` (17 bytes a cell) instead of preparing one each.
+Every call prepares its own problem, except inside a ``with
+_shared_problem(Y, mask)`` statement: there :func:`fit`, the public updates
+and :func:`objective` find its problem by the identity of their ``(Y,
+mask)`` pair and only read it.  ``tune`` holds one open around each pool of
+fits, so the fits of a grid search or of a restart set share one copy of
+``A``, ``B`` and ``unobserved`` (17 bytes a cell) instead of preparing one
+each.
 
 The public functions are pure: they read their inputs and return fresh
-arrays.  :func:`fit` owns two M-by-N float arrays: ``P``, which holds ``S``
-after each ratio pass, and ``R``, which the objective overwrites with its
-logs once the next H step has read it.  Outside a shared block it also owns
-the prepared ``A``, ``B`` and ``unobserved``; inside one they are read-only
-and owned by the block.  Every full-size step of its sweep writes into
-``P`` and ``R``, so the sweep allocates nothing of that size; the factors it
-returns or passes to ``on_sweep`` are fresh arrays that no later sweep
-overwrites.  The H step taken after the last evaluation is discarded.
+arrays.  Besides the prepared problem, each call owns only its two scratch
+arrays of one block's size: on a matrix of more than 2**17 cells, about
+2**16 cells each, not two of the matrix's size.  :func:`fit` allocates
+them once and writes every block step into them, so a sweep allocates
+nothing of the matrix's size; the W and H it returns or passes to
+``on_sweep`` are fresh arrays that no later sweep overwrites.  The H step
+taken after the last evaluation is discarded.
 """
 
 from __future__ import annotations
@@ -270,13 +277,13 @@ def _prepare(Y, mask):
         )
     observed = mask.to_dense()
     unobserved = ~observed
-    observed = observed.astype(float)
-    n_obs = observed.sum(axis=1)
-    A = observed * Y.to_dense()
-    B = np.subtract(observed, A, out=observed)
+    A = Y.to_dense()
+    A *= observed
+    B = observed.astype(float)
+    del observed
+    n_obs = B.sum(axis=1)
+    B -= A
     return A, B, unobserved, n_obs
-
-
 @dataclass
 class _Shared:
     """A prepared problem and the number of open blocks that share it.
@@ -332,49 +339,70 @@ def _problem(Y, mask):
     return _prepare(Y, mask) if entry is None else entry.problem
 
 
-def _ratios(A, B, P, R):
-    """Write ``A / P`` into ``R``, then ``B / (1 - P)`` over ``P``.
+# A matrix of at most _ONE_BLOCK cells is one row block, so a pass over it
+# makes the same numpy calls as a pass over the whole matrix; a larger one is
+# walked in blocks of about _BLOCK cells, whose working set stays in cache.
+_ONE_BLOCK = 1 << 17
+_BLOCK = 1 << 16
 
-    Returns ``(R, S)``, where ``S`` is the array ``P`` was.
+
+def _blocks(n_rows, n_cols):
+    """The row blocks of a pass, as ``(rows, P, R)``: the slice of the block's
+    rows and its views of two fresh scratch arrays."""
+    step = n_rows if n_rows * n_cols <= _ONE_BLOCK else max(1, _BLOCK // n_cols)
+    P = np.empty((step, n_cols))
+    R = np.empty_like(P)
+    return [(slice(start, start + step), P[:n_rows - start], R[:n_rows - start])
+            for start in range(0, n_rows, step)]
+
+
+def _block_ratios(A, B, W, H, P, R, sweep=None, check=True):
+    """``(R, S)`` for one row block: ``P = W @ H``, then ``R = A / P`` and
+    ``S = B / (1 - P)``, with ``S`` written over ``P``.
+
+    With ``check``, every cell of ``P``, observed or not, must lie in
+    (0, 1); the :class:`NumericalError` raised otherwise carries ``sweep``.
     """
+    np.matmul(W, H, out=P)
+    # NaN fails both comparisons
+    if check and not (P.min() > 0.0 and P.max() < 1.0):
+        raise NumericalError("reconstruction left the open interval (0, 1)",
+                             iteration=sweep)
     np.divide(A, P, out=R)
     np.subtract(1.0, P, out=P)
     np.divide(B, P, out=P)
     return R, P
 
 
-def _checked_ratios(A, B, P, R, sweep=None):
-    """:func:`_ratios` once every cell of ``P``, observed or not, is in (0, 1);
-    the :class:`NumericalError` raised otherwise carries ``sweep``."""
-    if not (P.min() > 0.0 and P.max() < 1.0):  # NaN fails both comparisons
-        raise NumericalError("reconstruction left the open interval (0, 1)",
-                             iteration=sweep)
-    return _ratios(A, B, P, R)
+def _log_likelihood(R, S, unobserved):
+    """``sum(log(R + S + unobserved))`` for one row block, built in ``R``.
 
-
-def _ratios_of(Y, mask, factors):
-    """``(R, S, unobserved, n_obs)`` of ``W @ H`` on ``(Y, mask)``."""
-    A, B, unobserved, n_obs = _problem(Y, mask)
-    P = reconstruct(factors)
-    R, S = _checked_ratios(A, B, P, np.empty_like(P))
-    return R, S, unobserved, n_obs
-
-
-def _objective_arrays(R, S, unobserved, out, H, prior):
-    """``sum(log(R + S + unobserved))`` plus the prior, built in ``out``.
-
-    With ``R = A / P`` and ``S = B / (1 - P)`` from :func:`_checked_ratios`,
-    ``R + S`` is ``1 / P`` on an observed one, ``1 / (1 - P)`` on an observed
-    zero and 0 on an unobserved cell, where adding 1 makes the log vanish:
-    one log per cell gives the masked negative log-likelihood.  ``out`` may
-    be ``R`` itself; it is overwritten.
+    With the ratios of :func:`_block_ratios`, ``R + S`` is ``1 / P`` on an
+    observed one, ``1 / (1 - P)`` on an observed zero and 0 on an unobserved
+    cell, where adding 1 makes the log vanish: one log per cell gives the
+    block's masked negative log-likelihood.
     """
-    np.add(R, S, out=out)
-    value = np.log(np.add(out, unobserved, out=out), out=out).sum()
+    np.add(R, S, out=R)
+    return np.log(np.add(R, unobserved, out=R), out=R).sum()
+
+
+def _numerators(num, W, R, S):
+    """``(W.T @ R, W.T @ S)`` of one row block, added to ``num``, the sums of
+    the blocks before it (None for the first block)."""
+    pos, neg = W.T @ R, W.T @ S
+    if num is not None:
+        pos += num[0]
+        neg += num[1]
+    return pos, neg
+
+
+def _objective_value(loglik, H, prior):
+    """The MAP objective: the summed block log-likelihoods plus the prior
+    penalty over all of H."""
     alpha, beta = prior.alpha, prior.beta
     if alpha != 1.0 or beta != 1.0:
-        value -= ((alpha - 1.0) * np.log(H) + (beta - 1.0) * np.log1p(-H)).sum()
-    return float(value)
+        loglik -= ((alpha - 1.0) * np.log(H) + (beta - 1.0) * np.log1p(-H)).sum()
+    return float(loglik)
 
 
 def objective(Y, mask, factors, prior):
@@ -384,13 +412,16 @@ def objective(Y, mask, factors, prior):
     penalty always covers all of H.  Raises :class:`NumericalError` if any
     cell of ``W @ H`` leaves (0, 1).
     """
-    R, S, unobserved, _ = _ratios_of(Y, mask, factors)
-    return _objective_arrays(R, S, unobserved, R, factors.H, prior)
+    A, B, unobserved, _ = _problem(Y, mask)
+    W, H = factors.W, factors.H
+    loglik = 0.0
+    for rows, P, R in _blocks(*Y.shape):
+        loglik += _log_likelihood(*_block_ratios(A[rows], B[rows], W[rows], H, P, R),
+                                  unobserved[rows])
+    return _objective_value(loglik, H, prior)
 
 
-def _h_step(R, S, W, H, alpha, beta, epsilon, clamp):
-    pos = W.T @ R
-    neg = W.T @ S
+def _h_step(pos, neg, H, alpha, beta, epsilon, clamp):
     c = H * pos + (alpha - 1.0)
     d = (1.0 - H) * neg + (beta - 1.0)
     denom = c + d
@@ -412,9 +443,13 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     [epsilon, 1 - epsilon].  Raises :class:`NumericalError` if any cell of
     ``W @ H`` leaves (0, 1).
     """
-    R, S, _, _ = _ratios_of(Y, mask, factors)
-    return _h_step(R, S, factors.W, factors.H, prior.alpha, prior.beta,
-                   epsilon, clamp)
+    A, B, _, _ = _problem(Y, mask)
+    W, H = factors.W, factors.H
+    num = None
+    for rows, P, R in _blocks(*Y.shape):
+        num = _numerators(num, W[rows],
+                          *_block_ratios(A[rows], B[rows], W[rows], H, P, R))
+    return _h_step(*num, H, prior.alpha, prior.beta, epsilon, clamp)
 
 
 def _w_step(R, S, n_obs, W, H, epsilon, clamp):
@@ -440,8 +475,13 @@ def update_w(Y, mask, factors, epsilon=1e-12, clamp=True):
     floored at ``epsilon`` and the row renormalized.  Raises
     :class:`NumericalError` if any cell of ``W @ H`` leaves (0, 1).
     """
-    R, S, _, n_obs = _ratios_of(Y, mask, factors)
-    return _w_step(R, S, n_obs, factors.W, factors.H, epsilon, clamp)
+    A, B, _, n_obs = _problem(Y, mask)
+    W, H = factors.W, factors.H
+    new_W = np.empty_like(W)
+    for rows, P, R in _blocks(*Y.shape):
+        new_W[rows] = _w_step(*_block_ratios(A[rows], B[rows], W[rows], H, P, R),
+                              n_obs[rows], W[rows], H, epsilon, clamp)
+    return new_W
 
 
 def _relative_change(previous, current):
@@ -468,12 +508,31 @@ def fit(Y, mask, config, on_sweep=None):
         raise EmptyMaskError("cannot fit on an empty mask")
     A, B, unobserved, n_obs = _problem(Y, mask)
     prior, epsilon = config.prior, config.epsilon
+    blocks = _blocks(*Y.shape)
 
-    def evaluate(W, H, sweep):
-        """Score ``P = W @ H`` and return the score with the next sweep's H."""
-        R, S = _checked_ratios(A, B, P, scratch, sweep)
-        next_H = _h_step(R, S, W, H, prior.alpha, prior.beta, epsilon, clamp=True)
-        value = _objective_arrays(R, S, unobserved, R, H, prior)
+    def evaluate(W, H, sweep, W_before=None):
+        """Score ``(W, H)`` and return the score with the next sweep's H.
+
+        With ``W_before``, each row block of ``W`` is first written with the
+        W step at ``(W_before, H)``, so one pass over a block takes its W
+        step, scores it and adds its share of the next H step.
+        """
+        num, loglik = None, 0.0
+        for rows, P, R in blocks:
+            A_b, B_b, W_b = A[rows], B[rows], W[rows]
+            if W_before is not None:
+                # Unchecked: rows on the simplex times an H clamped to
+                # [epsilon, 1 - epsilon] stay inside (0, 1), and the new
+                # rows are checked below.
+                W_b[...] = _w_step(
+                    *_block_ratios(A_b, B_b, W_before[rows], H, P, R, check=False),
+                    n_obs[rows], W_before[rows], H, epsilon, clamp=True,
+                )
+            R_b, S_b = _block_ratios(A_b, B_b, W_b, H, P, R, sweep)
+            num = _numerators(num, W_b, R_b, S_b)
+            loglik += _log_likelihood(R_b, S_b, unobserved[rows])
+        next_H = _h_step(*num, H, prior.alpha, prior.beta, epsilon, clamp=True)
+        value = _objective_value(loglik, H, prior)
         if not np.isfinite(value):
             raise NumericalError("non-finite objective", iteration=sweep)
         return value, next_H
@@ -481,20 +540,13 @@ def fit(Y, mask, config, on_sweep=None):
     start = time.perf_counter()
     factors = init_factors(Y.n_rows, Y.n_cols, config.rank, epsilon, config.seed)
     W, H = factors.W, factors.H
-    # The loop writes every full-size result into P or the scratch array.
-    P = W @ H
-    scratch = np.empty_like(P)
-
     value, next_H = evaluate(W, H, 0)
     trace = [value]
     converged = False
 
     for sweep in range(1, config.max_iter + 1):
-        H = next_H
-        R, S = _ratios(A, B, np.matmul(W, H, out=P), scratch)
-        W = _w_step(R, S, n_obs, W, H, epsilon, clamp=True)
-        np.matmul(W, H, out=P)
-        value, next_H = evaluate(W, H, sweep)
+        H, W_before, W = next_H, W, np.empty_like(W)
+        value, next_H = evaluate(W, H, sweep, W_before)
         trace.append(value)
         if on_sweep is not None:
             on_sweep(sweep, trace[-1], FactorPair(W, H))

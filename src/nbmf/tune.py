@@ -14,11 +14,14 @@ to about cpus / workers threads while the pool runs.
 The train cells are prepared once per :func:`grid_search` or
 :func:`test_evaluation` call: ``_scored_rows`` holds a ``_shared_problem``
 block of the solver open around its pool, and every fit inside reads the
-same read-only ``A``, ``B`` and ``unobserved`` (17 bytes a matrix cell).  A
-pool of ``n_jobs`` workers then holds about 17 + 16 * n_jobs bytes a cell,
-not 33 * n_jobs.  The jobs still call ``fit(Y, mask, config)``.
+same read-only ``A``, ``B`` and ``unobserved`` (17 bytes a matrix cell).
+Each fit adds only its two scratch arrays of one row block: at most 2**18
+cells between them (2 MB) on a matrix up to 2**16 columns wide, however
+many rows it has.  A pool of ``n_jobs`` workers then holds about 17 bytes a
+cell plus 2 MB a worker.  The jobs still call ``fit(Y, mask, config)``.
 
-:class:`GridSpec` checks its fit settings by building the
+:class:`GridSpec` checks the restart count and base seed under their own
+names, and its other fit settings by building the
 :class:`~nbmf.solver.FitConfig` of every candidate.  This module owns the
 columns of the tune tables and the heatmap layout; ``io`` owns the text of
 their cells, the JSON of ``boxstats.json`` and the writing of every file.
@@ -60,6 +63,14 @@ __all__ = [
 TIE_TOLERANCE = 1e-12
 
 
+def _check_restarts(n_restarts, base_seed):
+    """Check the restart count and the base seed under their own names."""
+    if _integer_setting("n_restarts", n_restarts) < 1:
+        raise ConfigError("n_restarts must be >= 1")
+    if _integer_setting("base_seed", base_seed) < 0:
+        raise ConfigError(f"base_seed must be >= 0, got {base_seed}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """The search grid plus the fit settings shared by every candidate.
@@ -88,8 +99,7 @@ class GridSpec:
                 if value in values[:i]:
                     raise ConfigError(f"{axis} lists {value} twice")
             object.__setattr__(self, axis, values)
-        if _integer_setting("n_restarts", self.n_restarts) < 1:
-            raise ConfigError("n_restarts must be >= 1")
+        _check_restarts(self.n_restarts, self.base_seed)
         for point in self.points():
             self.fit_config(*point, self.base_seed)
 
@@ -175,9 +185,19 @@ class GridResult:
 
     @classmethod
     def from_csv(cls, path):
+        """Read a table that :meth:`to_csv` wrote.
+
+        Raises :class:`ValueError` naming what does not parse: an empty
+        header, the columns the header lacks, or the line of a bad row.
+        """
         rows = []
         with open(path, encoding="utf-8") as handle:
             header = handle.readline().strip().split(",")
+            if header == [""]:
+                raise ValueError("the header is empty")
+            missing = [name for name in _CSV_COLUMNS if name not in header]
+            if missing:
+                raise ValueError(f"the header lacks column(s) {', '.join(missing)}")
             fields = [(name, parse, header.index(name))
                       for name, parse in _CSV_COLUMNS.items()]
             for line_no, raw in enumerate(handle, start=2):
@@ -186,9 +206,12 @@ class GridResult:
                     continue
                 cells = line.split(",")
                 if len(cells) != len(header):
-                    raise ValueError(
-                        f"line {line_no}: {len(cells)} fields, not {len(header)}")
-                values = {name: parse(cells[i]) for name, parse, i in fields}
+                    raise ValueError(f"line {line_no}: malformed row, "
+                                     f"{len(cells)} fields, not {len(header)}")
+                try:
+                    values = {name: parse(cells[i]) for name, parse, i in fields}
+                except (KeyError, ValueError) as exc:
+                    raise ValueError(f"line {line_no}: malformed row ({exc})") from None
                 rows.append(GridRow(**values, wall_time=0.0))
         return cls(tuple(rows))
 
@@ -403,8 +426,7 @@ def test_evaluation(Y, train_mask, test_mask, config, n_restarts=10, base_seed=0
     ignored and replaced by ``base_seed + i`` for restart i.  Quartiles use
     numpy's default linear interpolation.
     """
-    if _integer_setting("n_restarts", n_restarts) < 1:
-        raise ConfigError("n_restarts must be >= 1")
+    _check_restarts(n_restarts, base_seed)
     _require_disjoint(train_mask, test_mask, "train and test")
     restarts = [replace(config, seed=base_seed + i) for i in range(n_restarts)]
     rows = tuple(

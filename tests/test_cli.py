@@ -534,6 +534,22 @@ class TestTune:
         assert partial.read_bytes() == content
         assert not (out / "grid_result.csv").exists()
 
+    @pytest.mark.parametrize("content, fault", [
+        (b"", "the header is empty"),
+        (b"rank,alp", "the header lacks column(s) alpha, beta, restart_seed, "
+                      "val_perplexity, test_perplexity, n_iter, converged"),
+        (b"rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,n_iter\n",
+         "the header lacks column(s) converged"),
+    ], ids=["empty", "torn-header", "no-converged"])
+    def test_unparsable_header_names_the_fault(self, workspace, capsys, content,
+                                               fault):
+        (workspace / "out").mkdir()
+        (workspace / "out" / "grid_partial.csv").write_bytes(content)
+        assert run(workspace, "tune", "--config", "@/run.ini") == 2
+        err = capsys.readouterr().err
+        assert f"grid_partial.csv: malformed checkpoint ({fault})" in err
+        assert "malformed row" not in err
+
     def test_malformed_partial_row_exits_2(self, workspace, capsys):
         (workspace / "out").mkdir()
         (workspace / "out" / "grid_partial.csv").write_text(

@@ -29,6 +29,8 @@ from nbmf import (
 from conftest import full_mask, subsample_mask
 
 EPS = 1e-12
+# Above 2 ** 17 cells a pass walks the matrix in row blocks: three here.
+BLOCKED = (400, 400)
 
 
 def naive_objective(Yd, Od, W, H, alpha, beta):
@@ -245,8 +247,7 @@ class TestObjective:
             objective(IDENTITY2, column_1, bad, BetaPrior())
 
     def test_matches_naive_oracle(self, rng):
-        for trial in range(5):
-            M, N, K = 6, 5, 2
+        for trial, (M, N, K) in enumerate([(6, 5, 2)] * 5 + [(*BLOCKED, 2)]):
             Y = random_binary_matrix(M, N, 0.4, seed=trial)
             mask = subsample_mask(M, N, 0.7, seed=trial)
             factors = init_factors(M, N, K, seed=trial)
@@ -305,8 +306,7 @@ class TestUpdateH:
         assert new_H.min() >= EPS and new_H.max() <= 1 - EPS
 
     def test_matches_naive_oracle_full_and_masked(self):
-        for trial in range(4):
-            M, N, K = 5, 6, 3
+        for trial, (M, N, K) in enumerate([(5, 6, 3)] * 4 + [(*BLOCKED, 2)]):
             Y = random_binary_matrix(M, N, 0.45, seed=10 + trial)
             factors = init_factors(M, N, K, seed=trial)
             prior = BetaPrior(1.0 if trial % 2 else 2.5, 1.5)
@@ -362,8 +362,7 @@ class TestUpdateW:
         assert not np.array_equal(new_W[0], factors.W[0])
 
     def test_matches_naive_oracle_full_and_masked(self):
-        for trial in range(4):
-            M, N, K = 6, 5, 2
+        for trial, (M, N, K) in enumerate([(6, 5, 2)] * 4 + [(*BLOCKED, 2)]):
             Y = random_binary_matrix(M, N, 0.5, seed=20 + trial)
             factors = init_factors(M, N, K, seed=trial)
             for mask in (full_mask(M, N), subsample_mask(M, N, 0.65, seed=trial)):
@@ -492,16 +491,17 @@ class TestFit:
     def test_numerical_failure_carries_sweep_index(self, monkeypatch):
         import nbmf.solver as solver_mod
 
-        real = solver_mod._objective_arrays
+        real = solver_mod._log_likelihood
         calls = {"count": 0}
 
-        def flaky(Yd, Od, W, H, alpha, beta):
+        def flaky(R, S, unobserved):
             calls["count"] += 1
-            if calls["count"] == 3:  # evaluation after the second sweep
+            # 5 by 5 is one row block: the evaluation after the second sweep
+            if calls["count"] == 3:
                 return float("nan")
-            return real(Yd, Od, W, H, alpha, beta)
+            return real(R, S, unobserved)
 
-        monkeypatch.setattr(solver_mod, "_objective_arrays", flaky)
+        monkeypatch.setattr(solver_mod, "_log_likelihood", flaky)
         Y = random_binary_matrix(5, 5, 0.5, seed=0)
         with pytest.raises(NumericalError) as excinfo:
             fit(Y, full_mask(5, 5), FitConfig(rank=2, seed=0))
@@ -529,32 +529,42 @@ class TestFit:
 
     @pytest.mark.parametrize("prior", [BetaPrior(), BetaPrior(2.0, 1.5)])
     def test_sweeps_equal_replayed_public_updates(self, prior):
-        # row 2 and column 4 have no observed cells
-        M, N, K = 7, 6, 3
-        Y = random_binary_matrix(M, N, 0.45, seed=12)
-        cells = subsample_mask(M, N, 0.7, seed=12).cells
-        mask = ObservationMask(
-            M, N, frozenset((m, n) for m, n in cells if m != 2 and n != 4)
-        )
-        config = FitConfig(rank=K, prior=prior, max_iter=25, tol=1e-12, seed=6)
-        seen = []
-        _, report = fit(
-            Y, mask, config,
-            on_sweep=lambda it, value, factors: seen.append((value, factors)),
-        )
-        assert len(seen) == report.n_iter >= 10
+        # row 2 and column 4 have no observed cells, and on the blocked
+        # shape neither has row 300, which lies in a later row block
+        for M, N, K in [(7, 6, 3), (*BLOCKED, 3)]:
+            Y = random_binary_matrix(M, N, 0.45, seed=12)
+            cells = subsample_mask(M, N, 0.7, seed=12).cells
+            mask = ObservationMask(M, N, frozenset(
+                (m, n) for m, n in cells if m not in (2, 300) and n != 4
+            ))
+            config = FitConfig(rank=K, prior=prior, max_iter=25, tol=1e-12, seed=6)
+            seen = []
+            _, report = fit(
+                Y, mask, config,
+                on_sweep=lambda it, value, factors: seen.append((value, factors)),
+            )
+            assert len(seen) == report.n_iter >= 10
 
-        start = init_factors(M, N, K, config.epsilon, config.seed)
-        assert objective(Y, mask, start, prior) == report.objective_trace[0]
-        factors = start
-        for value, got in seen:
-            H = update_h(Y, mask, factors, prior, epsilon=config.epsilon)
-            W = update_w(Y, mask, FactorPair(factors.W, H), epsilon=config.epsilon)
-            factors = FactorPair(W, H)
-            np.testing.assert_array_equal(got.H, H)
-            np.testing.assert_array_equal(got.W, W)
-            assert value == objective(Y, mask, factors, prior)
-        np.testing.assert_array_equal(factors.W[2], start.W[2])
+            start = init_factors(M, N, K, config.epsilon, config.seed)
+            assert objective(Y, mask, start, prior) == report.objective_trace[0]
+            factors = start
+            for value, got in seen:
+                H = update_h(Y, mask, factors, prior, epsilon=config.epsilon)
+                W = update_w(Y, mask, FactorPair(factors.W, H),
+                             epsilon=config.epsilon)
+                factors = FactorPair(W, H)
+                np.testing.assert_array_equal(got.H, H)
+                np.testing.assert_array_equal(got.W, W)
+                assert value == objective(Y, mask, factors, prior)
+            unobserved_rows = [m for m in (2, 300) if m < M]
+            np.testing.assert_array_equal(factors.W[unobserved_rows],
+                                          start.W[unobserved_rows])
+
+    def test_blocked_shape_walks_several_row_blocks(self):
+        import nbmf.solver as solver_mod
+
+        assert len(solver_mod._blocks(*BLOCKED)) == 3
+        assert len(solver_mod._blocks(300, 400)) == 1
 
     def test_concurrent_fits_equal_sequential_fits(self):
         # scratch buffers kept per module or per mask would be shared here
@@ -612,6 +622,24 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert (peak - held) / (M * N) < 36
+
+    def test_blocked_fit_holds_no_full_size_working_array(self):
+        # A and B (8 bytes a cell each) and the boolean unobserved mask: 17
+        # bytes a cell, plus two scratch arrays of about 2 ** 16 cells each
+        # (4.4 bytes a cell here); a full-size working array adds 8 more
+        M, N = 600, 400
+        Y = random_binary_matrix(M, N, 0.5, seed=8)
+        mask = subsample_mask(M, N, 0.7, seed=8)
+        config = FitConfig(rank=4, max_iter=5, tol=1e-12)
+        fit(Y, mask, config)  # warm: first-call allocations are not the fit's
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fit(Y, mask, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / (M * N) < 24
 
     def test_masked_trace_matches_naive_objective(self):
         # row 2 and column 4 have no observed cells

@@ -93,6 +93,14 @@ class TestGridSpec:
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("base_seed, message", [
+        (1.5, "base_seed must be an integer, got 1.5"),
+        (-2, "base_seed must be >= 0, got -2"),
+    ], ids=["fractional", "negative"])
+    def test_base_seed_checked_under_its_own_name(self, base_seed, message):
+        with pytest.raises(ConfigError, match=message):
+            GridSpec(base_seed=base_seed)
+
     def test_points_order(self):
         grid = GridSpec(rank_values=(1, 2), alpha_values=(1.0,), beta_values=(1.0, 2.0))
         assert grid.points() == [(1, 1.0, 1.0), (1, 1.0, 2.0),
@@ -296,6 +304,18 @@ class TestTestEvaluation:
         config = GridSpec().fit_config(1, 1.0, 1.0, 0)
         with pytest.raises(ConfigError, match="n_restarts must be an integer"):
             run_test_evaluation(Y, train, test, config, n_restarts=2.5)
+
+    @pytest.mark.parametrize("base_seed, message", [
+        (1.5, "base_seed must be an integer, got 1.5"),
+        (-2, "base_seed must be >= 0, got -2"),
+    ], ids=["fractional", "negative"])
+    def test_base_seed_checked_under_its_own_name(self, small_problem, base_seed,
+                                                  message):
+        Y, train, _, test = small_problem
+        config = GridSpec().fit_config(1, 1.0, 1.0, 0)
+        with pytest.raises(ConfigError, match=message):
+            run_test_evaluation(Y, train, test, config, n_restarts=2,
+                                base_seed=base_seed)
 
     def test_all_restarts_failed_raises_search_error(self, small_problem,
                                                       monkeypatch):
