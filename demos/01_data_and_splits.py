@@ -35,14 +35,14 @@ print(Y.to_dense())
 spec = SplitSpec(train_frac=0.7, val_frac=0.15, test_frac=0.15, seed=42)
 train, val, test = split_observations(Y, spec)
 print(f"\nsplit sizes: train={train.n_cells} val={val.n_cells} test={test.n_cells}")
-print("disjoint:", not (train.cells & val.cells or train.cells & test.cells))
+print("disjoint:", train.shared_cells(val) == train.shared_cells(test) == 0)
 
 # the split depends only on the matrix shape and the spec, so the same seed
 # always reproduces it
 again, _, _ = split_observations(Y, spec)
-print("same seed, same split:", again.cells == train.cells)
+print("same seed, same split:", again == train)
 other, _, _ = split_observations(Y, SplitSpec(seed=43))
-print("different seed, different split:", other.cells != train.cells)
+print("different seed, different split:", other != train)
 
 # --- 3. masks round-trip through the same file format -----------------------
 mask_path = workdir / "train_mask.txt"

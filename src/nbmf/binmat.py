@@ -9,8 +9,8 @@ its cells (matrix completion).
 Both types store their cells as one sorted, duplicate-free, read-only
 ``int64`` array of linear indices ``row * n_cols + col`` (the ``linear``
 attribute).  Parsing, writing, splitting, densifying and scoring all work on
-that array; the ``ones`` and ``cells`` frozensets of ``(row, col)`` tuples
-are views built on demand for callers that want Python sets.
+that array; ``BinaryMatrix.ones``, a frozenset of ``(row, col)`` tuples, is
+a view built on demand for callers that want a Python set.
 
 All types here are immutable after construction and safe to share across
 threads.  Datasets and masks are written here, and every file of the
@@ -144,10 +144,6 @@ class _CellGrid:
     def _pairs(self):
         return np.divmod(self.linear, self.n_cols)
 
-    def _pair_set(self):
-        rows, cols = self._pairs()
-        return frozenset(zip(rows.tolist(), cols.tolist()))
-
     def _dense(self, dtype, fill):
         dense = np.zeros(self.n_rows * self.n_cols, dtype=dtype)
         dense[self.linear] = fill
@@ -171,7 +167,8 @@ class BinaryMatrix(_CellGrid):
     @property
     def ones(self):
         """The 1-cells as a frozenset of ``(row, col)`` tuples (built per call)."""
-        return self._pair_set()
+        rows, cols = self._pairs()
+        return frozenset(zip(rows.tolist(), cols.tolist()))
 
     def ones_at(self, mask):
         """Boolean array: whether each cell of ``mask``, in sorted order, is a 1."""
@@ -205,11 +202,6 @@ class ObservationMask(_CellGrid):
 
     def __init__(self, n_rows, n_cols, cells):
         super().__init__(n_rows, n_cols, cells)
-
-    @property
-    def cells(self):
-        """The member cells as a frozenset of ``(row, col)`` tuples (built per call)."""
-        return self._pair_set()
 
     @property
     def n_cells(self):

@@ -21,12 +21,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .binmat import SplitSpec, load_coordinate_file, load_mask, save_mask, \
+from .binmat import _GAP, SplitSpec, load_coordinate_file, load_mask, save_mask, \
     split_observations
 from .errors import ConfigError, DimensionError, NbmfError
 from .evaluate import completion_report, predict_from_factors
-from .io import H_FILE, META_FILE, W_FILE, _write_json, _write_text, read_factors, \
-    write_factors, write_report
+from .io import H_FILE, META_FILE, W_FILE, _meta_float, _meta_int, _write_json, \
+    _write_text, read_factors, write_factors, write_report
 from .solver import BetaPrior, FitConfig, fit
 from .tune import GridResult, GridSpec, export_heatmap, grid_search, test_evaluation
 
@@ -64,24 +64,30 @@ class RunConfig:
 
 
 def _words(parse):
-    return lambda text: tuple(parse(word) for word in text.split())
+    return lambda text: tuple(parse(word) for word in _GAP.split(text))
 
 
-# Every config key, by section, with the parser of its value.  Parsed values
-# go straight into SplitSpec, FitConfig/BetaPrior and GridSpec, so a key left
-# out takes the default of the dataclass field it fills, and those classes
-# check every value before the dataset is read.
+# Every config key, by section, with the parser of its value.  Numbers take
+# the grammar of meta.txt: an integer is an optional sign and ASCII digits,
+# a float a finite ASCII decimal, and a list's values are separated by ASCII
+# spaces or tabs.  Parsed values go straight into SplitSpec,
+# FitConfig/BetaPrior and GridSpec, so a key left out takes the default of
+# the dataclass field it fills, and those classes check every value before
+# the dataset is read.
 _CONFIG_KEYS = {
     "run": {"mode": str, "dataset": str, "out": str},
-    "split": {"train": float, "val": float, "test": float, "seed": int},
+    "split": {"train": _meta_float, "val": _meta_float, "test": _meta_float,
+              "seed": _meta_int},
     "fit": {
-        "rank": int, "alpha": float, "beta": float, "tol": float, "max_iter": int,
-        "epsilon": float, "seed": int, "log_every": int,
+        "rank": _meta_int, "alpha": _meta_float, "beta": _meta_float,
+        "tol": _meta_float, "max_iter": _meta_int, "epsilon": _meta_float,
+        "seed": _meta_int, "log_every": _meta_int,
     },
     "tune": {
-        "rank_values": _words(int), "alpha_values": _words(float),
-        "beta_values": _words(float), "n_restarts": int, "base_seed": int,
-        "tol": float, "max_iter": int, "epsilon": float,
+        "rank_values": _words(_meta_int), "alpha_values": _words(_meta_float),
+        "beta_values": _words(_meta_float), "n_restarts": _meta_int,
+        "base_seed": _meta_int, "tol": _meta_float, "max_iter": _meta_int,
+        "epsilon": _meta_float,
     },
 }
 
@@ -99,8 +105,8 @@ def _read_sections(parser):
                 raise ConfigError(f"unknown key {key!r} in config section [{section}]")
             try:
                 sections[section][key] = _CONFIG_KEYS[section][key](text)
-            except ValueError as exc:
-                raise ConfigError(f"bad [{section}] value: {key}: {exc}") from None
+            except ValueError:
+                raise ConfigError(f"bad [{section}] value: {key} = {text!r}") from None
     return sections
 
 
@@ -413,6 +419,14 @@ def cmd_report(out_dir):
     return 0
 
 
+def _flag_int(source, text):
+    """``text`` as an integer in the grammar of the config values."""
+    try:
+        return _meta_int(text)
+    except ValueError:
+        raise ConfigError(f"{source} must be an integer, got {text!r}") from None
+
+
 def _job_count(flag):
     """Worker threads from ``--jobs``, else ``$NBMF_JOBS``, else 1."""
     if flag is not None:
@@ -422,7 +436,7 @@ def _job_count(flag):
     else:
         return 1
     try:
-        n_jobs = int(text)
+        n_jobs = _meta_int(text)
     except ValueError:
         n_jobs = 0
     if n_jobs < 1:
@@ -442,15 +456,15 @@ def _build_parser():
         cmd = sub.add_parser(name)
         if needs_config:
             cmd.add_argument("--config", required=True, help="path to the run config")
-            cmd.add_argument("--seed", type=int, default=None,
+            cmd.add_argument("--seed", default=None,
                              help="override the configured seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
         if name == "tune":
             cmd.add_argument(
                 "--jobs", default=None,
-                help=f"worker threads (default ${JOBS_ENV_VAR} or 1); while "
-                     "they run, numpy's OpenBLAS is held to about cpus / jobs "
-                     "threads",
+                help=f"worker threads (default ${JOBS_ENV_VAR} or 1); every "
+                     "fit runs at one OpenBLAS thread, so any value writes "
+                     "the same tables",
             )
     return parser
 
@@ -462,8 +476,8 @@ def main(argv=None):
             if args.out is None:
                 raise ConfigError("report needs --out <dir>")
             return cmd_report(args.out)
-        config = load_run_config(args.config, args.command, seed=args.seed,
-                                 out=args.out)
+        seed = None if args.seed is None else _flag_int("--seed", args.seed)
+        config = load_run_config(args.config, args.command, seed=seed, out=args.out)
         if args.command == "fit":
             return cmd_fit(config)
         if args.command == "eval":

@@ -45,13 +45,13 @@ the new rows and adds their numerators, and after the loop the next
 sweep's H is taken; so a sweep computes two products and two ratio passes
 per block.
 
-Every call prepares its own problem, except inside a ``with
-_shared_problem(Y, mask)`` statement: there :func:`fit`, the public updates
-and :func:`objective` find its problem by the identity of their ``(Y,
-mask)`` pair and only read it.  ``tune`` holds one open around each pool of
-fits, so the fits of a grid search or of a restart set share one copy of
-``A``, ``B`` and ``unobserved`` (17 bytes a cell) instead of preparing one
-each.
+Every call prepares its own problem, except on a mask that
+``_shared_problem(Y, mask)`` yields: that copy of the mask carries one
+read-only problem, which :func:`fit`, the public updates and
+:func:`objective` given the copy and the same ``Y`` read instead.  ``tune``
+passes such a copy to each pool of fits, so the fits of a grid search or
+of a restart set share one copy of ``A``, ``B`` and ``unobserved`` (17
+bytes a cell) instead of preparing one each.
 
 The public functions are pure: they read their inputs and return fresh
 arrays.  Besides the prepared problem, each call owns only its two scratch
@@ -65,7 +65,6 @@ taken after the last evaluation is discarded.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -284,59 +283,43 @@ def _prepare(Y, mask):
     n_obs = B.sum(axis=1)
     B -= A
     return A, B, unobserved, n_obs
-@dataclass
-class _Shared:
-    """A prepared problem and the number of open blocks that share it.
-
-    It holds ``Y`` and ``mask`` so that their ids, its key, cannot be
-    reused by other objects while it is registered.
-    """
-
-    Y: BinaryMatrix
-    mask: ObservationMask
-    problem: tuple
-    users: int = 0
 
 
-# (id(Y), id(mask)) -> _Shared, for the pairs inside a _shared_problem block
-_SHARED = {}
-_SHARED_LOCK = threading.Lock()
+class _PreparedMask(ObservationMask):
+    """A copy of a train mask that carries ``Y`` and the problem prepared
+    from both; :func:`_shared_problem` makes it."""
+
+    __slots__ = ("Y", "problem")
 
 
 @contextmanager
 def _shared_problem(Y, mask):
-    """Inside the block, :func:`fit`, the public updates and
-    :func:`objective` on this ``(Y, mask)`` pair read one prepared problem.
+    """A copy of ``mask`` that carries one problem prepared from ``(Y, mask)``.
 
-    Its arrays are read-only, so the fits of a pool can share them.  Blocks
-    on the same pair, nested or on other threads, share one entry, and the
-    last one to exit drops it.
+    :func:`fit`, the public updates and :func:`objective`, given the copy
+    and this ``Y``, read that problem instead of preparing their own.  Its
+    arrays are read-only, so the fits of a pool can share them.  On exit the
+    copy drops the problem, so a copy that outlives the block, as in a held
+    traceback, keeps no matrix-sized array alive.
     """
     _require_matrix_and_mask(Y, mask)
-    key = (id(Y), id(mask))
-    with _SHARED_LOCK:
-        entry = _SHARED.get(key)
-        if entry is None:
-            problem = _prepare(Y, mask)
-            for array in problem:
-                array.flags.writeable = False
-            entry = _SHARED[key] = _Shared(Y, mask, problem)
-        entry.users += 1
+    shared = _PreparedMask._from_linear(*mask.shape, mask.linear)
+    object.__setattr__(shared, "Y", Y)
+    object.__setattr__(shared, "problem", _prepare(Y, mask))
+    for array in shared.problem:
+        array.flags.writeable = False
     try:
-        yield
+        yield shared
     finally:
-        with _SHARED_LOCK:
-            entry.users -= 1
-            if not entry.users:
-                del _SHARED[key]
+        object.__setattr__(shared, "problem", None)
 
 
 def _problem(Y, mask):
-    """The shared problem of ``(Y, mask)`` inside :func:`_shared_problem`,
-    else a freshly prepared one."""
-    with _SHARED_LOCK:
-        entry = _SHARED.get((id(Y), id(mask)))
-    return _prepare(Y, mask) if entry is None else entry.problem
+    """The problem that ``mask`` carries for this ``Y``, else a freshly
+    prepared one."""
+    if isinstance(mask, _PreparedMask) and mask.Y is Y and mask.problem is not None:
+        return mask.problem
+    return _prepare(Y, mask)
 
 
 # A matrix of at most _ONE_BLOCK cells is one row block, so a pass over it

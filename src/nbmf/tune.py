@@ -5,20 +5,19 @@ The protocol: fit once per grid point on the training cells (seed =
 the argmin, then refit the winner from ``n_restarts`` fresh seeds
 (``base_seed + i``) and report the spread of test perplexity as box-plot
 statistics.  Grid points are independent jobs and may run on a thread pool;
-the result table is always assembled in grid order, and reruns with the same
-worker count are identical.  Across worker counts the last bits can differ
-on matrices large enough for multi-threaded BLAS, because the pool changes
-how many threads numpy's OpenBLAS uses per product: ``_run_jobs`` holds it
-to about cpus / workers threads while the pool runs.
+the result table is always assembled in grid order.  Every fit of a pool,
+serial or not, runs with numpy's OpenBLAS held to one thread, so the table
+is the same for any worker count on one machine.
 
 The train cells are prepared once per :func:`grid_search` or
-:func:`test_evaluation` call: ``_scored_rows`` holds a ``_shared_problem``
-block of the solver open around its pool, and every fit inside reads the
-same read-only ``A``, ``B`` and ``unobserved`` (17 bytes a matrix cell).
-Each fit adds only its two scratch arrays of one row block: at most 2**18
-cells between them (2 MB) on a matrix up to 2**16 columns wide, however
-many rows it has.  A pool of ``n_jobs`` workers then holds about 17 bytes a
-cell plus 2 MB a worker.  The jobs still call ``fit(Y, mask, config)``.
+:func:`test_evaluation` call: ``_scored_rows`` opens the solver's
+``_shared_problem`` around its pool and hands its jobs the copy of the
+train mask that it yields, which carries one read-only ``A``, ``B`` and
+``unobserved`` (17 bytes a matrix cell).  The jobs still call ``fit(Y,
+mask, config)``.  Each fit adds only its two scratch arrays of one row
+block: at most 2**18 cells between them (2 MB) on a matrix up to 2**16
+columns wide, however many rows it has.  A pool of ``n_jobs`` workers then
+holds about 17 bytes a cell plus 2 MB a worker.
 
 :class:`GridSpec` checks the restart count and base seed under their own
 names, and its other fit settings by building the
@@ -286,50 +285,43 @@ def _blas_threads_at_most(limit):
             calls[1](before)
 
 
-def _cpu_count():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_jobs(jobs, n_jobs):
     """Evaluate thunks, preserving submission order in the results.
 
-    While more than one worker thread runs, numpy's OpenBLAS is held to
-    about cpus / workers threads, so the workers' matrix products share the
-    cores instead of each spreading over all of them.  Callers consume the
-    generator inside ``closing``, which shuts the pool and lifts the bound
-    before they go on, also when their own loop body raises.  When a job
-    raises, or the wait is interrupted (Ctrl-C, or the generator is closed),
-    the iterator of ``Executor.map`` cancels the jobs that have not started;
-    only the running ones are waited for.
+    The jobs run with numpy's OpenBLAS held to one thread, also when there
+    is one worker, so their products, and with them the results, do not
+    depend on the worker count.  Callers consume the generator inside
+    ``closing``, which shuts the pool and lifts the bound before they go
+    on, also when their own loop body raises.  When a job raises, or the
+    wait is interrupted (Ctrl-C, or the generator is closed), the iterator
+    of ``Executor.map`` cancels the jobs that have not started; only the
+    running ones are waited for.
     """
     workers = min(n_jobs, len(jobs))
-    if workers <= 1:
-        for job in jobs:
-            yield job()
-        return
-    with _blas_threads_at_most(max(1, _cpu_count() // workers)), \
-            ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(lambda job: job(), jobs)
+    with _blas_threads_at_most(1):
+        if workers <= 1:
+            for job in jobs:
+                yield job()
+            return
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(lambda job: job(), jobs)
 
 
 def _scored_rows(Y, train_mask, eval_mask, configs, column, n_jobs):
     """Fit each config and score it on ``eval_mask``; yield rows in config order.
 
     The score goes into the perplexity column named by ``column``.  Every
-    fit reads one read-only problem prepared from ``(Y, train_mask)``.
-    Consume the generator inside ``closing`` so that the queued fits stop
-    and the shared problem is dropped as soon as the loop over it ends.
+    fit is given the copy of ``train_mask`` that ``_shared_problem`` yields,
+    so all of them read one read-only problem.  Consume the generator inside
+    ``closing`` so that the queued fits stop and the copy drops the problem
+    as soon as the loop over it ends.
     """
     if not configs:
         return
-    jobs = [
-        functools.partial(_fit_and_score, Y, train_mask, eval_mask, config)
-        for config in configs
-    ]
-    with _shared_problem(Y, train_mask), \
-            closing(_run_jobs(jobs, n_jobs)) as outcomes:
+    with _shared_problem(Y, train_mask) as shared_mask, closing(_run_jobs(
+        [functools.partial(_fit_and_score, Y, shared_mask, eval_mask, config)
+         for config in configs], n_jobs,
+    )) as outcomes:
         for config, (score, n_iter, converged, wall) in zip(
             configs, outcomes, strict=True
         ):

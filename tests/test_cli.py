@@ -188,6 +188,40 @@ class TestConfig:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not (workspace / "out").exists()
 
+    # the grammar of meta.txt: int() and float() would take each of these
+    @pytest.mark.parametrize("mode, old, new, named", [
+        ("fit", "rank = 2", "rank = 1_0", "[fit] value: rank = '1_0'"),
+        ("fit", "beta = 1.5", "beta = 1.5\ntol = inf", "[fit] value: tol = 'inf'"),
+        ("tune", "rank_values = 1 2", "rank_values = 1 \u0662",
+         "[tune] value: rank_values = '1 \u0662'"),
+    ], ids=["underscore", "infinity", "arabic-indic-digit"])
+    def test_number_outside_the_grammar_exits_2_naming_it(self, workspace, capsys,
+                                                           mode, old, new, named):
+        (workspace / "run.ini").write_text(BASE_CONFIG.replace(old, new),
+                                           encoding="utf-8")
+        assert run(workspace, mode, "--config", "@/run.ini") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad ") and named in err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("mode, flags, jobs_env, named", [
+        ("fit", ("--seed", "1_0"), None, "--seed must be an integer, got '1_0'"),
+        ("tune", ("--seed", "\u0661"), None,
+         "--seed must be an integer, got '\u0661'"),
+        ("tune", ("--jobs", "\u0662"), None,
+         "--jobs must be an integer >= 1, got '\u0662'"),
+        ("tune", (), "1_0", "$NBMF_JOBS must be an integer >= 1, got '1_0'"),
+    ], ids=["seed-underscore", "seed-digit", "jobs-digit", "env-underscore"])
+    def test_integer_flag_outside_the_grammar_exits_2(self, workspace, capsys,
+                                                      monkeypatch, mode, flags,
+                                                      jobs_env, named):
+        if jobs_env is not None:
+            monkeypatch.setenv("NBMF_JOBS", jobs_env)
+        assert run(workspace, mode, "--config", "@/run.ini", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not (workspace / "out" / "grid_result.csv").exists()
+
     def test_seed_flag_replaces_a_bad_configured_seed(self, workspace):
         (workspace / "run.ini").write_text(
             BASE_CONFIG.replace("seed = 11", "seed = -1")

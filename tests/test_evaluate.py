@@ -87,7 +87,8 @@ class TestPerplexity:
         Y = random_binary_matrix(8, 8, 0.4, seed=4)
         pred = np.random.default_rng(1).uniform(0.05, 0.95, (8, 8))
         _, left, right = split_observations(Y, SplitSpec(0.5, 0.2, 0.3, seed=2))
-        union = ObservationMask(8, 8, left.cells | right.cells)
+        rows, cols = np.concatenate([left.indices(), right.indices()], axis=1)
+        union = ObservationMask(8, 8, zip(rows.tolist(), cols.tolist()))
         a = perplexity(Y, left, pred)
         b = perplexity(Y, right, pred)
         combined = perplexity(Y, union, pred)

@@ -419,9 +419,10 @@ class TestPermutationEquivariance:
         perm = np.array([3, 0, 5, 1, 4, 2])
 
         Yp = BinaryMatrix.from_dense(Y.to_dense()[perm])
+        rows, cols = mask.indices()
         maskp = ObservationMask(
             M, N, frozenset((int(np.argwhere(perm == m)[0][0]), n)
-                            for (m, n) in mask.cells)
+                            for m, n in zip(rows.tolist(), cols.tolist()))
         )
         factors_p = FactorPair(factors.W[perm], factors.H)
 
@@ -533,9 +534,10 @@ class TestFit:
         # shape neither has row 300, which lies in a later row block
         for M, N, K in [(7, 6, 3), (*BLOCKED, 3)]:
             Y = random_binary_matrix(M, N, 0.45, seed=12)
-            cells = subsample_mask(M, N, 0.7, seed=12).cells
+            rows, cols = subsample_mask(M, N, 0.7, seed=12).indices()
             mask = ObservationMask(M, N, frozenset(
-                (m, n) for m, n in cells if m not in (2, 300) and n != 4
+                (m, n) for m, n in zip(rows.tolist(), cols.tolist())
+                if m not in (2, 300) and n != 4
             ))
             config = FitConfig(rank=K, prior=prior, max_iter=25, tol=1e-12, seed=6)
             seen = []
@@ -645,10 +647,10 @@ class TestFit:
         # row 2 and column 4 have no observed cells
         M, N, K = 7, 6, 3
         Y = random_binary_matrix(M, N, 0.45, seed=21)
-        cells = subsample_mask(M, N, 0.7, seed=21).cells
-        mask = ObservationMask(
-            M, N, frozenset((m, n) for m, n in cells if m != 2 and n != 4)
-        )
+        rows, cols = subsample_mask(M, N, 0.7, seed=21).indices()
+        mask = ObservationMask(M, N, frozenset(
+            (m, n) for m, n in zip(rows.tolist(), cols.tolist()) if m != 2 and n != 4
+        ))
         prior = BetaPrior(2.0, 1.5)
         config = FitConfig(rank=K, prior=prior, max_iter=25, tol=1e-12, seed=3)
         Yd, Od = Y.to_dense(), mask.to_dense()

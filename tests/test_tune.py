@@ -1,9 +1,8 @@
+import functools
 import math
-import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 import nbmf.solver
 import nbmf.tune
 from nbmf import (
+    BetaPrior,
     BinaryMatrix,
     ConfigError,
     FitConfig,
@@ -25,9 +25,12 @@ from nbmf import (
     export_heatmap,
     fit,
     grid_search,
+    objective,
     planted_dataset,
     random_binary_matrix,
     split_observations,
+    update_h,
+    update_w,
 )
 from nbmf import test_evaluation as run_test_evaluation
 from nbmf.io import _write_json
@@ -439,10 +442,26 @@ class TestBlasThreadBound:
             pytest.skip("numpy does not bundle scipy-openblas here")
         get_threads = calls[0]
         before = get_threads()
-        limit = max(1, nbmf.tune._cpu_count() // 2)
-        seen = list(nbmf.tune._run_jobs([get_threads] * 4, n_jobs=2))
-        assert seen == [min(before, limit)] * 4
-        assert get_threads() == before
+        for n_jobs in (1, 2):
+            seen = list(nbmf.tune._run_jobs([get_threads] * 4, n_jobs=n_jobs))
+            assert seen == [1] * 4
+            assert get_threads() == before
+
+    def test_rows_do_not_depend_on_the_worker_count(self):
+        # a one-block shape large enough for multi-threaded BLAS products;
+        # unthrottled, a serial search differed from a 2-worker one in 1 of
+        # these 8 rows on 2 CPUs
+        Y, _, _ = planted_dataset(250, 400, 8, 0.5, 0.5, seed=1)
+        train, val, _ = split_observations(Y, SplitSpec(seed=1))
+        grid = GridSpec(rank_values=(4, 8), alpha_values=(1.0, 3.0),
+                        beta_values=(1.0, 3.0), n_restarts=1, max_iter=150,
+                        tol=1e-15, base_seed=1)
+        tables = [
+            [replace(row, wall_time=0.0)
+             for row in grid_search(Y, train, val, grid, n_jobs=n_jobs)[0]]
+            for n_jobs in (1, 2)
+        ]
+        assert tables[0] == tables[1]
 
     def test_bound_never_raises_thread_count(self):
         calls = nbmf.tune._openblas_thread_calls()
@@ -578,7 +597,6 @@ class TestSharedProblem:
         config = SHARED_GRID.fit_config(best.rank, best.alpha, best.beta, 0)
         run_test_evaluation(Y, train, test, config, n_restarts=3, n_jobs=n_jobs)
         assert len(prepared) == 2 and prepared[1][0] is train
-        assert nbmf.solver._SHARED == {}
         # a sweep that wrote to A, B or unobserved would have raised, and
         # would leave other bytes than a fresh preparation
         fresh = nbmf.solver._prepare(Y, train)
@@ -598,7 +616,6 @@ class TestSharedProblem:
         Y, train, val, _ = small_problem
         with pytest.raises(ConfigError, match="BinaryMatrix"):
             grid_search(Y.to_dense(), train, val, SHARED_GRID)
-        assert nbmf.solver._SHARED == {}
 
     def test_shared_rows_equal_unshared_fits(self, small_problem):
         Y, train, val, _ = small_problem
@@ -611,64 +628,83 @@ class TestSharedProblem:
             assert (score, n_iter, converged) == (
                 row.val_perplexity, row.n_iter, row.converged)
 
-    def test_registry_empty_after_a_fit_raises(self, small_problem, monkeypatch):
-        Y, train, val, _ = small_problem
+    def test_carried_problem_gives_the_bits_of_a_fresh_one(self, small_problem,
+                                                           prepared):
+        Y, train, _, _ = small_problem
+        factors = fit(Y, train, FitConfig(rank=2, max_iter=5, seed=3))[0]
+        prior = BetaPrior(2.0, 1.5)
+        calls = [
+            lambda mask: update_h(Y, mask, factors, prior),
+            lambda mask: update_w(Y, mask, factors),
+            lambda mask: np.float64(objective(Y, mask, factors, prior)),
+        ]
+        expected = [call(train) for call in calls]
+        with nbmf.solver._shared_problem(Y, train) as shared:
+            del prepared[:]
+            got = [call(shared) for call in calls]
+            assert prepared == []
+        for value, reference in zip(got, expected, strict=True):
+            assert value.tobytes() == reference.tobytes()
+
+    def test_equal_matrix_object_prepares_afresh(self, small_problem, prepared):
+        Y, train, _, _ = small_problem
+        config = FitConfig(rank=2, max_iter=20, tol=1e-12, seed=4)
+        expected = fit(Y, train, config)
+        twin = BinaryMatrix.from_dense(Y.to_dense())
+        with nbmf.solver._shared_problem(Y, train) as shared:
+            del prepared[:]
+            got = fit(twin, shared, config)
+            assert len(prepared) == 1
+        assert got[0].W.tobytes() == expected[0].W.tobytes()
+        assert got[0].H.tobytes() == expected[0].H.tobytes()
+        assert got[1].objective_trace == expected[1].objective_trace
+
+    @staticmethod
+    def _held_bytes_per_cell(run):
+        """Traced bytes per cell that ``run()`` allocates and still holds
+        when it returns, with what ``run`` returns kept alive."""
+        Y = random_binary_matrix(300, 400, 0.5, seed=8)
+        train, val, _ = split_observations(Y, SplitSpec(seed=8))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            kept = run(Y, train, val)  # noqa: F841
+            now = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return (now - held) / (300 * 400)
+
+    def test_no_problem_held_after_a_fit_raises(self, monkeypatch):
+        # the fit's error, held as by a caller reporting it, reaches the
+        # copy of the train mask through its traceback
         real_fit = nbmf.tune.fit
-        seen = []
 
         def failing_fit(Y, mask, config, on_sweep=None):
-            seen.append(len(nbmf.solver._SHARED))
             if config.rank == 2:
                 raise RuntimeError("fit failed")
             return real_fit(Y, mask, config, on_sweep=on_sweep)
 
+        def search(Y, train, val, n_jobs):
+            with pytest.raises(RuntimeError, match="fit failed") as caught:
+                grid_search(Y, train, val, SHARED_GRID, n_jobs=n_jobs)
+            return caught
+
         monkeypatch.setattr(nbmf.tune, "fit", failing_fit)
         for n_jobs in (1, 2):
-            with pytest.raises(RuntimeError, match="fit failed"):
-                grid_search(Y, train, val, SHARED_GRID, n_jobs=n_jobs)
-            assert nbmf.solver._SHARED == {}
-        assert seen and set(seen) == {1}
+            assert self._held_bytes_per_cell(
+                functools.partial(search, n_jobs=n_jobs)) < 1
 
-    def test_registry_empty_after_the_rows_are_closed_early(self, small_problem):
-        Y, train, val, _ = small_problem
-        configs = [SHARED_GRID.fit_config(*point, 0)
-                   for point in SHARED_GRID.points()]
-        rows = nbmf.tune._scored_rows(Y, train, val, configs, "val_perplexity", 2)
-        next(rows)
-        assert len(nbmf.solver._SHARED) == 1
-        rows.close()
-        assert nbmf.solver._SHARED == {}
+    def test_no_problem_held_after_the_rows_are_closed_early(self):
+        def first_row(Y, train, val):
+            configs = [SHARED_GRID.fit_config(*point, 0)
+                       for point in SHARED_GRID.points()]
+            rows = nbmf.tune._scored_rows(Y, train, val, configs,
+                                          "val_perplexity", 2)
+            next(rows)
+            rows.close()
+            return rows
 
-    def test_nested_blocks_share_one_problem(self, small_problem, prepared):
-        Y, train, val, _ = small_problem
-        with nbmf.solver._shared_problem(Y, train):
-            grid_search(Y, train, val, SHARED_GRID, n_jobs=2)
-            assert len(nbmf.solver._SHARED) == 1
-        assert len(prepared) == 1
-        assert nbmf.solver._SHARED == {}
-
-    def test_concurrent_blocks_keep_count(self, small_problem):
-        # more threads than cores enter and leave blocks on one pair; a lost
-        # update of the count would delete the entry twice or leave it behind
-        Y, train, _, _ = small_problem
-        configs = [FitConfig(rank=2, max_iter=10, tol=1e-12, seed=s)
-                   for s in range(16)]
-        expected = [fit(Y, train, config)[1].objective_trace for config in configs]
-
-        def shared_fit(config):
-            with nbmf.solver._shared_problem(Y, train):
-                return fit(Y, train, config)[1].objective_trace
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(shared_fit, c) for c in configs]
-                got = [future.result(timeout=60) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == expected
-        assert nbmf.solver._SHARED == {}
+        assert self._held_bytes_per_cell(first_row) < 1
 
     def test_pool_holds_one_prepared_problem(self):
         # one shared A, B and unobserved (17 bytes a cell) plus P and R per
