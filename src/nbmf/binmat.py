@@ -183,10 +183,13 @@ class BinaryMatrix(_CellGrid):
         array = np.asarray(array)
         if array.ndim != 2:
             raise DimensionError("expected a 2-d array")
-        values = array.astype(float)
-        if not np.isin(values, (0.0, 1.0)).all():
+        # Booleans are compared as they are, without a float copy; nonzero
+        # on a boolean array is several times faster than on floats.
+        values = array if array.dtype == bool else array.astype(float, copy=False)
+        ones = values == 1.0
+        if not (ones | (values == 0.0)).all():
             raise ValueError("entries must be 0 or 1")
-        return cls._from_linear(array.shape[0], array.shape[1], np.flatnonzero(values))
+        return cls._from_linear(array.shape[0], array.shape[1], np.flatnonzero(ones))
 
 
 class ObservationMask(_CellGrid):
@@ -253,15 +256,33 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
+def _splitmix64_at(seed, steps):
+    """SplitMix64 outputs number ``steps`` (1-based, ``uint64``) for ``seed``.
+
+    ``steps`` is overwritten with the outputs, which are returned.
+    """
+    z = steps
+    with np.errstate(over="ignore"):
+        z *= _GOLDEN
+        z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+    return z
+
+
 def _splitmix64_keys(seed, count):
     """The first ``count`` outputs of SplitMix64 seeded with ``seed``."""
-    state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    steps = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = state + steps * _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+    return _splitmix64_at(seed, np.arange(1, count + 1, dtype=np.uint64))
+
+
+# The split ranks cells by the top _BUCKET_BITS bits of their keys first, so
+# it holds 2 bytes per cell instead of every 8-byte key; _SPLIT_CHUNK keys at
+# a time stay cache-sized while they are made.
+_BUCKET_BITS = 12
+_SPLIT_CHUNK = 1 << 16
 
 
 def split_observations(matrix, spec):
@@ -277,7 +298,18 @@ def split_observations(matrix, spec):
         raise ConfigError("spec must be a SplitSpec")
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     total = n_rows * n_cols
-    keys = _splitmix64_keys(spec.seed, total)
+
+    # Bucket select: each cell's bucket is its key's top bits, so every key
+    # in bucket b is below every key in bucket b + 1.
+    shift = np.uint64(64 - _BUCKET_BITS)
+    bucket = np.empty(total, dtype=np.uint16)
+    counts = np.zeros(1 << _BUCKET_BITS, dtype=np.intp)
+    for start in range(0, total, _SPLIT_CHUNK):
+        stop = min(start + _SPLIT_CHUNK, total)
+        keys = _splitmix64_at(spec.seed, np.arange(start + 1, stop + 1, dtype=np.uint64))
+        bucket[start:stop] = keys >> shift
+        counts += np.bincount(bucket[start:stop], minlength=counts.size)
+    below = np.cumsum(counts)  # below[b]: cells in buckets 0..b
 
     n_train = math.floor(spec.train_frac * total)
     n_val = math.floor(spec.val_frac * total)
@@ -285,13 +317,21 @@ def split_observations(matrix, spec):
     # The keys are distinct (SplitMix64 maps distinct states to distinct
     # outputs), so selecting the keys of rank n_train and n_train + n_val
     # is enough: a cell's label is the number of those keys it reaches.
-    # Rounding can put a cut at ``total`` (no test cell); it is skipped.
-    cuts = [n for n in (n_train, n_train + n_val) if n < total]
+    # Each cut's key is selected among the keys of its bucket alone,
+    # regenerated from their cells' indices.  Rounding can put a cut at
+    # ``total`` (no test cell); it is skipped.
     phase = np.zeros(total, dtype=np.int8)
-    if cuts:
-        selected = np.partition(keys, cuts)
-        for n in cuts:
-            phase += keys >= selected[n]
+    for n in (n_train, n_train + n_val):
+        if n >= total:
+            continue
+        b = int(np.searchsorted(below, n, side="right"))
+        cells = np.flatnonzero(bucket == b)
+        keys = _splitmix64_at(spec.seed, cells.astype(np.uint64) + np.uint64(1))
+        rank = n - int(below[b] - counts[b])
+        cut = np.partition(keys, rank)[rank]
+        phase += bucket > b
+        phase[cells] += keys >= cut
+    del bucket  # 2 bytes per cell that the masks need not wait beside
     # Reading the labels back in cell order gives each mask already sorted.
     return tuple(
         ObservationMask._from_linear(n_rows, n_cols, np.flatnonzero(phase == k))

@@ -16,11 +16,15 @@ import configparser
 import hashlib
 import json
 import os
+import platform
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .binmat import _GAP, SplitSpec, load_coordinate_file, load_mask, save_mask, \
     split_observations
 from .errors import ConfigError, DimensionError, NbmfError
@@ -28,7 +32,8 @@ from .evaluate import completion_report, predict_from_factors
 from .io import H_FILE, META_FILE, W_FILE, _meta_float, _meta_int, _write_json, \
     _write_text, read_factors, write_factors, write_report
 from .solver import BetaPrior, FitConfig, fit
-from .tune import GridResult, GridSpec, export_heatmap, grid_search, test_evaluation
+from .tune import GridResult, GridSpec, _openblas_thread_calls, export_heatmap, \
+    grid_search, test_evaluation
 
 __all__ = ["main", "RunConfig", "load_run_config"]
 
@@ -217,6 +222,30 @@ def _output_lock(out_dir):
             pass
 
 
+def _environment():
+    """What produced a run: versions, BLAS and thread counts.
+
+    Fit bytes are promised per BLAS thread count, so the live OpenBLAS
+    count is recorded beside the settings that choose it.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (AttributeError, KeyError, TypeError, ValueError):  # numpy < 1.26
+        blas = {}
+    calls = _openblas_thread_calls()
+    return {
+        "nbmf": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": calls[0]() if calls else None,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(config, artifacts, seeds):
     path = config.out_dir / f"manifest_{config.mode}.json"
     _write_json(path, {
@@ -224,6 +253,7 @@ def _write_manifest(config, artifacts, seeds):
         "config_sha256": config.config_sha256,
         "seeds": seeds,
         "artifacts": sorted(artifacts),
+        "environment": _environment(),
     })
 
 
@@ -376,9 +406,19 @@ def cmd_tune(config, n_jobs):
 
 
 def _manifest_summary(payload):
-    return (
+    summary = (
         f"{payload['mode']}: config {payload['config_sha256'][:12]} "
         f"seeds {payload['seeds']} artifacts {', '.join(payload['artifacts'])}"
+    )
+    if "environment" not in payload:  # written before manifests recorded it
+        return summary
+    env = payload["environment"]
+    return summary + (
+        f"\n  environment: nbmf {env['nbmf']} python {env['python']} "
+        f"numpy {env['numpy']} blas {env['blas']} {env['blas_version']} "
+        f"blas_threads={env['blas_threads']} "
+        f"OPENBLAS_NUM_THREADS={env['OPENBLAS_NUM_THREADS']} "
+        f"OMP_NUM_THREADS={env['OMP_NUM_THREADS']} cpu_count={env['cpu_count']}"
     )
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .binmat import BinaryMatrix
+from .binmat import BinaryMatrix, _integer_setting
 from .errors import ConfigError
 
 __all__ = ["planted_dataset", "random_binary_matrix"]
@@ -19,16 +19,20 @@ def planted_dataset(n_rows, n_cols, rank, h_alpha=3.0, h_beta=3.0, seed=0,
     Beta(h_alpha, h_beta), then samples each cell as Bernoulli((W @ H)[m, n]).
     Returns ``(matrix, W, H)`` so recovery can be checked against the truth.
     """
-    if n_rows < 1 or n_cols < 1 or rank < 1:
-        raise ConfigError("n_rows, n_cols, and rank must all be >= 1")
-    if not w_concentration > 0:
-        raise ConfigError("w_concentration must be positive")
+    for name, value in (("n_rows", n_rows), ("n_cols", n_cols), ("rank", rank)):
+        if _integer_setting(name, value) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+    # A NaN or infinite parameter would sample NaN factors, and with them an
+    # all-zero matrix, without an error.
+    for name, value in (("h_alpha", h_alpha), ("h_beta", h_beta),
+                        ("w_concentration", w_concentration)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be a finite value > 0, got {value}")
     rng = np.random.default_rng(seed)
     W = rng.dirichlet(np.full(rank, float(w_concentration)), size=n_rows)
     H = rng.beta(h_alpha, h_beta, size=(rank, n_cols))
     means = W @ H
-    values = (rng.random((n_rows, n_cols)) < means).astype(float)
-    return BinaryMatrix.from_dense(values), W, H
+    return BinaryMatrix.from_dense(rng.random((n_rows, n_cols)) < means), W, H
 
 
 def random_binary_matrix(n_rows, n_cols, density=0.5, seed=0):
@@ -36,5 +40,4 @@ def random_binary_matrix(n_rows, n_cols, density=0.5, seed=0):
     if not (0.0 <= density <= 1.0):
         raise ConfigError(f"density must lie in [0, 1], got {density}")
     rng = np.random.default_rng(seed)
-    values = (rng.random((n_rows, n_cols)) < density).astype(float)
-    return BinaryMatrix.from_dense(values)
+    return BinaryMatrix.from_dense(rng.random((n_rows, n_cols)) < density)

@@ -48,6 +48,18 @@ class TestBinaryMatrix:
         with pytest.raises(ValueError):
             BinaryMatrix.from_dense(np.array([[0.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.5, 2.0, -1.0, np.inf])
+    def test_from_dense_rejects_each_non_binary_value(self, bad):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            BinaryMatrix.from_dense(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+    def test_from_dense_takes_booleans_and_negative_zero(self):
+        dense = np.array([[True, False, True], [False, False, True]])
+        expected = [0, 2, 5]
+        assert BinaryMatrix.from_dense(dense).linear.tolist() == expected
+        signed = np.where(dense, 1.0, -0.0)
+        assert BinaryMatrix.from_dense(signed).linear.tolist() == expected
+
     def test_absent_cell_is_zero(self):
         m = BinaryMatrix(3, 3, frozenset([(1, 2)]))
         dense = m.to_dense()
@@ -367,12 +379,34 @@ def _argsort_split(n_rows, n_cols, spec):
     ((37, 41), (0.5, 0.25, 0.25), 2**40),
     ((64, 3), (0.1, 0.8, 0.1), -7),
     ((300, 200), (0.7, 0.15, 0.15), 12345),
+    # Shapes of more than one 2^16-cell chunk of keys.
+    ((256, 256), (0.7, 0.15, 0.15), 3),       # exactly one chunk
+    ((256, 257), (0.7, 0.15, 0.15), 5),       # 256 cells past one chunk
+    ((1, 70000), (0.7, 0.15, 0.15), 6),
+    ((70000, 1), (0.2, 0.5, 0.3), -1),
+    ((600, 900), (0.5, 1e-5, 0.5 - 1e-5), 7),  # both cuts in one bucket
+    ((1000, 1000), (0.7, 0.15, 0.15), 1),
 ])
 def test_split_by_selection_matches_argsort(shape, fractions, seed):
     spec = SplitSpec(*fractions, seed=seed)
     masks = split_observations(BinaryMatrix(*shape, []), spec)
     for mask, expected in zip(masks, _argsort_split(*shape, spec), strict=True):
         np.testing.assert_array_equal(mask.linear, expected)
+
+
+def test_split_peak_memory():
+    """The split holds 2-byte buckets and 1-byte labels beside its masks, not
+    a sorted copy of every 8-byte key (tracemalloc peak per cell)."""
+    matrix = BinaryMatrix(1000, 1000, [])
+    split_observations(matrix, SplitSpec(seed=1))
+    tracemalloc.start()
+    try:
+        masks = split_observations(matrix, SplitSpec(seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(mask.n_cells for mask in masks) == 1_000_000
+    assert peak <= 14 * 1_000_000
 
 
 def _scanned(path):

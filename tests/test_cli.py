@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import re
 import signal
 import subprocess
@@ -729,6 +730,50 @@ class TestReport:
         console = capsys.readouterr().out
         assert "fit report:" in console
         assert "completion:" in console
+
+    def test_manifest_records_environment(self, workspace, capsys, monkeypatch):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        assert run(workspace, "fit", "--config", "@/run.ini", "--out", "@/again") == 0
+        environments = [
+            json.loads((workspace / out / "manifest_fit.json").read_text())["environment"]
+            for out in ("out", "again")
+        ]
+        assert set(environments[0]) == {
+            "nbmf", "python", "numpy", "blas", "blas_version", "blas_threads",
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "cpu_count",
+        }
+        assert environments[0]["nbmf"] == nbmf.__version__
+        assert environments[0]["numpy"] == np.__version__
+        assert environments[1]["OMP_NUM_THREADS"] == "3"
+        # The record stays out of the files promised to be byte-identical.
+        for name in ("W.txt", "H.txt", "meta.txt", "train_mask.txt",
+                     "val_mask.txt", "test_mask.txt"):
+            assert (workspace / "again" / name).read_bytes() == \
+                (workspace / "out" / name).read_bytes()
+        capsys.readouterr()
+        assert run(workspace, "report", "--out", "@/again") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == (
+            f"  environment: nbmf {nbmf.__version__} python {platform.python_version()} "
+            f"numpy {np.__version__} blas {environments[1]['blas']} "
+            f"{environments[1]['blas_version']} "
+            f"blas_threads={environments[1]['blas_threads']} "
+            f"OPENBLAS_NUM_THREADS={environments[1]['OPENBLAS_NUM_THREADS']} "
+            f"OMP_NUM_THREADS=3 cpu_count={os.cpu_count()}"
+        )
+
+    def test_manifest_without_environment_is_summarized(self, workspace, capsys):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        path = workspace / "out" / "manifest_fit.json"
+        payload = json.loads(path.read_text())
+        del payload["environment"]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(workspace, "report", "--out", "@/out") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("fit: config ")
+        assert lines[1].startswith("fit report:")
 
     def test_directory_without_manifests_says_so(self, workspace, capsys):
         (workspace / "empty").mkdir()
