@@ -27,7 +27,7 @@ workdir = Path(tempfile.mkdtemp(prefix="nbmf_demo_"))
 path = workdir / "toy.txt"
 path.write_text("# a 4x6 toy dataset\n4 6\n0 0\n0 3\n1 1\n2 4\n3 2\n3 5\n")
 Y = load_coordinate_file(path)
-print(f"loaded {Y.n_rows}x{Y.n_cols} matrix with {len(Y.ones)} ones")
+print(f"loaded {Y.n_rows}x{Y.n_cols} matrix with {Y.linear.size} ones")
 print(f"density: {density(Y):.3f}")
 print(Y.to_dense())
 

@@ -25,42 +25,39 @@ unchanged, so the descent guarantee survives, and the simplex multiplier for
 row m becomes the number of observed cells in that row instead of N.
 
 Structure: ``_prepare`` turns one ``(Y, mask)`` pair into the observed ones
-``A``, the observed zeros ``B``, the boolean ``unobserved`` cells and the
-per-row observed counts.  Every pass walks the rows in blocks (``_blocks``):
-a matrix of at most 2**17 cells is one block, a larger one is cut into
-blocks of about 2**16 cells, whose working set stays in cache.  On a block,
+``A``, the observed zeros ``B`` and the per-row observed counts.  Every pass
+walks the rows in blocks of at most 2**16 cells, or of one row where a row
+is longer (``_blocks``), whose working set stays in cache.  On a block,
 ``_block_ratios`` computes ``P = W @ H``, checks that every cell lies in
 (0, 1) and writes ``R = A / P`` and then ``S = B / (1 - P)`` over ``P``.
 ``_w_step`` takes a block's W-step rows from its ratios, ``_numerators``
 adds its share ``W.T @ R`` and ``W.T @ S`` of the H step, and
-``_log_likelihood`` its share of the objective: ``R + S`` is ``1 / P`` on
-an observed one, ``1 / (1 - P)`` on an observed zero and 0 elsewhere, so
-the masked negative log-likelihood is ``sum(log(R + S + unobserved))``, one
-log per cell.  Only the K-by-N numerators and that sum couple the rows, and
-they are summed in block order.  ``_h_step`` takes the next H from the
-summed numerators.  :func:`update_w`, :func:`update_h` and
-:func:`objective` are each one loop over the blocks.  :func:`fit` prepares
-once and makes each sweep one loop: a block takes its W step, then scores
-the new rows and adds their numerators, and after the loop the next
-sweep's H is taken; so a sweep computes two products and two ratio passes
-per block.
+``_log_likelihood`` its share of the objective: ``R + S`` is ``1 / P`` on an
+observed one, ``1 / (1 - P)`` on an observed zero and 0 elsewhere, so the
+masked negative log-likelihood is ``sum(log(max(R + S, 1)))``, one log per
+cell.  Only the K-by-N numerators and that sum couple the rows, and they
+are summed in block order.  ``_h_step`` takes the next H from the summed
+numerators.  :func:`update_w`, :func:`update_h` and :func:`objective` are
+each one loop over the blocks.  :func:`fit` prepares once and makes each
+sweep one loop: a block takes its W step, then scores the new rows and adds
+their numerators, and after the loop the next sweep's H is taken; so a sweep
+computes two products and two ratio passes per block.
 
 Every call prepares its own problem, except on a mask that
 ``_shared_problem(Y, mask)`` yields: that copy of the mask carries one
 read-only problem, which :func:`fit`, the public updates and
 :func:`objective` given the copy and the same ``Y`` read instead.  ``tune``
 passes such a copy to each pool of fits, so the fits of a grid search or
-of a restart set share one copy of ``A``, ``B`` and ``unobserved`` (17
-bytes a cell) instead of preparing one each.
+of a restart set share one copy of ``A`` and ``B`` (16 bytes a cell)
+instead of preparing one each.
 
 The public functions are pure: they read their inputs and return fresh
 arrays.  Besides the prepared problem, each call owns only its two scratch
-arrays of one block's size: on a matrix of more than 2**17 cells, about
-2**16 cells each, not two of the matrix's size.  :func:`fit` allocates
-them once and writes every block step into them, so a sweep allocates
-nothing of the matrix's size; the W and H it returns or passes to
-``on_sweep`` are fresh arrays that no later sweep overwrites.  The H step
-taken after the last evaluation is discarded.
+arrays of one block's size.  :func:`fit` allocates them once and writes
+every block step into them, so a sweep allocates nothing of the matrix's
+size; the W and H it returns or passes to ``on_sweep`` are fresh arrays
+that no later sweep overwrites.  The H step taken after the last
+evaluation is discarded.
 """
 
 from __future__ import annotations
@@ -268,21 +265,20 @@ def _require_matrix_and_mask(Y, mask):
 
 
 def _prepare(Y, mask):
-    """Dense observed ones ``A``, observed zeros ``B``, the boolean
-    complement of the mask and the per-row observed counts."""
+    """Dense observed ones ``A``, observed zeros ``B`` and the per-row
+    observed counts."""
     if Y.shape != mask.shape:
         raise DimensionError(
             f"mask shape {mask.shape} does not match matrix shape {Y.shape}"
         )
     observed = mask.to_dense()
-    unobserved = ~observed
     A = Y.to_dense()
     A *= observed
     B = observed.astype(float)
     del observed
     n_obs = B.sum(axis=1)
     B -= A
-    return A, B, unobserved, n_obs
+    return A, B, n_obs
 
 
 class _PreparedMask(ObservationMask):
@@ -322,17 +318,15 @@ def _problem(Y, mask):
     return _prepare(Y, mask)
 
 
-# A matrix of at most _ONE_BLOCK cells is one row block, so a pass over it
-# makes the same numpy calls as a pass over the whole matrix; a larger one is
-# walked in blocks of about _BLOCK cells, whose working set stays in cache.
-_ONE_BLOCK = 1 << 17
+# Every pass walks the rows in blocks of at most _BLOCK cells (one row where a
+# row is longer), whose working set stays in cache.
 _BLOCK = 1 << 16
 
 
 def _blocks(n_rows, n_cols):
     """The row blocks of a pass, as ``(rows, P, R)``: the slice of the block's
     rows and its views of two fresh scratch arrays."""
-    step = n_rows if n_rows * n_cols <= _ONE_BLOCK else max(1, _BLOCK // n_cols)
+    step = max(1, min(n_rows, _BLOCK // max(n_cols, 1)))
     P = np.empty((step, n_cols))
     R = np.empty_like(P)
     return [(slice(start, start + step), P[:n_rows - start], R[:n_rows - start])
@@ -357,16 +351,16 @@ def _block_ratios(A, B, W, H, P, R, sweep=None, check=True):
     return R, P
 
 
-def _log_likelihood(R, S, unobserved):
-    """``sum(log(R + S + unobserved))`` for one row block, built in ``R``.
+def _log_likelihood(R, S):
+    """``sum(log(max(R + S, 1)))`` for one row block, built in ``R``.
 
     With the ratios of :func:`_block_ratios`, ``R + S`` is ``1 / P`` on an
-    observed one, ``1 / (1 - P)`` on an observed zero and 0 on an unobserved
-    cell, where adding 1 makes the log vanish: one log per cell gives the
-    block's masked negative log-likelihood.
+    observed one and ``1 / (1 - P)`` on an observed zero, both at least 1,
+    and 0 on an unobserved cell, where the floor of 1 makes the log vanish:
+    one log per cell gives the block's masked negative log-likelihood.
     """
     np.add(R, S, out=R)
-    return np.log(np.add(R, unobserved, out=R), out=R).sum()
+    return np.log(np.maximum(R, 1.0, out=R), out=R).sum()
 
 
 def _numerators(num, W, R, S):
@@ -395,12 +389,11 @@ def objective(Y, mask, factors, prior):
     penalty always covers all of H.  Raises :class:`NumericalError` if any
     cell of ``W @ H`` leaves (0, 1).
     """
-    A, B, unobserved, _ = _problem(Y, mask)
+    A, B, _ = _problem(Y, mask)
     W, H = factors.W, factors.H
     loglik = 0.0
     for rows, P, R in _blocks(*Y.shape):
-        loglik += _log_likelihood(*_block_ratios(A[rows], B[rows], W[rows], H, P, R),
-                                  unobserved[rows])
+        loglik += _log_likelihood(*_block_ratios(A[rows], B[rows], W[rows], H, P, R))
     return _objective_value(loglik, H, prior)
 
 
@@ -426,7 +419,7 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     [epsilon, 1 - epsilon].  Raises :class:`NumericalError` if any cell of
     ``W @ H`` leaves (0, 1).
     """
-    A, B, _, _ = _problem(Y, mask)
+    A, B, _ = _problem(Y, mask)
     W, H = factors.W, factors.H
     num = None
     for rows, P, R in _blocks(*Y.shape):
@@ -458,7 +451,7 @@ def update_w(Y, mask, factors, epsilon=1e-12, clamp=True):
     floored at ``epsilon`` and the row renormalized.  Raises
     :class:`NumericalError` if any cell of ``W @ H`` leaves (0, 1).
     """
-    A, B, _, n_obs = _problem(Y, mask)
+    A, B, n_obs = _problem(Y, mask)
     W, H = factors.W, factors.H
     new_W = np.empty_like(W)
     for rows, P, R in _blocks(*Y.shape):
@@ -489,7 +482,7 @@ def fit(Y, mask, config, on_sweep=None):
     _require_matrix_and_mask(Y, mask)
     if mask.n_cells == 0:
         raise EmptyMaskError("cannot fit on an empty mask")
-    A, B, unobserved, n_obs = _problem(Y, mask)
+    A, B, n_obs = _problem(Y, mask)
     prior, epsilon = config.prior, config.epsilon
     blocks = _blocks(*Y.shape)
 
@@ -513,7 +506,7 @@ def fit(Y, mask, config, on_sweep=None):
                 )
             R_b, S_b = _block_ratios(A_b, B_b, W_b, H, P, R, sweep)
             num = _numerators(num, W_b, R_b, S_b)
-            loglik += _log_likelihood(R_b, S_b, unobserved[rows])
+            loglik += _log_likelihood(R_b, S_b)
         next_H = _h_step(*num, H, prior.alpha, prior.beta, epsilon, clamp=True)
         value = _objective_value(loglik, H, prior)
         if not np.isfinite(value):

@@ -10,6 +10,13 @@ from .errors import ConfigError
 __all__ = ["planted_dataset", "random_binary_matrix"]
 
 
+def _check_sizes(**sizes):
+    """Raise a :class:`ConfigError` naming any size that is not an int >= 1."""
+    for name, value in sizes.items():
+        if _integer_setting(name, value) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 def planted_dataset(n_rows, n_cols, rank, h_alpha=3.0, h_beta=3.0, seed=0,
                     w_concentration=1.0):
     """Sample data from the generative model itself.
@@ -19,9 +26,7 @@ def planted_dataset(n_rows, n_cols, rank, h_alpha=3.0, h_beta=3.0, seed=0,
     Beta(h_alpha, h_beta), then samples each cell as Bernoulli((W @ H)[m, n]).
     Returns ``(matrix, W, H)`` so recovery can be checked against the truth.
     """
-    for name, value in (("n_rows", n_rows), ("n_cols", n_cols), ("rank", rank)):
-        if _integer_setting(name, value) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+    _check_sizes(n_rows=n_rows, n_cols=n_cols, rank=rank)
     # A NaN or infinite parameter would sample NaN factors, and with them an
     # all-zero matrix, without an error.
     for name, value in (("h_alpha", h_alpha), ("h_beta", h_beta),
@@ -37,6 +42,7 @@ def planted_dataset(n_rows, n_cols, rank, h_alpha=3.0, h_beta=3.0, seed=0,
 
 def random_binary_matrix(n_rows, n_cols, density=0.5, seed=0):
     """An i.i.d. Bernoulli(density) matrix, deterministic in ``seed``."""
+    _check_sizes(n_rows=n_rows, n_cols=n_cols)
     if not (0.0 <= density <= 1.0):
         raise ConfigError(f"density must lie in [0, 1], got {density}")
     rng = np.random.default_rng(seed)

@@ -12,12 +12,12 @@ is the same for any worker count on one machine.
 The train cells are prepared once per :func:`grid_search` or
 :func:`test_evaluation` call: ``_scored_rows`` opens the solver's
 ``_shared_problem`` around its pool and hands its jobs the copy of the
-train mask that it yields, which carries one read-only ``A``, ``B`` and
-``unobserved`` (17 bytes a matrix cell).  The jobs still call ``fit(Y,
-mask, config)``.  Each fit adds only its two scratch arrays of one row
-block: at most 2**18 cells between them (2 MB) on a matrix up to 2**16
-columns wide, however many rows it has.  A pool of ``n_jobs`` workers then
-holds about 17 bytes a cell plus 2 MB a worker.
+train mask that it yields, which carries one read-only ``A`` and ``B``
+(16 bytes a matrix cell).  The jobs still call ``fit(Y, mask, config)``.
+Each fit adds only its two scratch arrays of one row block: at most 2**17
+cells between them (1 MB) on a matrix up to 2**16 columns wide, however
+many rows it has.  A pool of ``n_jobs`` workers then holds about 16 bytes a
+cell plus 1 MB a worker.
 
 :class:`GridSpec` checks the restart count and base seed under their own
 names, and its other fit settings by building the

@@ -37,3 +37,15 @@ def test_random_binary_matrix_cells_are_the_nonzeros_of_the_float_draw():
     Y = random_binary_matrix(50, 20, 0.3, seed=4)
     values = (np.random.default_rng(4).random((50, 20)) < 0.3).astype(float)
     np.testing.assert_array_equal(Y.linear, np.flatnonzero(values))
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("n_rows", {"n_rows": 2.5}),
+    ("n_rows", {"n_rows": -1}),
+    ("n_cols", {"n_cols": 0}),
+    ("n_cols", {"n_cols": "3"}),
+])
+def test_random_binary_matrix_bad_size_is_a_config_error_naming_it(name, kwargs):
+    settings = {"n_rows": 3, "n_cols": 3, **kwargs}
+    with pytest.raises(ConfigError, match=name):
+        random_binary_matrix(**settings)

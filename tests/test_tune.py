@@ -597,7 +597,7 @@ class TestSharedProblem:
         config = SHARED_GRID.fit_config(best.rank, best.alpha, best.beta, 0)
         run_test_evaluation(Y, train, test, config, n_restarts=3, n_jobs=n_jobs)
         assert len(prepared) == 2 and prepared[1][0] is train
-        # a sweep that wrote to A, B or unobserved would have raised, and
+        # a sweep that wrote to A, B or n_obs would have raised, and
         # would leave other bytes than a fresh preparation
         fresh = nbmf.solver._prepare(Y, train)
         for _, problem in prepared[:2]:
@@ -707,10 +707,11 @@ class TestSharedProblem:
         assert self._held_bytes_per_cell(first_row) < 1
 
     def test_pool_holds_one_prepared_problem(self):
-        # one shared A, B and unobserved (17 bytes a cell) plus P and R per
-        # worker (16 bytes a cell each): about 49 bytes a cell, where two
-        # workers that each prepare hold 2 x 33.  Measured: 51.5 with one
-        # shared problem, 68.5 with one per fit.
+        # one shared A and B (16 bytes a cell) plus P and R of at most
+        # 2 ** 16 cells each per worker (8.7 bytes a cell here) and each
+        # worker's full-size W @ H for scoring (8 bytes a cell): at most 49
+        # bytes a cell, where two workers that each prepare hold 2 x 33.
+        # Measured: 42.8.
         M, N = 300, 400
         Y = random_binary_matrix(M, N, 0.5, seed=8)
         train, val, _ = split_observations(Y, SplitSpec(seed=8))
@@ -725,4 +726,4 @@ class TestSharedProblem:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - held) / (M * N) < 60
+        assert (peak - held) / (M * N) < 48
