@@ -54,8 +54,7 @@ def perplexity(Y, mask, pred):
         )
     if mask.n_cells == 0:
         raise EmptyMaskError("perplexity over an empty mask is undefined")
-    rows, cols = mask.indices()
-    p = pred[rows, cols]
+    p = pred[mask.indices()]
     if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both comparisons
         raise NumericalError("predictions must lie in [0, 1]")
     is_one = Y.ones_at(mask)

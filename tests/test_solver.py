@@ -643,24 +643,41 @@ class TestFit:
         assert len(growth) == 4
         assert max(growth) < M * N * 8
 
+    def test_fit_holds_four_full_size_float_arrays(self):
+        # at most four full-size float arrays (32 bytes a cell): A and B (8
+        # bytes a cell each) plus two scratch arrays of at most 2 ** 16 cells
+        # each, 8.7 bytes a cell here (measured: 26.0 in all)
+        M, N = 300, 400
+        Y = random_binary_matrix(M, N, 0.5, seed=8)
+        mask = subsample_mask(M, N, 0.7, seed=8)
+        config = FitConfig(rank=4, max_iter=5, tol=1e-12)
+        fit(Y, mask, config)  # warm: first-call allocations are not the fit's
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fit(Y, mask, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / (M * N) < 32
+
     def test_blocked_fit_holds_no_full_size_working_array(self):
         # A and B (8 bytes a cell each), plus two scratch arrays of at most
-        # 2 ** 16 cells each: 4.4 bytes a cell at 600 x 400 and 8.7 at
-        # 300 x 400 (measured: 21.1 and 26.0 in all); a full-size working
-        # array adds 8 more
-        for M, N, bound in [(600, 400, 24), (300, 400, 30)]:
-            Y = random_binary_matrix(M, N, 0.5, seed=8)
-            mask = subsample_mask(M, N, 0.7, seed=8)
-            config = FitConfig(rank=4, max_iter=5, tol=1e-12)
-            fit(Y, mask, config)  # warm: first-call allocations are not the fit's
-            tracemalloc.start()
-            try:
-                held = tracemalloc.get_traced_memory()[0]
-                fit(Y, mask, config)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert (peak - held) / (M * N) < bound
+        # 2 ** 16 cells each (4.4 bytes a cell here; measured: 21.1 in all);
+        # a full-size working array adds 8 more
+        M, N = 600, 400
+        Y = random_binary_matrix(M, N, 0.5, seed=8)
+        mask = subsample_mask(M, N, 0.7, seed=8)
+        config = FitConfig(rank=4, max_iter=5, tol=1e-12)
+        fit(Y, mask, config)  # warm: first-call allocations are not the fit's
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fit(Y, mask, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / (M * N) < 24
 
     def test_masked_trace_matches_naive_objective(self):
         # row 2 and column 4 have no observed cells

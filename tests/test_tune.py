@@ -707,11 +707,13 @@ class TestSharedProblem:
         assert self._held_bytes_per_cell(first_row) < 1
 
     def test_pool_holds_one_prepared_problem(self):
-        # one shared A and B (16 bytes a cell) plus P and R of at most
-        # 2 ** 16 cells each per worker (8.7 bytes a cell here) and each
-        # worker's full-size W @ H for scoring (8 bytes a cell): at most 49
-        # bytes a cell, where two workers that each prepare hold 2 x 33.
-        # Measured: 42.8.
+        # one shared A and B (16 bytes a cell); each worker either fits, with
+        # P and R of at most 2 ** 16 cells each (8.7 bytes a cell here), or
+        # scores, with a full-size W @ H (8 bytes a cell) and about 6 bytes a
+        # cell over the validation cells: at most 45 bytes a cell, reached
+        # when both workers score at once, where two workers that each
+        # prepare hold 2 x 26.  Measured: 40.4 to 45.3, and 52.0 with one
+        # problem per fit.
         M, N = 300, 400
         Y = random_binary_matrix(M, N, 0.5, seed=8)
         train, val, _ = split_observations(Y, SplitSpec(seed=8))
