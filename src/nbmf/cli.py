@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._workers import _openblas_thread_calls, recording_fit_processes
 from .binmat import _GAP, SplitSpec, load_coordinate_file, load_mask, save_mask, \
     split_observations
 from .errors import ConfigError, DimensionError, NbmfError
@@ -32,8 +33,7 @@ from .evaluate import completion_report, predict_from_factors
 from .io import H_FILE, META_FILE, W_FILE, _meta_float, _meta_int, _write_json, \
     _write_text, read_factors, write_factors, write_report
 from .solver import BetaPrior, FitConfig, fit
-from .tune import GridResult, GridSpec, _openblas_thread_calls, export_heatmap, \
-    grid_search, test_evaluation
+from .tune import GridResult, GridSpec, export_heatmap, grid_search, test_evaluation
 
 __all__ = ["main", "RunConfig", "load_run_config"]
 
@@ -225,8 +225,8 @@ def _output_lock(out_dir):
 def _environment():
     """What produced a run: versions, BLAS and thread counts.
 
-    Fit bytes are promised per BLAS thread count, so the live OpenBLAS
-    count is recorded beside the settings that choose it.
+    The live OpenBLAS count is recorded beside the settings that choose it;
+    every fit runs its products at one thread, whatever that count is.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -246,14 +246,19 @@ def _environment():
     }
 
 
-def _write_manifest(config, artifacts, seeds):
+def _write_manifest(config, artifacts, seeds, fit_processes=None):
+    """``fit_processes``: the process counts the run's fits ran on, if it
+    ran any."""
     path = config.out_dir / f"manifest_{config.mode}.json"
+    environment = _environment()
+    if fit_processes is not None:
+        environment["fit_processes"] = sorted(fit_processes)
     _write_json(path, {
         "mode": config.mode,
         "config_sha256": config.config_sha256,
         "seeds": seeds,
         "artifacts": sorted(artifacts),
-        "environment": _environment(),
+        "environment": environment,
     })
 
 
@@ -272,7 +277,8 @@ def cmd_fit(config):
             if log_every > 0 and iteration % log_every == 0:
                 print(f"iter {iteration} objective {value:.6f}")
 
-        factors, report = fit(Y, train, config.fit_config, on_sweep=on_sweep)
+        with recording_fit_processes() as fit_processes:
+            factors, report = fit(Y, train, config.fit_config, on_sweep=on_sweep)
         artifacts = write_factors(
             config.out_dir, factors,
             alpha=config.fit_config.prior.alpha,
@@ -291,6 +297,7 @@ def cmd_fit(config):
         _write_manifest(
             config, [p.name for p in artifacts],
             {"split": config.split.seed, "fit": config.fit_config.seed},
+            fit_processes,
         )
         print(
             f"fit finished: n_iter={report.n_iter} converged={report.converged} "
@@ -373,17 +380,18 @@ def cmd_tune(config, n_jobs):
                 f"val_perplexity={shown}"
             )
 
-        results, best = grid_search(
-            Y, train, val, config.grid, n_jobs=n_jobs,
-            resume_rows=tuple(checkpoint), on_row=on_row,
-        )
-        evaluation = test_evaluation(
-            Y, train, test,
-            config.grid.fit_config(best.rank, best.alpha, best.beta, 0),
-            n_restarts=config.grid.n_restarts,
-            base_seed=config.grid.base_seed,
-            n_jobs=n_jobs,
-        )
+        with recording_fit_processes() as fit_processes:
+            results, best = grid_search(
+                Y, train, val, config.grid, n_jobs=n_jobs,
+                resume_rows=tuple(checkpoint), on_row=on_row,
+            )
+            evaluation = test_evaluation(
+                Y, train, test,
+                config.grid.fit_config(best.rank, best.alpha, best.beta, 0),
+                n_restarts=config.grid.n_restarts,
+                base_seed=config.grid.base_seed,
+                n_jobs=n_jobs,
+            )
 
         grid_path = config.out_dir / GRID_CSV
         results.to_csv(grid_path)
@@ -395,6 +403,7 @@ def cmd_tune(config, n_jobs):
             config,
             [grid_path.name, heatmap_path.name, stats_path.name],
             {"split": config.split.seed, "base": config.grid.base_seed},
+            fit_processes,
         )
         partial_path.unlink(missing_ok=True)
         print(
@@ -413,13 +422,16 @@ def _manifest_summary(payload):
     if "environment" not in payload:  # written before manifests recorded it
         return summary
     env = payload["environment"]
-    return summary + (
+    summary += (
         f"\n  environment: nbmf {env['nbmf']} python {env['python']} "
         f"numpy {env['numpy']} blas {env['blas']} {env['blas_version']} "
         f"blas_threads={env['blas_threads']} "
         f"OPENBLAS_NUM_THREADS={env['OPENBLAS_NUM_THREADS']} "
         f"OMP_NUM_THREADS={env['OMP_NUM_THREADS']} cpu_count={env['cpu_count']}"
     )
+    if "fit_processes" in env:  # written before manifests recorded it, or eval
+        summary += f" fit_processes={','.join(map(str, env['fit_processes']))}"
+    return summary
 
 
 # The line ``nbmf report`` prints for each JSON artifact, after the manifests'.
@@ -528,6 +540,9 @@ def main(argv=None):
         return 2
     except (NbmfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

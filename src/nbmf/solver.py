@@ -43,6 +43,19 @@ sweep one loop: a block takes its W step, then scores the new rows and adds
 their numerators, and after the loop the next sweep's H is taken; so a sweep
 computes two products and two ratio passes per block.
 
+:func:`fit` runs that loop on ``p`` processes, ``p`` from
+``_workers.fit_processes``: on Linux, from the main thread while no other
+Python thread is alive, the CPUs this process may use, at most one per
+block; else 1.  With ``p > 1`` it forks ``p - 1`` workers after preparing,
+which inherit ``A`` and ``B``.  Each process owns a fixed contiguous range
+of blocks, the fit's own first; on each evaluation the fit writes H to
+shared memory, runs its range while the workers run theirs, and adds their
+blocks' numerators and log-likelihoods, stored in shared memory, after its
+own in block order, so the bytes do not depend on ``p``.  W is shared too,
+and each sweep writes its W step over it, block by block.  Every fit runs
+its products at one OpenBLAS thread, so its bytes do not depend on the
+BLAS thread count either.
+
 Every call prepares its own problem, except on a mask that
 ``_shared_problem(Y, mask)`` yields: that copy of the mask carries one
 read-only problem, which :func:`fit`, the public updates and
@@ -53,11 +66,13 @@ instead of preparing one each.
 
 The public functions are pure: they read their inputs and return fresh
 arrays.  Besides the prepared problem, each call owns only its two scratch
-arrays of one block's size.  :func:`fit` allocates them once and writes
-every block step into them, so a sweep allocates nothing of the matrix's
-size; the W and H it returns or passes to ``on_sweep`` are fresh arrays
-that no later sweep overwrites.  The H step taken after the last
-evaluation is discarded.
+arrays of one block's size (each worker of a fit has its own), and a
+forked fit its shared memory: W, H, and 2·K·N float64 per block a
+worker runs.  :func:`fit` allocates them once and writes every
+block step into them, so a sweep allocates nothing of the matrix's size;
+the W and H it returns or passes to ``on_sweep`` are fresh arrays that no
+later sweep overwrites.  The H step taken after the last evaluation is
+discarded.
 """
 
 from __future__ import annotations
@@ -68,6 +83,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._workers import Workers, _blas_threads_at_most, fit_processes, shared_arrays
 from .binmat import BinaryMatrix, ObservationMask, _integer_setting
 from .errors import ConfigError, DimensionError, EmptyMaskError, NumericalError
 
@@ -313,6 +329,8 @@ def _shared_problem(Y, mask):
 def _problem(Y, mask):
     """The problem that ``mask`` carries for this ``Y``, else a freshly
     prepared one."""
+    if 0 in Y.shape:
+        raise DimensionError(f"matrix of shape {Y.shape} has no cells")
     if isinstance(mask, _PreparedMask) and mask.Y is Y and mask.problem is not None:
         return mask.problem
     return _prepare(Y, mask)
@@ -477,7 +495,8 @@ def fit(Y, mask, config, on_sweep=None):
 
     Returns ``(FactorPair, FitReport)``.  Raises :class:`NumericalError`
     (carrying the sweep index) if a cell of ``W @ H`` leaves (0, 1) or the
-    objective turns non-finite.
+    objective turns non-finite, and :class:`NbmfError` if a worker process
+    dies.
     """
     _require_matrix_and_mask(Y, mask)
     if mask.n_cells == 0:
@@ -485,50 +504,98 @@ def fit(Y, mask, config, on_sweep=None):
     A, B, n_obs = _problem(Y, mask)
     prior, epsilon = config.prior, config.epsilon
     blocks = _blocks(*Y.shape)
+    processes = fit_processes(len(blocks))
+    forked = processes > 1
+    # The fit's own range of blocks comes first; workers run the others.
+    bounds = [len(blocks) * i // processes for i in range(processes + 1)]
+    own = bounds[1]
+
+    def block_pass(b, W, H, sweep, W_before):
+        """Row block ``b``'s rows of ``W`` and its ratios at ``(W, H)``.
+
+        With ``W_before``, the block's rows of ``W`` are first written with
+        the W step at ``(W_before, H)``.
+        """
+        rows, P, R = blocks[b]
+        A_b, B_b, W_b = A[rows], B[rows], W[rows]
+        if W_before is not None:
+            # Unchecked: rows on the simplex times an H clamped to
+            # [epsilon, 1 - epsilon] stay inside (0, 1), and the new
+            # rows are checked below.
+            W_b[...] = _w_step(
+                *_block_ratios(A_b, B_b, W_before[rows], H, P, R, check=False),
+                n_obs[rows], W_before[rows], H, epsilon, clamp=True,
+            )
+        return (W_b, *_block_ratios(A_b, B_b, W_b, H, P, R, sweep))
 
     def evaluate(W, H, sweep, W_before=None):
         """Score ``(W, H)`` and return the score with the next sweep's H.
 
         With ``W_before``, each row block of ``W`` is first written with the
         W step at ``(W_before, H)``, so one pass over a block takes its W
-        step, scores it and adds its share of the next H step.
+        step, scores it and adds its share of the next H step.  The blocks'
+        shares are added in block order, whichever process ran them.
         """
+        if forked:
+            shared_H[...] = H
+            workers.start(sweep)
         num, loglik = None, 0.0
-        for rows, P, R in blocks:
-            A_b, B_b, W_b = A[rows], B[rows], W[rows]
-            if W_before is not None:
-                # Unchecked: rows on the simplex times an H clamped to
-                # [epsilon, 1 - epsilon] stay inside (0, 1), and the new
-                # rows are checked below.
-                W_b[...] = _w_step(
-                    *_block_ratios(A_b, B_b, W_before[rows], H, P, R, check=False),
-                    n_obs[rows], W_before[rows], H, epsilon, clamp=True,
-                )
-            R_b, S_b = _block_ratios(A_b, B_b, W_b, H, P, R, sweep)
+        for b in range(own):
+            W_b, R_b, S_b = block_pass(b, W, H, sweep, W_before)
             num = _numerators(num, W_b, R_b, S_b)
             loglik += _log_likelihood(R_b, S_b)
+        if forked:
+            workers.wait()
+            pos_sum, neg_sum = num
+            for k, value in enumerate(logliks):
+                pos_sum += pos[k]
+                neg_sum += neg[k]
+                loglik += value
         next_H = _h_step(*num, H, prior.alpha, prior.beta, epsilon, clamp=True)
         value = _objective_value(loglik, H, prior)
         if not np.isfinite(value):
             raise NumericalError("non-finite objective", iteration=sweep)
         return value, next_H
 
+    def run_range(sweep, lo, hi):
+        """A worker's share of ``evaluate``: blocks ``lo`` to ``hi`` into
+        the shared arrays."""
+        W_before = shared_W if sweep else None
+        for b in range(lo, hi):
+            W_b, R_b, S_b = block_pass(b, shared_W, shared_H, sweep, W_before)
+            np.matmul(W_b.T, R_b, out=pos[b - own])
+            np.matmul(W_b.T, S_b, out=neg[b - own])
+            logliks[b - own] = _log_likelihood(R_b, S_b)
+
     start = time.perf_counter()
     factors = init_factors(Y.n_rows, Y.n_cols, config.rank, epsilon, config.seed)
     W, H = factors.W, factors.H
-    value, next_H = evaluate(W, H, 0)
-    trace = [value]
-    converged = False
+    if forked:
+        # W, H, and each worker-run block's log-likelihood and H-step
+        # numerators.  A block's W step reads only the block's own rows of
+        # the W before it, so each sweep writes its W over that one.
+        stored = len(blocks) - own
+        shared_W, shared_H, logliks, pos, neg = shared_arrays(
+            W.shape, H.shape, (stored,), (stored, *H.shape), (stored, *H.shape),
+        )
+        shared_W[...] = W
+        W = shared_W
+    ranges = zip(bounds[1:-1], bounds[2:])
+    with _blas_threads_at_most(1), Workers(run_range, ranges) as workers:
+        value, next_H = evaluate(W, H, 0)
+        trace = [value]
+        converged = False
 
-    for sweep in range(1, config.max_iter + 1):
-        H, W_before, W = next_H, W, np.empty_like(W)
-        value, next_H = evaluate(W, H, sweep, W_before)
-        trace.append(value)
-        if on_sweep is not None:
-            on_sweep(sweep, trace[-1], FactorPair(W, H))
-        if _relative_change(trace[-2], trace[-1]) < config.tol:
-            converged = True
-            break
+        for sweep in range(1, config.max_iter + 1):
+            H, W_before = next_H, W
+            W = shared_W if forked else np.empty_like(W)
+            value, next_H = evaluate(W, H, sweep, W_before)
+            trace.append(value)
+            if on_sweep is not None:
+                on_sweep(sweep, trace[-1], FactorPair(W.copy() if forked else W, H))
+            if _relative_change(trace[-2], trace[-1]) < config.tol:
+                converged = True
+                break
 
     report = FitReport(
         objective_trace=tuple(trace),
@@ -537,7 +604,7 @@ def fit(Y, mask, config, on_sweep=None):
         wall_time=time.perf_counter() - start,
         seed=config.seed,
     )
-    return FactorPair(W, H), report
+    return FactorPair(W.copy() if forked else W, H), report
 
 
 def fit_em(Y, mask, config, on_sweep=None):

@@ -17,7 +17,9 @@ train mask that it yields, which carries one read-only ``A`` and ``B``
 Each fit adds only its two scratch arrays of one row block: at most 2**17
 cells between them (1 MB) on a matrix up to 2**16 columns wide, however
 many rows it has.  A pool of ``n_jobs`` workers then holds about 16 bytes a
-cell plus 1 MB a worker.
+cell plus 1 MB a worker.  Fits on the pool's threads run in one process
+each; serial fits run on the calling thread and may fork worker processes
+of their own (see ``solver.fit``).
 
 :class:`GridSpec` checks the restart count and base seed under their own
 names, and its other fit settings by building the
@@ -29,16 +31,15 @@ their cells, the JSON of ``boxstats.json`` and the writing of every file.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
+# _openblas_thread_calls stays importable from here, beside the pool's bound.
+from ._workers import _blas_threads_at_most, _openblas_thread_calls  # noqa: F401
 from .binmat import _integer_setting
 from .errors import ConfigError, NumericalError, SearchError
 from .evaluate import _require_disjoint, perplexity
@@ -241,48 +242,6 @@ def _fit_and_score(Y, train_mask, eval_mask, config):
     except NumericalError:
         return None, 0, False, 0.0
     return score, report.n_iter, report.converged, report.wall_time
-
-
-@functools.cache
-def _openblas_thread_calls():
-    """``(get, set)`` thread-count calls of numpy's bundled OpenBLAS, or None.
-
-    Only a library the process has already loaded is opened, so a numpy
-    built against another BLAS loads nothing here.
-    """
-    noload = getattr(os, "RTLD_NOLOAD", None)
-    if noload is None:
-        return None
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            lib = ctypes.CDLL(str(path), mode=noload | os.RTLD_LAZY)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextmanager
-def _blas_threads_at_most(limit):
-    """Hold numpy's OpenBLAS to at most ``limit`` threads inside the block.
-
-    The thread count is process-wide; it is restored on exit.  Without the
-    bundled OpenBLAS this does nothing.
-    """
-    calls = _openblas_thread_calls()
-    before = calls[0]() if calls else limit
-    if before > limit:
-        calls[1](limit)
-    try:
-        yield
-    finally:
-        if before > limit:
-            calls[1](before)
 
 
 def _run_jobs(jobs, n_jobs):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nbmf._workers
 import nbmf.cli
 from nbmf import (
     BetaPrior,
@@ -33,6 +34,7 @@ from nbmf import (
     write_factors,
 )
 from nbmf.cli import RunConfig, load_run_config, main
+from conftest import child_pids
 
 BASE_CONFIG = """\
 [run]
@@ -722,6 +724,55 @@ class TestInterruptedWrites:
         assert temporary_files(out) == []
 
 
+LONG_FIT_CONFIG = """\
+[run]
+dataset = data.txt
+out = out
+
+[fit]
+rank = 3
+tol = 1e-300
+max_iter = 1000000
+log_every = 1
+"""
+
+
+class TestCtrlC:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_interrupted_fit_exits_1_and_leaves_no_worker(self, tmp_path):
+        Y, _, _ = planted_dataset(400, 400, 3, seed=4)  # three row blocks
+        save_coordinate_file(Y, tmp_path / "data.txt")
+        (tmp_path / "run.ini").write_text(LONG_FIT_CONFIG)
+        src = Path(nbmf.cli.__file__).resolve().parents[1]
+        console = tmp_path / "stdout.txt"
+        with open(console, "wb") as stdout:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "nbmf.cli", "fit", "--config",
+                 str(tmp_path / "run.ini")],
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1"),
+                stdout=stdout, stderr=subprocess.PIPE, text=True,
+                start_new_session=True,
+            )
+        try:
+            deadline = time.monotonic() + 60
+            while b"iter " not in console.read_bytes():
+                assert process.poll() is None, "fit ended before it was interrupted"
+                assert time.monotonic() < deadline, "no sweep within 60 s"
+                time.sleep(0.005)
+            workers = child_pids(process.pid)
+            # Ctrl-C signals every process of the terminal's foreground group
+            os.killpg(process.pid, signal.SIGINT)
+            _, err = process.communicate(timeout=60)
+        finally:
+            process.kill()
+            process.wait(timeout=30)
+        assert process.returncode == 1
+        assert "Traceback" not in err
+        assert err.endswith("error: interrupted\n")
+        assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+        assert not (tmp_path / "out" / ".nbmf.lock").exists()
+
+
 class TestReport:
     def test_summarizes_run(self, workspace, capsys):
         assert run(workspace, "fit", "--config", "@/run.ini") == 0
@@ -742,7 +793,9 @@ class TestReport:
         assert set(environments[0]) == {
             "nbmf", "python", "numpy", "blas", "blas_version", "blas_threads",
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "cpu_count",
+            "fit_processes",
         }
+        assert environments[0]["fit_processes"] == [1]  # one row block
         assert environments[0]["nbmf"] == nbmf.__version__
         assert environments[0]["numpy"] == np.__version__
         assert environments[1]["OMP_NUM_THREADS"] == "3"
@@ -760,8 +813,52 @@ class TestReport:
             f"{environments[1]['blas_version']} "
             f"blas_threads={environments[1]['blas_threads']} "
             f"OPENBLAS_NUM_THREADS={environments[1]['OPENBLAS_NUM_THREADS']} "
-            f"OMP_NUM_THREADS=3 cpu_count={os.cpu_count()}"
+            f"OMP_NUM_THREADS=3 cpu_count={os.cpu_count()} fit_processes=1"
         )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="fits fork workers on Linux only")
+    def test_manifests_record_the_fit_process_counts(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 2)
+        Y, _, _ = planted_dataset(300, 400, 2, seed=9)  # two row blocks
+        save_coordinate_file(Y, tmp_path / "data.txt")
+        # three sweeps a fit: max_iter closes [tune] and is added to [fit]
+        (tmp_path / "run.ini").write_text(BASE_CONFIG.replace(
+            "log_every = 0\n", "log_every = 0\nmax_iter = 3\n") + "max_iter = 3\n")
+        recorded = {}
+        for mode, jobs in [("fit", None), ("tune", "1"), ("tune", "2")]:
+            out = f"{mode}{jobs}"
+            args = [mode, "--config", "@/run.ini", "--out", f"@/{out}"]
+            assert run(tmp_path, *args, *(["--jobs", jobs] if jobs else [])) == 0
+            manifest = json.loads(
+                (tmp_path / out / f"manifest_{mode}.json").read_text())
+            recorded[out] = manifest["environment"]["fit_processes"]
+        # the fit and serial tune fits fork a worker; pooled tune fits do not
+        assert recorded == {"fitNone": [2], "tune1": [2], "tune2": [1]}
+        for name in ("grid_result.csv", "heatmap.csv"):
+            assert (tmp_path / "tune1" / name).read_bytes() == \
+                (tmp_path / "tune2" / name).read_bytes()
+        capsys.readouterr()
+        assert run(tmp_path, "report", "--out", "@/fitNone") == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(" fit_processes=2")
+
+    def test_manifest_without_fit_processes_is_summarized(self, workspace,
+                                                          capsys):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        assert run(workspace, "eval", "--config", "@/run.ini") == 0
+        path = workspace / "out" / "manifest_fit.json"
+        payload = json.loads(path.read_text())
+        del payload["environment"]["fit_processes"]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(workspace, "report", "--out", "@/out") == 0
+        lines = capsys.readouterr().out.splitlines()
+        # eval runs no fit and records no process count
+        assert lines[0].startswith("eval: config ")
+        assert lines[1].endswith(f"cpu_count={os.cpu_count()}")
+        assert lines[2].startswith("fit: config ")
+        assert lines[3].endswith(f"cpu_count={os.cpu_count()}")
 
     def test_manifest_without_environment_is_summarized(self, workspace, capsys):
         assert run(workspace, "fit", "--config", "@/run.ini") == 0

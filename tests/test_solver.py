@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nbmf._workers
+import nbmf.solver
 from nbmf import (
     BetaPrior,
     BinaryMatrix,
@@ -18,18 +22,22 @@ from nbmf import (
     FactorPair,
     FitConfig,
     FitReport,
+    NbmfError,
     NumericalError,
     ObservationMask,
+    SplitSpec,
     fit,
     fit_em,
     init_factors,
     objective,
+    planted_dataset,
     random_binary_matrix,
     reconstruct,
+    split_observations,
     update_h,
     update_w,
 )
-from conftest import full_mask, subsample_mask
+from conftest import child_pids, full_mask, subsample_mask
 
 EPS = 1e-12
 # A pass walks the matrix in row blocks of at most 2 ** 16 cells: three here.
@@ -282,6 +290,22 @@ class TestObjective:
         # without the column whose 1 / P overflows, the block sums agree too
         got = solver_mod._log_likelihood(R[:, 1:].copy(), S[:, 1:].copy())
         assert np.float64(got).tobytes() == expected[:, 1:].copy().sum().tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+@pytest.mark.parametrize("call", [
+    lambda Y, mask, f: objective(Y, mask, f, BetaPrior()),
+    lambda Y, mask, f: update_h(Y, mask, f, BetaPrior()),
+    lambda Y, mask, f: update_w(Y, mask, f),
+], ids=["objective", "update_h", "update_w"])
+def test_zero_dimension_matrix_is_a_dimension_error(shape, call):
+    M, N = shape
+    Y, mask = BinaryMatrix(M, N, []), ObservationMask(M, N, [])
+    factors = FactorPair(np.full((M, 2), 0.5), np.full((2, N), 0.5))
+    with pytest.raises(DimensionError, match=re.escape(f"shape {shape}")):
+        call(Y, mask, factors)
+    with pytest.raises(EmptyMaskError):
+        fit(Y, mask, FitConfig(rank=2))
 
 
 class TestUpdateH:
@@ -643,10 +667,11 @@ class TestFit:
         assert len(growth) == 4
         assert max(growth) < M * N * 8
 
-    def test_fit_holds_four_full_size_float_arrays(self):
+    def test_fit_holds_four_full_size_float_arrays(self, monkeypatch):
         # at most four full-size float arrays (32 bytes a cell): A and B (8
         # bytes a cell each) plus two scratch arrays of at most 2 ** 16 cells
-        # each, 8.7 bytes a cell here (measured: 26.0 in all)
+        # each, 8.7 bytes a cell here (measured: 26.0 in all), in one process
+        monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 1)
         M, N = 300, 400
         Y = random_binary_matrix(M, N, 0.5, seed=8)
         mask = subsample_mask(M, N, 0.7, seed=8)
@@ -661,10 +686,11 @@ class TestFit:
             tracemalloc.stop()
         assert (peak - held) / (M * N) < 32
 
-    def test_blocked_fit_holds_no_full_size_working_array(self):
+    def test_blocked_fit_holds_no_full_size_working_array(self, monkeypatch):
         # A and B (8 bytes a cell each), plus two scratch arrays of at most
         # 2 ** 16 cells each (4.4 bytes a cell here; measured: 21.1 in all);
-        # a full-size working array adds 8 more
+        # a full-size working array adds 8 more; in one process
+        monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 1)
         M, N = 600, 400
         Y = random_binary_matrix(M, N, 0.5, seed=8)
         mask = subsample_mask(M, N, 0.7, seed=8)
@@ -742,29 +768,27 @@ class TestFit:
         np.testing.assert_array_equal(f1.W, f2.W)
         np.testing.assert_array_equal(f1.H, f2.H)
 
-    def test_rank_8_fit_bits_do_not_depend_on_the_blas_thread_count(self):
-        # At rank 8, row blocks of at most 2 ** 16 cells give the same bits
-        # at 1 and 2 threads on every shape measured; one block of all of
-        # 250 x 400 did not.  Rank 16 still differs on most shapes, so the
-        # promise stays "per BLAS thread count".
-        import nbmf.tune
-
-        if nbmf.tune._openblas_thread_calls() is None:
+    def test_fit_bits_do_not_depend_on_the_blas_thread_count(self):
+        # Every fit runs its products at one OpenBLAS thread.  Before it did,
+        # rank 8 gave the same bits at 1 and 2 threads in row blocks of at
+        # most 2 ** 16 cells, but not in one block of all of 250 x 400, and
+        # rank 16 differed at 600 x 900.
+        if nbmf._workers._openblas_thread_calls() is None:
             pytest.skip("numpy does not bundle scipy-openblas here")
         script = (
             "import hashlib\n"
             "import numpy as np\n"
             "from nbmf import (BetaPrior, FitConfig, SplitSpec, fit,\n"
             "                  planted_dataset, split_observations)\n"
-            "for M, N in [(250, 400), (600, 900)]:\n"
+            "for M, N, K in [(250, 400, 8), (600, 900, 8), (600, 900, 16)]:\n"
             "    Y, _, _ = planted_dataset(M, N, 8, seed=1)\n"
             "    train, _, _ = split_observations(Y, SplitSpec(seed=1))\n"
-            "    config = FitConfig(rank=8, prior=BetaPrior(3.0, 3.0),\n"
+            "    config = FitConfig(rank=K, prior=BetaPrior(3.0, 3.0),\n"
             "                       max_iter=50, tol=1e-300, seed=1)\n"
             "    factors, report = fit(Y, train, config)\n"
             "    trace = np.array(report.objective_trace)\n"
-            "    print(M, N, *(hashlib.sha256(a.tobytes()).hexdigest()\n"
-            "                  for a in (factors.W, factors.H, trace)))\n"
+            "    print(M, N, K, *(hashlib.sha256(a.tobytes()).hexdigest()\n"
+            "                     for a in (factors.W, factors.H, trace)))\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         digests = [
@@ -776,8 +800,115 @@ class TestFit:
             ).stdout.splitlines()
             for threads in (1, 2)
         ]
-        assert len(digests[0]) == 2
+        assert len(digests[0]) == 3
         assert digests[0] == digests[1]
+
+
+def planted_fit_inputs(M, N, seed=1):
+    Y, _, _ = planted_dataset(M, N, 3, seed=seed)
+    train, _, _ = split_observations(Y, SplitSpec(seed=seed))
+    return Y, train
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="fits fork workers on Linux only")
+class TestForkedFit:
+    """A fit of several row blocks forks one worker per CPU it may use, up to
+    one per block; ``_FORCED_CPUS`` sets that CPU count here."""
+
+    def fit_on(self, monkeypatch, processes, Y, mask, config, on_sweep=None):
+        monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", processes)
+        with nbmf._workers.recording_fit_processes() as seen:
+            result = fit(Y, mask, config, on_sweep=on_sweep)
+        n_blocks = len(nbmf.solver._blocks(*Y.shape))
+        assert seen == {min(processes, n_blocks)}
+        return result
+
+    @pytest.mark.parametrize("shape", [(400, 400), (600, 900), (1000, 400),
+                                       (3, 70000)])
+    @pytest.mark.parametrize("rank", [3, 8])
+    def test_bits_do_not_depend_on_the_process_count(self, monkeypatch, shape,
+                                                     rank):
+        # 400 x 400 is 3 uneven blocks; 3 x 70000 is one row per block
+        Y, train = planted_fit_inputs(*shape)
+        config = FitConfig(rank=rank, prior=BetaPrior(3.0, 3.0), max_iter=8,
+                           tol=1e-300, seed=2)
+        runs = [self.fit_on(monkeypatch, p, Y, train, config) for p in (1, 2, 3)]
+        (f1, r1), *others = runs
+        for factors, report in others:
+            assert report.objective_trace == r1.objective_trace
+            assert factors.W.tobytes() == f1.W.tobytes()
+            assert factors.H.tobytes() == f1.H.tobytes()
+
+    def test_on_sweep_arrays_are_not_overwritten(self, monkeypatch):
+        Y, train = planted_fit_inputs(600, 900)
+        config = FitConfig(rank=4, max_iter=6, tol=1e-300, seed=2)
+        seen = {1: [], 2: []}
+        for p, factors in seen.items():
+            self.fit_on(monkeypatch, p, Y, train, config,
+                        on_sweep=lambda it, value, f: factors.append(f))
+        assert len(seen[2]) == 6
+        assert not np.array_equal(seen[2][0].W, seen[2][1].W)
+        for f1, f2 in zip(seen[1], seen[2], strict=True):
+            np.testing.assert_array_equal(f1.W, f2.W)
+            np.testing.assert_array_equal(f1.H, f2.H)
+
+    def test_worker_numerical_error_matches_one_process(self, monkeypatch):
+        real = nbmf.solver._block_ratios
+
+        def flaky(A, B, W, H, P, R, sweep=None, check=True):
+            # the third, 74-row block of 400 x 400 leaves (0, 1) at sweep 3;
+            # with 2 or 3 processes a worker runs it
+            if check and sweep == 3 and A.shape[0] == 74:
+                H = H + 1.0
+            return real(A, B, W, H, P, R, sweep, check)
+
+        monkeypatch.setattr(nbmf.solver, "_block_ratios", flaky)
+        Y, train = planted_fit_inputs(400, 400)
+        config = FitConfig(rank=3, max_iter=10, tol=1e-300)
+        before = child_pids()
+        errors = []
+        for p in (1, 2, 3):
+            with pytest.raises(NumericalError) as excinfo:
+                self.fit_on(monkeypatch, p, Y, train, config)
+            errors.append((excinfo.value.iteration, str(excinfo.value)))
+            assert child_pids() == before
+        assert errors == [(3, "iteration 3: reconstruction left the open "
+                              "interval (0, 1)")] * 3
+
+    def test_no_worker_outlives_the_fit(self, monkeypatch):
+        Y, train = planted_fit_inputs(600, 900)
+        config = FitConfig(rank=3, max_iter=4, tol=1e-300)
+        before = child_pids()
+        during = []
+
+        def look(iteration, value, factors):
+            during.append(child_pids() - before)
+
+        self.fit_on(monkeypatch, 3, Y, train, config, on_sweep=look)
+        assert [len(workers) for workers in during] == [2] * 4
+        assert child_pids() == before
+
+        def stop(iteration, value, factors):
+            raise RuntimeError("on_sweep failed")
+
+        with pytest.raises(RuntimeError, match="on_sweep failed"):
+            self.fit_on(monkeypatch, 3, Y, train, config, on_sweep=stop)
+        assert child_pids() == before
+
+    def test_killed_worker_ends_the_fit(self, monkeypatch):
+        Y, train = planted_fit_inputs(600, 900)
+        config = FitConfig(rank=3, max_iter=50, tol=1e-300)
+        before = child_pids()
+
+        def kill_workers(iteration, value, factors):
+            if iteration == 2:
+                for pid in child_pids() - before:
+                    os.kill(pid, signal.SIGKILL)
+
+        with pytest.raises(NbmfError, match="fit worker process .* died"):
+            self.fit_on(monkeypatch, 2, Y, train, config, on_sweep=kill_workers)
+        assert child_pids() == before
 
 
 class TestFitEm:

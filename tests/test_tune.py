@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import nbmf._workers
 import nbmf.solver
 import nbmf.tune
 from nbmf import (
@@ -447,21 +448,62 @@ class TestBlasThreadBound:
             assert seen == [1] * 4
             assert get_threads() == before
 
-    def test_rows_do_not_depend_on_the_worker_count(self):
-        # a one-block shape large enough for multi-threaded BLAS products;
-        # unthrottled, a serial search differed from a 2-worker one in 1 of
-        # these 8 rows on 2 CPUs
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # two row blocks: serial fits run on the main thread, each on two
+        # processes; pooled fits run on pool threads, each in one process.
+        # Unthrottled, with all of 250 x 400 in one block, a serial search
+        # differed from a 2-worker one in 1 of these 8 rows on 2 CPUs.
+        monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 2)
         Y, _, _ = planted_dataset(250, 400, 8, 0.5, 0.5, seed=1)
         train, val, _ = split_observations(Y, SplitSpec(seed=1))
         grid = GridSpec(rank_values=(4, 8), alpha_values=(1.0, 3.0),
                         beta_values=(1.0, 3.0), n_restarts=1, max_iter=150,
                         tol=1e-15, base_seed=1)
-        tables = [
-            [replace(row, wall_time=0.0)
-             for row in grid_search(Y, train, val, grid, n_jobs=n_jobs)[0]]
-            for n_jobs in (1, 2)
-        ]
+        tables, processes = [], []
+        for n_jobs in (1, 2):
+            with nbmf._workers.recording_fit_processes() as seen:
+                rows = grid_search(Y, train, val, grid, n_jobs=n_jobs)[0]
+            tables.append([replace(row, wall_time=0.0) for row in rows])
+            processes.append(seen)
         assert tables[0] == tables[1]
+        assert processes == [{2}, {1}]
+
+    def test_pooled_fits_fork_nothing(self, monkeypatch):
+        monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 2)
+
+        def no_fork():
+            raise AssertionError("a pooled fit forked")
+
+        monkeypatch.setattr(nbmf._workers.os, "fork", no_fork)
+        Y, _, _ = planted_dataset(250, 400, 3, seed=2)
+        train, val, _ = split_observations(Y, SplitSpec(seed=2))
+        grid = GridSpec(rank_values=(2, 3), alpha_values=(1.0,),
+                        beta_values=(1.0,), n_restarts=1, max_iter=5)
+        results, _ = grid_search(Y, train, val, grid, n_jobs=2)
+        assert all(row.val_perplexity is not None for row in results)
+
+    def test_bound_holds_until_the_last_holder_exits(self):
+        calls = nbmf.tune._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy does not bundle scipy-openblas here")
+        get_threads, set_threads = calls
+        before = get_threads()
+        try:
+            set_threads(2)
+            if get_threads() != 2:
+                pytest.skip("OpenBLAS runs at most one thread here")
+            first = nbmf.tune._blas_threads_at_most(1)
+            second = nbmf.tune._blas_threads_at_most(1)
+            first.__enter__()
+            second.__enter__()
+            # the first holder leaves while the second, on another thread in
+            # a pool, would still be running
+            first.__exit__(None, None, None)
+            assert get_threads() == 1
+            second.__exit__(None, None, None)
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
 
     def test_bound_never_raises_thread_count(self):
         calls = nbmf.tune._openblas_thread_calls()
