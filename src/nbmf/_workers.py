@@ -120,7 +120,7 @@ def fit_processes(n_blocks):
     :func:`recording_fit_processes` block.
     """
     processes = 1
-    if (sys.platform.startswith("linux") and hasattr(os, "fork")
+    if (sys.platform.startswith("linux")
             and threading.current_thread() is threading.main_thread()
             and threading.active_count() == 1):
         cpus = _FORCED_CPUS or len(os.sched_getaffinity(0))

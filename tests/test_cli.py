@@ -827,20 +827,20 @@ class TestReport:
         (tmp_path / "run.ini").write_text(BASE_CONFIG.replace(
             "log_every = 0\n", "log_every = 0\nmax_iter = 3\n") + "max_iter = 3\n")
         recorded = {}
-        for mode, jobs in [("fit", None), ("tune", "1"), ("tune", "2")]:
-            out = f"{mode}{jobs}"
-            args = [mode, "--config", "@/run.ini", "--out", f"@/{out}"]
-            assert run(tmp_path, *args, *(["--jobs", jobs] if jobs else [])) == 0
+        for out, args in [("fit", ["fit"]), ("tune1", ["tune", "--jobs", "1"]),
+                          ("tune2", ["tune", "--jobs", "2"])]:
+            assert run(tmp_path, *args, "--config", "@/run.ini",
+                       "--out", f"@/{out}") == 0
             manifest = json.loads(
-                (tmp_path / out / f"manifest_{mode}.json").read_text())
+                (tmp_path / out / f"manifest_{args[0]}.json").read_text())
             recorded[out] = manifest["environment"]["fit_processes"]
         # the fit and serial tune fits fork a worker; pooled tune fits do not
-        assert recorded == {"fitNone": [2], "tune1": [2], "tune2": [1]}
+        assert recorded == {"fit": [2], "tune1": [2], "tune2": [1]}
         for name in ("grid_result.csv", "heatmap.csv"):
             assert (tmp_path / "tune1" / name).read_bytes() == \
                 (tmp_path / "tune2" / name).read_bytes()
         capsys.readouterr()
-        assert run(tmp_path, "report", "--out", "@/fitNone") == 0
+        assert run(tmp_path, "report", "--out", "@/fit") == 0
         assert capsys.readouterr().out.splitlines()[1].endswith(" fit_processes=2")
 
     def test_manifest_without_fit_processes_is_summarized(self, workspace,
