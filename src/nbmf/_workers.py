@@ -1,13 +1,15 @@
 """Forked worker processes for one fit, and the bound on OpenBLAS threads.
 
-A fit on a matrix of several row blocks runs each sweep on ``p`` processes:
-itself and ``p - 1`` workers forked after the problem is prepared, which
-inherit its arrays read-only and write their results into anonymous shared
-memory (:func:`shared_arrays`).  :func:`fit_processes` works out ``p``.
-:class:`Workers` owns the workers: each runs one fixed range of row blocks
-whenever the fit sends it a sweep index, and answers when the range is
-done.  The fit itself decides what a range computes and how the results
-are folded; see ``solver.fit``.
+Every fit runs each sweep on ``p`` processes: itself and ``p - 1``
+workers, none at ``p = 1``, forked after the problem is prepared.  The
+workers inherit its arrays read-only, and the fit and its workers keep W,
+H and the workers' results in one anonymous shared mapping
+(:func:`shared_arrays`), which every fit makes, whatever its ``p``.
+:func:`fit_processes` works out ``p``.  :class:`Workers` owns the workers:
+each runs one fixed range of row blocks whenever the fit sends it a sweep
+index, and answers when the range is done; with no ranges it forks
+nothing and its calls return at once.  The fit itself decides what a
+range computes and how the results are added up; see ``solver.fit``.
 
 Every worker ignores SIGINT (Ctrl-C reaches the fit, which stops them),
 leaves only through ``os._exit`` (a normal exit would run the fit's
@@ -16,7 +18,7 @@ when its command pipe reaches EOF, so a fit that is killed leaves no worker
 behind.  :meth:`Workers.close` reaps them.
 
 Every fit, and every tune pool, holds numpy's bundled OpenBLAS to one
-thread with :func:`_blas_threads_at_most`: ``p`` processes then use ``p``
+thread with :func:`_one_blas_thread`: ``p`` processes then use ``p``
 cores, and a fit's bytes do not depend on the BLAS thread count.
 """
 
@@ -65,43 +67,41 @@ def _openblas_thread_calls():
     return None
 
 
-# The limits of the _blas_threads_at_most blocks open on any thread, and the
-# thread count before the first of them opened.
+# The number of _one_blas_thread blocks open on any thread, and the thread
+# count before the first of them opened.
 _blas_lock = threading.Lock()
-_blas_limits = []
+_blas_holders = 0
 _blas_before = None
 
 
 @contextmanager
-def _blas_threads_at_most(limit):
-    """Hold numpy's OpenBLAS to at most ``limit`` threads inside the block.
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread inside the block.
 
     The thread count is process-wide, so blocks open at once on several
-    threads share one bound: the smallest limit held, which is lifted only
-    when the last block closes and the previous count is restored.
-    Without the bundled OpenBLAS this does nothing.
+    threads share the bound, which is lifted only when the last block
+    closes and the previous count is restored.  Without the bundled
+    OpenBLAS this does nothing.
     """
-    global _blas_before
+    global _blas_holders, _blas_before
     calls = _openblas_thread_calls()
     if calls is None:
         yield
         return
     get, set_ = calls
     with _blas_lock:
-        if not _blas_limits:
+        if not _blas_holders:
             _blas_before = get()
-        _blas_limits.append(limit)
-        bound = min([_blas_before, *_blas_limits])
-        if get() != bound:
-            set_(bound)
+        _blas_holders += 1
+        if get() != 1:
+            set_(1)
     try:
         yield
     finally:
         with _blas_lock:
-            _blas_limits.remove(limit)
-            bound = min([_blas_before, *_blas_limits])
-            if get() != bound:
-                set_(bound)
+            _blas_holders -= 1
+            if not _blas_holders and get() != _blas_before:
+                set_(_blas_before)
 
 
 # Set only by tests: the CPU count that fit_processes assumes.

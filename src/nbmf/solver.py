@@ -30,31 +30,35 @@ walks the rows in blocks of at most 2**16 cells, or of one row where a row
 is longer (``_blocks``), whose working set stays in cache.  On a block,
 ``_block_ratios`` computes ``P = W @ H``, checks that every cell lies in
 (0, 1) and writes ``R = A / P`` and then ``S = B / (1 - P)`` over ``P``.
-``_w_step`` takes a block's W-step rows from its ratios, ``_numerators``
-adds its share ``W.T @ R`` and ``W.T @ S`` of the H step, and
-``_log_likelihood`` its share of the objective: ``R + S`` is ``1 / P`` on an
-observed one, ``1 / (1 - P)`` on an observed zero and 0 elsewhere, so the
-masked negative log-likelihood is ``sum(log(max(R + S, 1)))``, one log per
-cell.  Only the K-by-N numerators and that sum couple the rows, and they
-are summed in block order.  ``_h_step`` takes the next H from the summed
-numerators.  :func:`update_w`, :func:`update_h` and :func:`objective` are
-each one loop over the blocks.  :func:`fit` prepares once and makes each
-sweep one loop: a block takes its W step, then scores the new rows and adds
-their numerators, and after the loop the next sweep's H is taken; so a sweep
-computes two products and two ratio passes per block.
+``_w_step`` takes a block's W-step rows from its ratios, ``W.T @ R`` and
+``W.T @ S`` are its share of the H step's numerators, and
+``_log_likelihood`` gives its share of the objective: ``R + S`` is
+``1 / P`` on an observed one, ``1 / (1 - P)`` on an observed zero and 0
+elsewhere, so the masked negative log-likelihood is
+``sum(log(max(R + S, 1)))``, one log per cell.  Only the K-by-N numerators
+and that sum couple the rows, and they are added to zeroed sums in block
+order.  ``_h_step`` takes the next H from the summed numerators.
+:func:`update_w`, :func:`update_h` and :func:`objective` are each one loop
+over the blocks.
 
-:func:`fit` runs that loop on ``p`` processes, ``p`` from
-``_workers.fit_processes``: on Linux, from the main thread while no other
-Python thread is alive, the CPUs this process may use, at most one per
-block; else 1.  With ``p > 1`` it forks ``p - 1`` workers after preparing,
-which inherit ``A`` and ``B``.  Each process owns a fixed contiguous range
-of blocks, the fit's own first; on each evaluation the fit writes H to
-shared memory, runs its range while the workers run theirs, and adds their
-blocks' numerators and log-likelihoods, stored in shared memory, after its
-own in block order, so the bytes do not depend on ``p``.  W is shared too,
-and each sweep writes its W step over it, block by block.  Every fit runs
-its products at one OpenBLAS thread, so its bytes do not depend on the
-BLAS thread count either.
+:func:`fit` prepares once and makes each sweep one pass in which a block
+takes its W step, then scores the new rows and writes their numerators
+(``block_share``); after the pass the next sweep's H is taken.  So a sweep
+computes two products and two ratio passes per block.  The pass runs on
+``p`` processes, ``p`` from ``_workers.fit_processes``: on Linux, from the
+main thread while no other Python thread is alive, the CPUs this process
+may use, at most one per block; else 1.  Every ``p`` runs the same loop:
+after preparing, the fit forks ``p - 1`` workers, none at ``p = 1``, which
+inherit ``A`` and ``B``.  Each process owns a fixed contiguous range of
+blocks, the fit's own first.  W and H live in one anonymous shared mapping
+(``_workers.shared_arrays``), and each sweep writes its W step over W,
+block by block, and its next H over H.  The fit runs its own blocks
+through one reused pair of numerator slots, adding each block's to the
+sums as it goes; a worker writes each of its blocks' numerators and
+log-likelihood into that block's own slots in the mapping, and the fit
+adds those after its own, in block order.  So the bytes do not depend on
+``p``.  Every fit runs its products at one OpenBLAS thread, so its bytes
+do not depend on the BLAS thread count either.
 
 Every call prepares its own problem, except on a mask that
 ``_shared_problem(Y, mask)`` yields: that copy of the mask carries one
@@ -66,13 +70,12 @@ instead of preparing one each.
 
 The public functions are pure: they read their inputs and return fresh
 arrays.  Besides the prepared problem, each call owns only its two scratch
-arrays of one block's size (each worker of a fit has its own), and a
-forked fit its shared memory: W, H, and 2·K·N float64 per block a
-worker runs.  :func:`fit` allocates them once and writes every
-block step into them, so a sweep allocates nothing of the matrix's size;
-the W and H it returns or passes to ``on_sweep`` are fresh arrays that no
-later sweep overwrites.  The H step taken after the last evaluation is
-discarded.
+arrays of one block's size (each worker of a fit has its own), and a fit
+its shared mapping: W, H, and 2·K·N float64 per block a worker runs.
+:func:`fit` allocates them once and writes every block step into them, so
+a sweep allocates nothing of the matrix's size; the W and H it returns or
+passes to ``on_sweep`` are copies that no later sweep overwrites.  The H
+step taken after the last evaluation is discarded.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._workers import Workers, _blas_threads_at_most, fit_processes, shared_arrays
+from ._workers import Workers, _one_blas_thread, fit_processes, shared_arrays
 from .binmat import BinaryMatrix, ObservationMask, _integer_setting
 from .errors import ConfigError, DimensionError, EmptyMaskError, NumericalError
 
@@ -381,16 +384,6 @@ def _log_likelihood(R, S):
     return np.log(np.maximum(R, 1.0, out=R), out=R).sum()
 
 
-def _numerators(num, W, R, S):
-    """``(W.T @ R, W.T @ S)`` of one row block, added to ``num``, the sums of
-    the blocks before it (None for the first block)."""
-    pos, neg = W.T @ R, W.T @ S
-    if num is not None:
-        pos += num[0]
-        neg += num[1]
-    return pos, neg
-
-
 def _objective_value(loglik, H, prior):
     """The MAP objective: the summed block log-likelihoods plus the prior
     penalty over all of H."""
@@ -439,11 +432,12 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     """
     A, B, _ = _problem(Y, mask)
     W, H = factors.W, factors.H
-    num = None
+    pos, neg = np.zeros((2, *H.shape))
     for rows, P, R in _blocks(*Y.shape):
-        num = _numerators(num, W[rows],
-                          *_block_ratios(A[rows], B[rows], W[rows], H, P, R))
-    return _h_step(*num, H, prior.alpha, prior.beta, epsilon, clamp)
+        R, S = _block_ratios(A[rows], B[rows], W[rows], H, P, R)
+        pos += W[rows].T @ R
+        neg += W[rows].T @ S
+    return _h_step(pos, neg, H, prior.alpha, prior.beta, epsilon, clamp)
 
 
 def _w_step(R, S, n_obs, W, H, epsilon, clamp):
@@ -505,94 +499,85 @@ def fit(Y, mask, config, on_sweep=None):
     prior, epsilon = config.prior, config.epsilon
     blocks = _blocks(*Y.shape)
     processes = fit_processes(len(blocks))
-    forked = processes > 1
     # The fit's own range of blocks comes first; workers run the others.
     bounds = [len(blocks) * i // processes for i in range(processes + 1)]
     own = bounds[1]
 
-    def block_pass(b, W, H, sweep, W_before):
-        """Row block ``b``'s rows of ``W`` and its ratios at ``(W, H)``.
+    start = time.perf_counter()
+    factors = init_factors(Y.n_rows, Y.n_cols, config.rank, epsilon, config.seed)
+    # W, H, and each worker-run block's log-likelihood and H-step numerators.
+    # A block's W step reads only the block's own rows of the W before it, so
+    # each sweep writes its W over that one.
+    stored = len(blocks) - own
+    W, H, logliks, pos, neg = shared_arrays(
+        factors.W.shape, factors.H.shape, (stored,), (stored, *factors.H.shape),
+        (stored, *factors.H.shape),
+    )
+    W[...], H[...] = factors.W, factors.H
+    own_pos, own_neg = np.empty((2, *H.shape))
 
-        With ``W_before``, the block's rows of ``W`` are first written with
-        the W step at ``(W_before, H)``.
-        """
+    def block_share(b, sweep, pos_b, neg_b):
+        """Row block ``b``'s share of evaluating ``(W, H)``: its H-step
+        numerators, written into ``pos_b`` and ``neg_b``, and its returned
+        log-likelihood.  After sweep 0 the block's rows of ``W`` are first
+        written with their W step at ``H``."""
         rows, P, R = blocks[b]
         A_b, B_b, W_b = A[rows], B[rows], W[rows]
-        if W_before is not None:
+        if sweep:
             # Unchecked: rows on the simplex times an H clamped to
             # [epsilon, 1 - epsilon] stay inside (0, 1), and the new
             # rows are checked below.
-            W_b[...] = _w_step(
-                *_block_ratios(A_b, B_b, W_before[rows], H, P, R, check=False),
-                n_obs[rows], W_before[rows], H, epsilon, clamp=True,
-            )
-        return (W_b, *_block_ratios(A_b, B_b, W_b, H, P, R, sweep))
+            W_b[...] = _w_step(*_block_ratios(A_b, B_b, W_b, H, P, R, check=False),
+                               n_obs[rows], W_b, H, epsilon, clamp=True)
+        R_b, S_b = _block_ratios(A_b, B_b, W_b, H, P, R, sweep)
+        np.matmul(W_b.T, R_b, out=pos_b)
+        np.matmul(W_b.T, S_b, out=neg_b)
+        return _log_likelihood(R_b, S_b)
 
-    def evaluate(W, H, sweep, W_before=None):
-        """Score ``(W, H)`` and return the score with the next sweep's H.
+    def run_range(sweep, lo, hi):
+        """A worker's share of ``evaluate``: blocks ``lo`` to ``hi`` into
+        their stored slots."""
+        for b in range(lo, hi):
+            logliks[b - own] = block_share(b, sweep, pos[b - own], neg[b - own])
 
-        With ``W_before``, each row block of ``W`` is first written with the
-        W step at ``(W_before, H)``, so one pass over a block takes its W
-        step, scores it and adds its share of the next H step.  The blocks'
-        shares are added in block order, whichever process ran them.
+    def evaluate(sweep):
+        """Score ``(W, H)``, after this sweep's W step unless ``sweep`` is
+        0, and return the score with the next sweep's H.
+
+        The blocks' shares are added in block order, whichever process ran
+        them, so the bytes do not depend on the process count.
         """
-        if forked:
-            shared_H[...] = H
-            workers.start(sweep)
-        num, loglik = None, 0.0
+        workers.start(sweep)
+        pos_sum, neg_sum = np.zeros((2, *H.shape))
+        loglik = 0.0
         for b in range(own):
-            W_b, R_b, S_b = block_pass(b, W, H, sweep, W_before)
-            num = _numerators(num, W_b, R_b, S_b)
-            loglik += _log_likelihood(R_b, S_b)
-        if forked:
-            workers.wait()
-            pos_sum, neg_sum = num
-            for k, value in enumerate(logliks):
-                pos_sum += pos[k]
-                neg_sum += neg[k]
-                loglik += value
-        next_H = _h_step(*num, H, prior.alpha, prior.beta, epsilon, clamp=True)
+            loglik += block_share(b, sweep, own_pos, own_neg)
+            pos_sum += own_pos
+            neg_sum += own_neg
+        workers.wait()
+        for k, value in enumerate(logliks):
+            pos_sum += pos[k]
+            neg_sum += neg[k]
+            loglik += value
+        next_H = _h_step(pos_sum, neg_sum, H, prior.alpha, prior.beta, epsilon,
+                         clamp=True)
         value = _objective_value(loglik, H, prior)
         if not np.isfinite(value):
             raise NumericalError("non-finite objective", iteration=sweep)
         return value, next_H
 
-    def run_range(sweep, lo, hi):
-        """A worker's share of ``evaluate``: blocks ``lo`` to ``hi`` into
-        the shared arrays."""
-        W_before = shared_W if sweep else None
-        for b in range(lo, hi):
-            W_b, R_b, S_b = block_pass(b, shared_W, shared_H, sweep, W_before)
-            np.matmul(W_b.T, R_b, out=pos[b - own])
-            np.matmul(W_b.T, S_b, out=neg[b - own])
-            logliks[b - own] = _log_likelihood(R_b, S_b)
-
-    start = time.perf_counter()
-    factors = init_factors(Y.n_rows, Y.n_cols, config.rank, epsilon, config.seed)
-    W, H = factors.W, factors.H
-    if forked:
-        # W, H, and each worker-run block's log-likelihood and H-step
-        # numerators.  A block's W step reads only the block's own rows of
-        # the W before it, so each sweep writes its W over that one.
-        stored = len(blocks) - own
-        shared_W, shared_H, logliks, pos, neg = shared_arrays(
-            W.shape, H.shape, (stored,), (stored, *H.shape), (stored, *H.shape),
-        )
-        shared_W[...] = W
-        W = shared_W
     ranges = zip(bounds[1:-1], bounds[2:])
-    with _blas_threads_at_most(1), Workers(run_range, ranges) as workers:
-        value, next_H = evaluate(W, H, 0)
+    with _one_blas_thread(), Workers(run_range, ranges) as workers:
+        value, next_H = evaluate(0)
         trace = [value]
         converged = False
 
         for sweep in range(1, config.max_iter + 1):
-            H, W_before = next_H, W
-            W = shared_W if forked else np.empty_like(W)
-            value, next_H = evaluate(W, H, sweep, W_before)
+            H[...] = next_H
+            value, next_H = evaluate(sweep)
             trace.append(value)
             if on_sweep is not None:
-                on_sweep(sweep, trace[-1], FactorPair(W.copy() if forked else W, H))
+                on_sweep(sweep, trace[-1], FactorPair(W.copy(), H.copy()))
             if _relative_change(trace[-2], trace[-1]) < config.tol:
                 converged = True
                 break
@@ -604,7 +589,7 @@ def fit(Y, mask, config, on_sweep=None):
         wall_time=time.perf_counter() - start,
         seed=config.seed,
     )
-    return FactorPair(W.copy() if forked else W, H), report
+    return FactorPair(W.copy(), H.copy()), report
 
 
 def fit_em(Y, mask, config, on_sweep=None):

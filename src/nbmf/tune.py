@@ -38,8 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# _openblas_thread_calls stays importable from here, beside the pool's bound.
-from ._workers import _blas_threads_at_most, _openblas_thread_calls  # noqa: F401
+from ._workers import _one_blas_thread
 from .binmat import _integer_setting
 from .errors import ConfigError, NumericalError, SearchError
 from .evaluate import _require_disjoint, perplexity
@@ -257,7 +256,7 @@ def _run_jobs(jobs, n_jobs):
     running ones are waited for.
     """
     workers = min(n_jobs, len(jobs))
-    with _blas_threads_at_most(1):
+    with _one_blas_thread():
         if workers <= 1:
             for job in jobs:
                 yield job()

@@ -67,7 +67,7 @@ def random_instances(count):
 
 
 def blocked_instances():
-    """Two 400 x 400 instances, above the 2 ** 17 cells that a fit walks as
+    """Two 400 x 400 instances, above the 2 ** 16 cells that a fit walks as
     one row block: full mask and flat prior, then a subsampled mask with a
     Beta(3, 1.5) prior."""
     for index, (mask_seed, alpha, beta) in enumerate([(None, 1.0, 1.0),

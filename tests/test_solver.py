@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -577,10 +578,13 @@ class TestFit:
         assert str(excinfo.value).startswith("iteration 2: ")
 
     @pytest.mark.parametrize("prior", [BetaPrior(), BetaPrior(2.0, 1.5)])
-    def test_sweeps_equal_replayed_public_updates(self, prior):
+    def test_sweeps_equal_replayed_public_updates(self, monkeypatch, prior):
         # row 2 and column 4 have no observed cells, and on the blocked
-        # shape neither has row 300, which lies in a later row block
-        for M, N, K in [(7, 6, 3), (*BLOCKED, 3)]:
+        # shape neither has row 300, which lies in a later row block; with
+        # 2 CPUs a worker runs that block
+        shapes = [(7, 6, 3), (*BLOCKED, 3)]
+        for cpus, (M, N, K) in itertools.product([1, 2], shapes):
+            monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", cpus)
             Y = random_binary_matrix(M, N, 0.45, seed=12)
             rows, cols = subsample_mask(M, N, 0.7, seed=12).indices()
             mask = ObservationMask(M, N, frozenset(

@@ -438,7 +438,7 @@ class TestCheckpointRows:
 
 class TestBlasThreadBound:
     def test_pool_bounds_and_restores_blas_threads(self):
-        calls = nbmf.tune._openblas_thread_calls()
+        calls = nbmf._workers._openblas_thread_calls()
         if calls is None:
             pytest.skip("numpy does not bundle scipy-openblas here")
         get_threads = calls[0]
@@ -483,7 +483,7 @@ class TestBlasThreadBound:
         assert all(row.val_perplexity is not None for row in results)
 
     def test_bound_holds_until_the_last_holder_exits(self):
-        calls = nbmf.tune._openblas_thread_calls()
+        calls = nbmf._workers._openblas_thread_calls()
         if calls is None:
             pytest.skip("numpy does not bundle scipy-openblas here")
         get_threads, set_threads = calls
@@ -492,8 +492,8 @@ class TestBlasThreadBound:
             set_threads(2)
             if get_threads() != 2:
                 pytest.skip("OpenBLAS runs at most one thread here")
-            first = nbmf.tune._blas_threads_at_most(1)
-            second = nbmf.tune._blas_threads_at_most(1)
+            first = nbmf._workers._one_blas_thread()
+            second = nbmf._workers._one_blas_thread()
             first.__enter__()
             second.__enter__()
             # the first holder leaves while the second, on another thread in
@@ -506,21 +506,21 @@ class TestBlasThreadBound:
             set_threads(before)
 
     def test_bound_never_raises_thread_count(self):
-        calls = nbmf.tune._openblas_thread_calls()
+        calls = nbmf._workers._openblas_thread_calls()
         if calls is None:
             pytest.skip("numpy does not bundle scipy-openblas here")
         get_threads, set_threads = calls
         before = get_threads()
         try:
             set_threads(1)
-            with nbmf.tune._blas_threads_at_most(64):
+            with nbmf._workers._one_blas_thread():
                 assert get_threads() == 1
             assert get_threads() == 1
         finally:
             set_threads(before)
 
     def test_restored_when_a_job_raises(self):
-        calls = nbmf.tune._openblas_thread_calls()
+        calls = nbmf._workers._openblas_thread_calls()
         if calls is None:
             pytest.skip("numpy does not bundle scipy-openblas here")
         before = calls[0]()
@@ -535,7 +535,7 @@ class TestBlasThreadBound:
 
 class TestPoolCancellation:
     def test_failure_cancels_queued_jobs(self):
-        calls = nbmf.tune._openblas_thread_calls()
+        calls = nbmf._workers._openblas_thread_calls()
         before = calls[0]() if calls else None
         started = []
         lock = threading.Lock()
