@@ -19,7 +19,7 @@ from nbmf import (
     fit,
     perplexity,
     planted_dataset,
-    predict_from_factors,
+    reconstruct,
     split_observations,
 )
 
@@ -29,7 +29,7 @@ train, val, test = split_observations(Y, SplitSpec(seed=7))
 print(f"cells: train={train.n_cells} val={val.n_cells} test={test.n_cells}")
 
 factors, report = fit(Y, train, FitConfig(rank=3, prior=BetaPrior(3, 3), seed=0))
-pred = predict_from_factors(factors)
+pred = reconstruct(factors)
 
 for name, mask in (("train", train), ("val", val), ("test", test)):
     score = perplexity(Y, mask, pred)

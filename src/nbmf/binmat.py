@@ -10,7 +10,8 @@ Both types store their cells as one sorted, duplicate-free, read-only
 ``int64`` array of linear indices ``row * n_cols + col`` (the ``linear``
 attribute).  Parsing, writing, splitting, densifying and scoring all work on
 that array; ``BinaryMatrix.ones``, a frozenset of ``(row, col)`` tuples, is
-a view built on demand for callers that want a Python set.
+a view built on demand for callers that want a Python set.  Nothing in the
+package uses it.
 
 All types here are immutable after construction and safe to share across
 threads.  Datasets and masks are written here, and every file of the

@@ -26,13 +26,12 @@ import numpy as np
 
 from . import __version__
 from ._workers import _openblas_thread_calls, recording_fit_processes
-from .binmat import _GAP, SplitSpec, load_coordinate_file, load_mask, save_mask, \
-    split_observations
+from .binmat import _GAP, SplitSpec, load_coordinate_file, save_mask, split_observations
 from .errors import ConfigError, DimensionError, NbmfError
-from .evaluate import completion_report, predict_from_factors
+from .evaluate import completion_report
 from .io import H_FILE, META_FILE, W_FILE, _meta_float, _meta_int, _write_json, \
     _write_text, read_factors, write_factors, write_report
-from .solver import BetaPrior, FitConfig, fit
+from .solver import BetaPrior, FitConfig, fit, reconstruct
 from .tune import GridResult, GridSpec, export_heatmap, grid_search, test_evaluation
 
 __all__ = ["main", "RunConfig", "load_run_config"]
@@ -306,15 +305,9 @@ def cmd_fit(config):
     return 0
 
 
-def _scored_masks(config, Y):
-    """The validation and test masks that fit saved, else the split rebuilt."""
-    paths = [config.out_dir / MASK_FILES[name] for name in ("val", "test")]
-    if all(path.is_file() for path in paths):
-        return tuple(load_mask(path) for path in paths)
-    return split_observations(Y, config.split)[1:]
-
-
 def cmd_eval(config):
+    """Score the saved factors on the held-out cells of ``[split]``'s split,
+    made again as fit made it: fit's mask files are never read back."""
     for name in (W_FILE, H_FILE, META_FILE):
         if not (config.out_dir / name).is_file():
             raise ConfigError(
@@ -328,8 +321,8 @@ def cmd_eval(config):
                 f"factors describe a {meta['n_rows']}x{meta['n_cols']} matrix "
                 f"but the dataset is {Y.shape[0]}x{Y.shape[1]}"
             )
-        val, test = _scored_masks(config, Y)
-        pred = predict_from_factors(factors)
+        val, test = split_observations(Y, config.split)[1:]
+        pred = reconstruct(factors)
         report = completion_report(Y, val, test, pred)
         json_path = config.out_dir / COMPLETION_JSON
         _write_json(json_path, report.to_dict())

@@ -68,7 +68,7 @@ def perplexity(Y, mask, pred):
 
 
 def predict_from_factors(factors):
-    """Bernoulli means from exported factors; identical to ``W @ H``."""
+    """Bernoulli means ``W @ H``: an alias of ``reconstruct`` for older callers."""
     return reconstruct(factors)
 
 

@@ -387,8 +387,8 @@ def _log_likelihood(R, S):
 def _objective_value(loglik, H, prior):
     """The MAP objective: the summed block log-likelihoods plus the prior
     penalty over all of H."""
-    alpha, beta = prior.alpha, prior.beta
-    if alpha != 1.0 or beta != 1.0:
+    if not prior.is_flat:
+        alpha, beta = prior.alpha, prior.beta
         loglik -= ((alpha - 1.0) * np.log(H) + (beta - 1.0) * np.log1p(-H)).sum()
     return float(loglik)
 

@@ -253,7 +253,7 @@ class TestCoordinateFile:
         path = tmp_path / "messy.txt"
         path.write_bytes(b"# header comment\r\n2 3\r\n\r\n0 1\r\n# mid\r\n1 2\r\n")
         m = load_coordinate_file(path)
-        assert m.ones == frozenset([(0, 1), (1, 2)])
+        assert m.linear.tolist() == [0 * 3 + 1, 1 * 3 + 2]
 
     def test_round_trip(self, tmp_path):
         for seed in range(5):
@@ -417,7 +417,7 @@ def _scanned(path):
         shape, coords = _scan_coords(path)
     except (ValueError, OSError) as exc:
         return type(exc), str(exc)
-    return shape, frozenset(coords)
+    return shape, sorted(r * shape[1] + c for r, c in coords)
 
 
 def _loaded(path):
@@ -425,7 +425,7 @@ def _loaded(path):
         m = load_coordinate_file(path)
     except (ValueError, OSError) as exc:
         return type(exc), str(exc)
-    return m.shape, m.ones
+    return m.shape, m.linear.tolist()
 
 
 class TestParserParity:
@@ -457,7 +457,7 @@ class TestParserParity:
     def test_comments_crlf_and_no_final_newline(self, tmp_path):
         path = tmp_path / "messy.txt"
         path.write_bytes(b"# c\r\n  # indented\r\n2 3\r\n 0  1 \r\n1 2")
-        assert load_coordinate_file(path).ones == frozenset([(0, 1), (1, 2)])
+        assert load_coordinate_file(path).linear.tolist() == [0 * 3 + 1, 1 * 3 + 2]
 
     @pytest.mark.parametrize("text, line", [
         ("3 3\n0\u30001\n2\u00a02\n", 2),  # ideographic and no-break spaces
@@ -472,22 +472,22 @@ class TestParserParity:
             load_coordinate_file(path)
         # a comment line may hold any text
         path.write_bytes("# \u00e9\u3000\x0b\n3 3\n\t0 \t1\t\n".encode())
-        assert load_coordinate_file(path).ones == frozenset([(0, 1)])
+        assert load_coordinate_file(path).linear.tolist() == [0 * 3 + 1]
 
     def test_lone_carriage_return_ends_a_comment(self, tmp_path):
         # universal newlines: the scanner reads "1 1" as a data line
         path = tmp_path / "cr.txt"
         path.write_bytes(b"2 2\n# note\r1 1\n")
-        assert load_coordinate_file(path).ones == frozenset([(1, 1)])
+        assert load_coordinate_file(path).linear.tolist() == [1 * 2 + 1]
 
     def test_token_widths_at_the_int64_limit(self, tmp_path):
         path = tmp_path / "wide.txt"
         path.write_bytes(b"999999999999999999 1\n999999999999999998 0\n")
         assert nbmf.binmat._parse_plain(path.read_bytes()) is not None
-        assert load_coordinate_file(path).ones == frozenset([(10**18 - 2, 0)])
+        assert load_coordinate_file(path).linear.tolist() == [(10**18 - 2) * 1 + 0]
         # wider tokens can overflow int64, so the scanner reads them
         path.write_bytes(b"3 3\n" + b"0" * 19 + b"2 1\n")
-        assert load_coordinate_file(path).ones == frozenset([(2, 1)])
+        assert load_coordinate_file(path).linear.tolist() == [2 * 3 + 1]
         path.write_bytes(b"3 3\n" + b"9" * 20 + b" 1\n")
         with pytest.raises(BoundsError, match="line 2:"):
             load_coordinate_file(path)

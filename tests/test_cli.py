@@ -28,8 +28,8 @@ from nbmf import (
     load_coordinate_file,
     load_mask,
     planted_dataset,
-    predict_from_factors,
     read_factors,
+    reconstruct,
     save_coordinate_file,
     write_factors,
 )
@@ -262,7 +262,7 @@ class TestFit:
         assert "nowhere.txt" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, name", [
-        ("fit", "data.txt"), ("eval", "out/val_mask.txt"),
+        ("fit", "data.txt"), ("eval", "data.txt"),
     ])
     def test_non_utf8_coordinate_file_exits_1(self, workspace, capsys, command, name):
         assert run(workspace, "fit", "--config", "@/run.ini") == 0
@@ -366,7 +366,7 @@ class TestEval:
         factors, _ = read_factors(out)
         val, test = (load_mask(out / f"{name}_mask.txt") for name in ("val", "test"))
         report = completion_report(load_coordinate_file(workspace / "data.txt"),
-                                   val, test, predict_from_factors(factors))
+                                   val, test, reconstruct(factors))
         assert (out / "completion_report.json").read_bytes() == \
             (report.to_json() + "\n").encode("utf-8")
         assert (out / "completion_report.csv").read_bytes() == (
@@ -437,20 +437,19 @@ class TestEval:
         assert err.startswith("error:")
         assert "meta.txt: bad converged value 'maybe'" in err
 
-    def test_overlapping_masks_exit_2(self, workspace, capsys):
-        assert run(workspace, "fit", "--config", "@/run.ini") == 0
-        out = workspace / "out"
-        (out / "test_mask.txt").write_bytes((out / "val_mask.txt").read_bytes())
-        capsys.readouterr()
-        assert run(workspace, "eval", "--config", "@/run.ini") == 2
-        assert "validation and test masks overlap" in capsys.readouterr().err
-
-    def test_train_mask_is_not_read(self, workspace):
+    def test_no_mask_file_is_read(self, workspace):
         assert run(workspace, "fit", "--config", "@/run.ini") == 0
         assert run(workspace, "eval", "--config", "@/run.ini") == 0
-        csv_path = workspace / "out" / "completion_report.csv"
+        out = workspace / "out"
+        csv_path = out / "completion_report.csv"
         expected = csv_path.read_bytes()
-        (workspace / "out" / "train_mask.txt").write_text("not a mask\n")
+        mask_paths = [out / f"{name}_mask.txt" for name in ("train", "val", "test")]
+        for path in mask_paths:
+            path.write_text("not a mask\n")
+        assert run(workspace, "eval", "--config", "@/run.ini") == 0
+        assert csv_path.read_bytes() == expected
+        for path in mask_paths:
+            path.unlink()
         assert run(workspace, "eval", "--config", "@/run.ini") == 0
         assert csv_path.read_bytes() == expected
 
