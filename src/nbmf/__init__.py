@@ -8,115 +8,17 @@ objective; masked training supports matrix completion, and the tune module
 reproduces the grid-search / multi-restart evaluation protocol.
 """
 
-from .binmat import (
-    BinaryMatrix,
-    ObservationMask,
-    SplitSpec,
-    density,
-    load_coordinate_file,
-    load_mask,
-    save_coordinate_file,
-    save_mask,
-    split_observations,
-)
-from .errors import (
-    BoundsError,
-    ConfigError,
-    DimensionError,
-    DuplicateError,
-    EmptyMaskError,
-    NbmfError,
-    NumericalError,
-    ParseError,
-    SearchError,
-)
-from .evaluate import (
-    CompletionReport,
-    MaskReport,
-    PerplexityScore,
-    completion_report,
-    perplexity,
-    predict_from_factors,
-)
-from .io import read_factors, read_report, write_factors, write_report
-from .solver import (
-    BetaPrior,
-    FactorPair,
-    FitConfig,
-    FitReport,
-    fit,
-    fit_em,
-    init_factors,
-    objective,
-    reconstruct,
-    update_h,
-    update_w,
-)
-from .synthetic import planted_dataset, random_binary_matrix
-from .tune import (
-    BoxStats,
-    GridResult,
-    GridRow,
-    GridSpec,
-    TestEvaluation,
-    best_row,
-    export_heatmap,
-    grid_search,
-    test_evaluation,
-)
+from . import binmat, errors, evaluate, io, solver, synthetic, tune
+from .binmat import *
+from .errors import *
+from .evaluate import *
+from .io import *
+from .solver import *
+from .synthetic import *
+from .tune import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryMatrix",
-    "ObservationMask",
-    "SplitSpec",
-    "density",
-    "load_coordinate_file",
-    "load_mask",
-    "save_coordinate_file",
-    "save_mask",
-    "split_observations",
-    "BetaPrior",
-    "FactorPair",
-    "FitConfig",
-    "FitReport",
-    "fit",
-    "fit_em",
-    "init_factors",
-    "objective",
-    "reconstruct",
-    "update_h",
-    "update_w",
-    "read_factors",
-    "read_report",
-    "write_factors",
-    "write_report",
-    "CompletionReport",
-    "MaskReport",
-    "PerplexityScore",
-    "completion_report",
-    "perplexity",
-    "predict_from_factors",
-    "BoxStats",
-    "GridResult",
-    "GridRow",
-    "GridSpec",
-    "TestEvaluation",
-    "best_row",
-    "export_heatmap",
-    "grid_search",
-    "test_evaluation",
-    "planted_dataset",
-    "random_binary_matrix",
-    "NbmfError",
-    "ConfigError",
-    "ParseError",
-    "BoundsError",
-    "DuplicateError",
-    "DimensionError",
-    "EmptyMaskError",
-    "NumericalError",
-    "SearchError",
-    "__version__",
-]
+# Each module's __all__ owns its public names; the package re-exports them.
+__all__ = [name for module in (binmat, errors, evaluate, io, solver, synthetic, tune)
+           for name in module.__all__] + ["__version__"]

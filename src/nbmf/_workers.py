@@ -195,8 +195,10 @@ def _fork():
         # here those are OpenBLAS's pool threads.  The worker never uses them
         # (the fit holds OpenBLAS to one thread, so products run on the
         # calling thread), no other Python thread is alive, and the worker
-        # runs only numpy calls on arrays before os._exit.  Not yet run on
-        # Python 3.12 or later.
+        # runs only numpy calls on arrays before os._exit.  Checked on
+        # CPython 3.12.1 and 3.13.0 with a standard-library copy of this
+        # filter: with one other thread alive, a bare os.fork() warns and the
+        # filtered one does not.  The package itself is unverified there.
         warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                 DeprecationWarning)
         return os.fork()

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from ._workers import _openblas_thread_calls, recording_fit_processes
-from .binmat import _GAP, SplitSpec, load_coordinate_file, save_mask, split_observations
+from .binmat import _GAP, SplitSpec, _integer_setting, load_coordinate_file, save_mask, \
+    split_observations
 from .errors import ConfigError, DimensionError, NbmfError
 from .evaluate import completion_report
 from .io import H_FILE, META_FILE, W_FILE, _meta_float, _meta_int, _write_json, \
@@ -65,6 +66,10 @@ class RunConfig:
     grid: GridSpec | None = None
     log_every: int = 100
     config_sha256: str = ""
+
+    def __post_init__(self):
+        if _integer_setting("log_every", self.log_every) < 0:
+            raise ConfigError(f"log_every must be >= 0, got {self.log_every}")
 
 
 def _words(parse):

@@ -4,6 +4,18 @@ The CLI maps these onto stable exit codes: ``ConfigError`` means the run was
 never viable (exit 2), everything else is a runtime failure (exit 1).
 """
 
+__all__ = [
+    "NbmfError",
+    "ConfigError",
+    "ParseError",
+    "BoundsError",
+    "DuplicateError",
+    "DimensionError",
+    "EmptyMaskError",
+    "NumericalError",
+    "SearchError",
+]
+
 
 class NbmfError(Exception):
     """Base class for all errors raised deliberately by this package."""

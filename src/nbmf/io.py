@@ -31,9 +31,6 @@ __all__ = [
     "read_factors",
     "write_report",
     "read_report",
-    "W_FILE",
-    "H_FILE",
-    "META_FILE",
 ]
 
 W_FILE = "W.txt"

@@ -167,7 +167,8 @@ class FactorPair:
         """Raise if the factor invariants do not hold.
 
         Checks finite entries, W >= 0 with unit row sums (within ``atol``),
-        H within [epsilon, 1 - epsilon], and the reconstruction inside (0, 1).
+        H within [epsilon, 1 - epsilon], and the reconstruction inside (0, 1),
+        formed one row block at a time.
         """
         w_low, h_low, h_high = self.W.min(), self.H.min(), self.H.max()
         if not np.isfinite([w_low, self.W.max(), h_low, h_high]).all():
@@ -179,9 +180,9 @@ class FactorPair:
             raise ValueError("W rows do not sum to 1")
         if h_low < epsilon or h_high > 1.0 - epsilon:
             raise ValueError("H entries leave the clamped interval")
-        product = self.W @ self.H
-        if product.min() <= 0.0 or product.max() >= 1.0:
-            raise ValueError("reconstruction leaves (0, 1)")
+        for rows, P, _ in _blocks(self.n_rows, self.n_cols):
+            if not _inside_unit_interval(np.matmul(self.W[rows], self.H, out=P)):
+                raise ValueError("reconstruction leaves (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -354,6 +355,11 @@ def _blocks(n_rows, n_cols):
             for start in range(0, n_rows, step)]
 
 
+def _inside_unit_interval(P):
+    """Whether every cell of ``P`` lies in the open interval (0, 1)."""
+    return P.min() > 0.0 and P.max() < 1.0  # NaN fails both comparisons
+
+
 def _block_ratios(A, B, W, H, P, R, sweep=None, check=True):
     """``(R, S)`` for one row block: ``P = W @ H``, then ``R = A / P`` and
     ``S = B / (1 - P)``, with ``S`` written over ``P``.
@@ -362,8 +368,7 @@ def _block_ratios(A, B, W, H, P, R, sweep=None, check=True):
     (0, 1); the :class:`NumericalError` raised otherwise carries ``sweep``.
     """
     np.matmul(W, H, out=P)
-    # NaN fails both comparisons
-    if check and not (P.min() > 0.0 and P.max() < 1.0):
+    if check and not _inside_unit_interval(P):
         raise NumericalError("reconstruction left the open interval (0, 1)",
                              iteration=sweep)
     np.divide(A, P, out=R)

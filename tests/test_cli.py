@@ -277,13 +277,18 @@ class TestFit:
         (workspace / "run.ini").write_text("[run]\nmode = tune\n" + BASE_CONFIG[6:])
         assert run(workspace, "fit", "--config", "@/run.ini") == 2
 
-    @pytest.mark.parametrize("mode", ["fit", "tune"])
-    def test_bad_log_every_exits_2(self, workspace, capsys, mode):
+    @pytest.mark.parametrize("mode, value, message", [
+        pytest.param("fit", "abc", "bad [fit] value", id="fit"),
+        pytest.param("tune", "abc", "bad [fit] value", id="tune"),
+        *(pytest.param(mode, "-5", "log_every must be >= 0, got -5",
+                       id=f"{mode}-negative") for mode in ("fit", "eval", "tune")),
+    ])
+    def test_bad_log_every_exits_2(self, workspace, capsys, mode, value, message):
         (workspace / "run.ini").write_text(
-            BASE_CONFIG.replace("log_every = 0", "log_every = abc")
+            BASE_CONFIG.replace("log_every = 0", f"log_every = {value}")
         )
         assert run(workspace, mode, "--config", "@/run.ini") == 2
-        assert "bad [fit] value" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (workspace / "out").exists()
 
     def test_rerun_byte_identical(self, workspace):

@@ -209,6 +209,29 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="non-finite"):
             factors.validate()
 
+    def test_validate_rejects_reconstruction_at_one_in_a_later_block(self):
+        # every other check passes: the last row sums to 1 + 5e-10 (within
+        # atol) and H sits at 1 - 1e-12, so only that row's products reach 1
+        M, N = BLOCKED
+        W = np.full((M, 2), 0.5)
+        W[-1] *= 1 + 5e-10
+        factors = FactorPair(W, np.full((2, N), 1 - EPS))
+        assert len(nbmf.solver._blocks(M, N)) > 1
+        with pytest.raises(ValueError, match=re.escape("reconstruction leaves (0, 1)")):
+            factors.validate(epsilon=EPS)
+
+    def test_validate_holds_one_block_of_the_product(self):
+        # 20 row blocks; the whole 400 x 3000 product would be 9.6 MB
+        factors = init_factors(400, 3000, 4, seed=3)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            factors.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 2 * 2 ** 20
+
 
 IDENTITY2 = BinaryMatrix(2, 2, frozenset([(0, 0), (1, 1)]))
 HALF_FACTORS = FactorPair(np.ones((2, 1)), np.array([[0.5, 0.5]]))
