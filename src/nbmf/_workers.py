@@ -17,7 +17,7 @@ callers' cleanup and flush their buffered output a second time), and exits
 when its command pipe reaches EOF, so a fit that is killed leaves no worker
 behind.  :meth:`Workers.close` reaps them.
 
-Every fit, and every tune pool, holds numpy's bundled OpenBLAS to one
+Every fit, and every tune search, holds numpy's bundled OpenBLAS to one
 thread with :func:`_one_blas_thread`: ``p`` processes then use ``p``
 cores, and a fit's bytes do not depend on the BLAS thread count.
 """
@@ -111,20 +111,20 @@ _FORCED_CPUS = None
 _recorded = None
 
 
-def fit_processes(n_blocks):
+def fit_processes(n_blocks, cap=None):
     """How many processes a fit of ``n_blocks`` row blocks runs on.
 
     On Linux, from the main thread while no other Python thread is alive,
     the number of CPUs this process may run on (``os.sched_getaffinity``),
-    at most one per block; anywhere else 1.  Recorded in an open
-    :func:`recording_fit_processes` block.
+    at most one per block and at most ``cap`` unless that is None; anywhere
+    else 1.  Recorded in an open :func:`recording_fit_processes` block.
     """
     processes = 1
     if (sys.platform.startswith("linux")
             and threading.current_thread() is threading.main_thread()
             and threading.active_count() == 1):
         cpus = _FORCED_CPUS or len(os.sched_getaffinity(0))
-        processes = max(1, min(cpus, n_blocks))
+        processes = max(1, min(cpus, n_blocks, cap or cpus))
     if _recorded is not None:
         _recorded.add(processes)
     return processes

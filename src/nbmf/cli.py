@@ -343,34 +343,42 @@ def cmd_eval(config):
     return 0
 
 
-def _read_partial_rows(path):
+def _read_partial_rows(path, stamp):
     """Rows checkpointed by an interrupted tune, or () when there are none.
 
     Tune only ever replaces the checkpoint whole, so one that does not parse
-    stops the resume and is left as it is.
+    or whose last line is not ``stamp`` stops the resume and is left as is.
     """
     if not path.is_file():
         return ()
+    advice = "; remove the file to start the search over"
     try:
         table = GridResult.from_csv(path)
     except ValueError as exc:
         raise ConfigError(
-            f"cannot resume from {path}: malformed checkpoint ({exc}); remove "
-            "the file to start the search over"
+            f"cannot resume from {path}: malformed checkpoint ({exc}){advice}"
         ) from None
+    recorded = path.read_text(encoding="utf-8").splitlines()[-1].split()
+    differ = [word.partition("=")[0] for word in stamp.split()[1:]
+              if word not in recorded]
+    if differ:
+        raise ConfigError(f"cannot resume from {path}: its last line does not "
+                          f"record this run's {' and '.join(differ)}{advice}")
     print(f"resuming: {len(table)} grid rows found in {path.name}")
     return table.rows
 
 
 def cmd_tune(config, n_jobs):
     Y, train, val, test = _split_dataset(config)
+    dataset_sha256 = hashlib.sha256(config.dataset.read_bytes()).hexdigest()
+    stamp = f"# config_sha256={config.config_sha256} dataset_sha256={dataset_sha256}\n"
     with _output_lock(config.out_dir):
         partial_path = config.out_dir / GRID_PARTIAL_CSV
-        checkpoint = list(_read_partial_rows(partial_path))
+        checkpoint = list(_read_partial_rows(partial_path, stamp))
 
         def on_row(row):
             checkpoint.append(row)
-            GridResult(checkpoint).to_csv(partial_path)
+            _write_text(partial_path, GridResult(checkpoint)._csv_text() + stamp)
             shown = "failed" if row.val_perplexity is None \
                 else f"{row.val_perplexity:.6f}"
             print(
@@ -478,13 +486,13 @@ def _flag_int(source, text):
 
 
 def _job_count(flag):
-    """Worker threads from ``--jobs``, else ``$NBMF_JOBS``, else 1."""
+    """The cap on each fit's processes: ``--jobs``, else ``$NBMF_JOBS``, else None."""
     if flag is not None:
         source, text = "--jobs", flag
     elif JOBS_ENV_VAR in os.environ:
         source, text = f"${JOBS_ENV_VAR}", os.environ[JOBS_ENV_VAR]
     else:
-        return 1
+        return None
     try:
         n_jobs = _meta_int(text)
     except ValueError:
@@ -512,9 +520,9 @@ def _build_parser():
         if name == "tune":
             cmd.add_argument(
                 "--jobs", default=None,
-                help=f"worker threads (default ${JOBS_ENV_VAR} or 1); every "
-                     "fit runs at one OpenBLAS thread, so any value writes "
-                     "the same tables",
+                help=f"the most processes each fit runs on (default "
+                     f"${JOBS_ENV_VAR}, else every CPU); any value writes the "
+                     "same tables",
             )
     return parser
 

@@ -47,7 +47,8 @@ takes its W step, then scores the new rows and writes their numerators
 computes two products and two ratio passes per block.  The pass runs on
 ``p`` processes, ``p`` from ``_workers.fit_processes``: on Linux, from the
 main thread while no other Python thread is alive, the CPUs this process
-may use, at most one per block; else 1.  Every ``p`` runs the same loop:
+may use, at most one per block and at most the cap that a mask from
+``_shared_problem`` carries; else 1.  Every ``p`` runs the same loop:
 after preparing, the fit forks ``p - 1`` workers, none at ``p = 1``, which
 inherit ``A`` and ``B``.  Each process owns a fixed contiguous range of
 blocks, the fit's own first.  W and H live in one anonymous shared mapping
@@ -64,9 +65,9 @@ Every call prepares its own problem, except on a mask that
 ``_shared_problem(Y, mask)`` yields: that copy of the mask carries one
 read-only problem, which :func:`fit`, the public updates and
 :func:`objective` given the copy and the same ``Y`` read instead.  ``tune``
-passes such a copy to each pool of fits, so the fits of a grid search or
-of a restart set share one copy of ``A`` and ``B`` (16 bytes a cell)
-instead of preparing one each.
+passes such a copy to every fit of a grid search or of a restart set, so
+they share one copy of ``A`` and ``B`` (16 bytes a cell) and a cap on
+processes.
 
 The public functions are pure: they read their inputs and return fresh
 arrays.  Besides the prepared problem, each call owns only its two scratch
@@ -302,26 +303,27 @@ def _prepare(Y, mask):
 
 
 class _PreparedMask(ObservationMask):
-    """A copy of a train mask that carries ``Y`` and the problem prepared
-    from both; :func:`_shared_problem` makes it."""
+    """A copy of a train mask that carries ``Y``, the problem prepared from
+    both and a cap on a fit's processes; :func:`_shared_problem` makes it."""
 
-    __slots__ = ("Y", "problem")
+    __slots__ = ("Y", "problem", "processes")
 
 
 @contextmanager
-def _shared_problem(Y, mask):
+def _shared_problem(Y, mask, processes=None):
     """A copy of ``mask`` that carries one problem prepared from ``(Y, mask)``.
 
     :func:`fit`, the public updates and :func:`objective`, given the copy
-    and this ``Y``, read that problem instead of preparing their own.  Its
-    arrays are read-only, so the fits of a pool can share them.  On exit the
-    copy drops the problem, so a copy that outlives the block, as in a held
-    traceback, keeps no matrix-sized array alive.
+    and this ``Y``, read that problem instead of preparing their own, and a
+    fit runs on at most ``processes`` processes unless that is None.  On
+    exit the copy drops the problem, so a copy that outlives the block, as
+    in a held traceback, keeps no matrix-sized array alive.
     """
     _require_matrix_and_mask(Y, mask)
     shared = _PreparedMask._from_linear(*mask.shape, mask.linear)
     object.__setattr__(shared, "Y", Y)
     object.__setattr__(shared, "problem", _prepare(Y, mask))
+    object.__setattr__(shared, "processes", processes)
     for array in shared.problem:
         array.flags.writeable = False
     try:
@@ -347,12 +349,16 @@ _BLOCK = 1 << 16
 
 def _blocks(n_rows, n_cols):
     """The row blocks of a pass, as ``(rows, P, R)``: the slice of the block's
-    rows and its views of two fresh scratch arrays."""
-    step = max(1, min(n_rows, _BLOCK // max(n_cols, 1)))
-    P = np.empty((step, n_cols))
+    rows and its views of two fresh scratch arrays.  The blocks are as few as
+    the cell bound allows, and their heights differ by at most one row."""
+    if not n_rows:
+        return []
+    count = -(-n_rows // max(1, _BLOCK // max(n_cols, 1)))
+    P = np.empty((-(-n_rows // count), n_cols))
     R = np.empty_like(P)
-    return [(slice(start, start + step), P[:n_rows - start], R[:n_rows - start])
-            for start in range(0, n_rows, step)]
+    bounds = [n_rows * i // count for i in range(count + 1)]
+    return [(slice(start, stop), P[:stop - start], R[:stop - start])
+            for start, stop in zip(bounds, bounds[1:])]
 
 
 def _inside_unit_interval(P):
@@ -503,7 +509,7 @@ def fit(Y, mask, config, on_sweep=None):
     A, B, n_obs = _problem(Y, mask)
     prior, epsilon = config.prior, config.epsilon
     blocks = _blocks(*Y.shape)
-    processes = fit_processes(len(blocks))
+    processes = fit_processes(len(blocks), getattr(mask, "processes", None))
     # The fit's own range of blocks comes first; workers run the others.
     bounds = [len(blocks) * i // processes for i in range(processes + 1)]
     own = bounds[1]

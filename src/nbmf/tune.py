@@ -4,35 +4,32 @@ The protocol: fit once per grid point on the training cells (seed =
 ``base_seed``), score each fit's perplexity on the validation cells, pick
 the argmin, then refit the winner from ``n_restarts`` fresh seeds
 (``base_seed + i``) and report the spread of test perplexity as box-plot
-statistics.  Grid points are independent jobs and may run on a thread pool;
-the result table is always assembled in grid order.  Every fit of a pool,
-serial or not, runs with numpy's OpenBLAS held to one thread, so the table
-is the same for any worker count on one machine.
+statistics.  The fits run one at a time, in grid order, on the calling
+thread, each on at most ``n_jobs`` processes (see ``solver.fit``; None is
+no cap) and with numpy's OpenBLAS held to one thread, so the table is the
+same for any ``n_jobs`` on one machine.
 
 The train cells are prepared once per :func:`grid_search` or
 :func:`test_evaluation` call: ``_scored_rows`` opens the solver's
-``_shared_problem`` around its pool and hands its jobs the copy of the
+``_shared_problem`` around its fits and hands each of them the copy of the
 train mask that it yields, which carries one read-only ``A`` and ``B``
-(16 bytes a matrix cell).  The jobs still call ``fit(Y, mask, config)``.
-Each fit adds only its two scratch arrays of one row block: at most 2**17
-cells between them (1 MB) on a matrix up to 2**16 columns wide, however
-many rows it has.  A pool of ``n_jobs`` workers then holds about 16 bytes a
-cell plus 1 MB a worker.  Fits on the pool's threads run in one process
-each; serial fits run on the calling thread and may fork worker processes
-of their own (see ``solver.fit``).
+(16 bytes a matrix cell) and the cap ``n_jobs``.  The fits still call
+``fit(Y, mask, config)``.  Each fit adds only its two scratch arrays of
+one row block: at most 2**17 cells between them (1 MB) on a matrix up to
+2**16 columns wide, however many rows it has.
 
 :class:`GridSpec` checks the restart count and base seed under their own
 names, and its other fit settings by building the
 :class:`~nbmf.solver.FitConfig` of every candidate.  This module owns the
 columns of the tune tables and the heatmap layout; ``io`` owns the text of
 their cells, the JSON of ``boxstats.json`` and the writing of every file.
-:meth:`GridResult.to_csv` writes ``grid_result.csv`` and its checkpoint.
+:meth:`GridResult.to_csv` writes ``grid_result.csv``; a tune checkpoint holds
+the same text and a last ``#`` line.
 """
 
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 
@@ -175,19 +172,23 @@ class GridResult:
     def __iter__(self):
         return iter(self.rows)
 
-    def to_csv(self, path):
-        """Write the header and one row per fit."""
+    def _csv_text(self):
+        """The header and one line per fit."""
         rows = [[_cell_text(getattr(row, name)) for name in _CSV_COLUMNS]
                 for row in self.rows]
-        _write_text(path, "".join(",".join(cells) + "\n"
-                                  for cells in [_CSV_COLUMNS, *rows]))
+        return "".join(",".join(cells) + "\n" for cells in [_CSV_COLUMNS, *rows])
+
+    def to_csv(self, path):
+        """Write the header and one row per fit."""
+        _write_text(path, self._csv_text())
 
     @classmethod
     def from_csv(cls, path):
         """Read a table that :meth:`to_csv` wrote.
 
-        Raises :class:`ValueError` naming what does not parse: an empty
-        header, the columns the header lacks, or the line of a bad row.
+        Rows that start with ``#``, as a checkpoint's last line does, are
+        skipped.  Raises :class:`ValueError` naming what does not parse: an
+        empty header, the columns the header lacks, or the line of a bad row.
         """
         rows = []
         with open(path, encoding="utf-8") as handle:
@@ -201,7 +202,7 @@ class GridResult:
                       for name, parse in _CSV_COLUMNS.items()]
             for line_no, raw in enumerate(handle, start=2):
                 line = raw.strip()
-                if not line:
+                if not line or line.startswith("#"):
                     continue
                 cells = line.split(",")
                 if len(cells) != len(header):
@@ -243,26 +244,10 @@ def _fit_and_score(Y, train_mask, eval_mask, config):
     return score, report.n_iter, report.converged, report.wall_time
 
 
-def _run_jobs(jobs, n_jobs):
-    """Evaluate thunks, preserving submission order in the results.
-
-    The jobs run with numpy's OpenBLAS held to one thread, also when there
-    is one worker, so their products, and with them the results, do not
-    depend on the worker count.  Callers consume the generator inside
-    ``closing``, which shuts the pool and lifts the bound before they go
-    on, also when their own loop body raises.  When a job raises, or the
-    wait is interrupted (Ctrl-C, or the generator is closed), the iterator
-    of ``Executor.map`` cancels the jobs that have not started; only the
-    running ones are waited for.
-    """
-    workers = min(n_jobs, len(jobs))
-    with _one_blas_thread():
-        if workers <= 1:
-            for job in jobs:
-                yield job()
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(lambda job: job(), jobs)
+def _check_jobs(n_jobs):
+    """Check that ``n_jobs`` is None or an integer >= 1."""
+    if n_jobs is not None and _integer_setting("n_jobs", n_jobs) < 1:
+        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
 
 
 def _scored_rows(Y, train_mask, eval_mask, configs, column, n_jobs):
@@ -271,18 +256,15 @@ def _scored_rows(Y, train_mask, eval_mask, configs, column, n_jobs):
     The score goes into the perplexity column named by ``column``.  Every
     fit is given the copy of ``train_mask`` that ``_shared_problem`` yields,
     so all of them read one read-only problem.  Consume the generator inside
-    ``closing`` so that the queued fits stop and the copy drops the problem
-    as soon as the loop over it ends.
+    ``closing`` so that the copy drops the problem and the OpenBLAS bound is
+    lifted as soon as the loop over it ends.
     """
     if not configs:
         return
-    with _shared_problem(Y, train_mask) as shared_mask, closing(_run_jobs(
-        [functools.partial(_fit_and_score, Y, shared_mask, eval_mask, config)
-         for config in configs], n_jobs,
-    )) as outcomes:
-        for config, (score, n_iter, converged, wall) in zip(
-            configs, outcomes, strict=True
-        ):
+    with _one_blas_thread(), _shared_problem(Y, train_mask, n_jobs) as shared_mask:
+        for config in configs:
+            score, n_iter, converged, wall = _fit_and_score(
+                Y, shared_mask, eval_mask, config)
             scores = {"val_perplexity": None, "test_perplexity": None, column: score}
             yield GridRow(
                 rank=config.rank, alpha=config.prior.alpha, beta=config.prior.beta,
@@ -291,10 +273,11 @@ def _scored_rows(Y, train_mask, eval_mask, configs, column, n_jobs):
             )
 
 
-def grid_search(Y, train_mask, val_mask, grid, n_jobs=1, resume_rows=None,
+def grid_search(Y, train_mask, val_mask, grid, n_jobs=None, resume_rows=None,
                 on_row=None):
     """Fit every grid point once and pick the validation-perplexity argmin.
 
+    ``n_jobs`` caps the processes of each fit; None is no cap.
     ``resume_rows`` may carry rows from an earlier interrupted run; matching
     grid points are reused instead of refit.  ``on_row(row)`` is called, in
     grid order, for each newly computed row (not for reused ones).
@@ -302,6 +285,7 @@ def grid_search(Y, train_mask, val_mask, grid, n_jobs=1, resume_rows=None,
     Returns ``(GridResult, GridRow)`` with the table in grid order and the
     winning row.
     """
+    _check_jobs(n_jobs)
     _require_disjoint(train_mask, val_mask, "train and validation")
     done = {row.key: row for row in (resume_rows or [])}
     keys = [(*point, grid.base_seed) for point in grid.points()]
@@ -369,14 +353,15 @@ class TestEvaluation:
 
 
 def test_evaluation(Y, train_mask, test_mask, config, n_restarts=10, base_seed=0,
-                    n_jobs=1):
+                    n_jobs=None):
     """Refit one configuration from ``n_restarts`` seeds; score on test cells.
 
     ``config`` supplies rank, prior, and stopping settings; its seed is
-    ignored and replaced by ``base_seed + i`` for restart i.  Quartiles use
-    numpy's default linear interpolation.
+    ignored and replaced by ``base_seed + i`` for restart i.  ``n_jobs`` is
+    as in :func:`grid_search`.  Quartiles use numpy's linear interpolation.
     """
     _check_restarts(n_restarts, base_seed)
+    _check_jobs(n_jobs)
     _require_disjoint(train_mask, test_mask, "train and test")
     restarts = [replace(config, seed=base_seed + i) for i in range(n_restarts)]
     rows = tuple(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -73,6 +74,13 @@ def workspace(tmp_path):
 
 def run(workspace, *args):
     return main([arg.replace("@", str(workspace)) for arg in args])
+
+
+def search_stamp(workspace):
+    """The last line of a checkpoint that a tune of ``run.ini`` writes."""
+    digest = lambda name: hashlib.sha256((workspace / name).read_bytes()).hexdigest()
+    return (f"# config_sha256={digest('run.ini')} "
+            f"dataset_sha256={digest('data.txt')}\n")
 
 
 def temporary_files(directory):
@@ -532,6 +540,7 @@ class TestTune:
         body = reference.splitlines()[1:3]
         (resumed_dir / "grid_partial.csv").write_text(
             header + "\n" + "\n".join(line + ",0.0" for line in body) + "\n"
+            + search_stamp(workspace)
         )
         assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 0
         assert (resumed_dir / "grid_result.csv").read_text() == reference
@@ -612,6 +621,7 @@ class TestTune:
         partial = resumed_dir / "grid_partial.csv"
         partial.write_text(
             lines[0] + ",wall_time\n" + "".join(line + ",0.25\n" for line in lines[1:3])
+            + search_stamp(workspace)
         )
 
         def interrupted(*args, **kwargs):
@@ -624,7 +634,7 @@ class TestTune:
         console = capsys.readouterr().out
         assert "resuming: 2 grid rows" in console
         assert console.count("grid rank=") == 2  # only the two missing points
-        assert partial.read_text() == reference
+        assert partial.read_text() == reference + search_stamp(workspace)
         monkeypatch.undo()
         assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 0
         assert (resumed_dir / "grid_result.csv").read_text() == reference
@@ -656,7 +666,41 @@ class TestTune:
         assert len(rows) == 4
         rewritten = workspace / "rewritten.csv"
         GridResult(rows).to_csv(rewritten)
-        assert partial.read_bytes() == rewritten.read_bytes()
+        assert partial.read_text() == \
+            rewritten.read_text() + search_stamp(workspace)
+
+    @pytest.mark.parametrize("edit, named", [
+        ("config", "does not record this run's config_sha256;"),
+        ("dataset", "does not record this run's dataset_sha256;"),
+        ("stamp", "this run's config_sha256 and dataset_sha256;"),
+    ], ids=["config", "dataset", "stamp"])
+    def test_checkpoint_of_another_search_exits_2_and_is_kept(
+            self, workspace, capsys, monkeypatch, edit, named):
+        # a checkpoint of 5-sweep fits
+        config = BASE_CONFIG + "max_iter = 5\n"
+        (workspace / "run.ini").write_text(config)
+
+        def interrupted(*args, **kwargs):
+            raise NbmfError("interrupted")
+
+        monkeypatch.setattr(nbmf.cli, "test_evaluation", interrupted)
+        assert run(workspace, "tune", "--config", "@/run.ini") == 1
+        monkeypatch.undo()
+        partial = workspace / "out" / "grid_partial.csv"
+        if edit == "config":  # resuming would keep the 5-sweep rows
+            (workspace / "run.ini").write_text(config.replace("= 5", "= 40"))
+        elif edit == "dataset":
+            Y, _, _ = planted_dataset(18, 12, 2, seed=10)
+            save_coordinate_file(Y, workspace / "data.txt")
+        else:
+            partial.write_text(partial.read_text().rsplit("# ", 1)[0])
+        content = partial.read_bytes()
+        capsys.readouterr()
+        assert run(workspace, "tune", "--config", "@/run.ini") == 2
+        err = capsys.readouterr().err
+        assert "grid_partial.csv" in err and named in err
+        assert partial.read_bytes() == content
+        assert not (workspace / "out" / "grid_result.csv").exists()
 
     def test_seed_override_sets_base_seed(self, workspace):
         assert run(workspace, "tune", "--config", "@/run.ini", "--seed", "70") == 0
@@ -838,8 +882,8 @@ class TestReport:
             manifest = json.loads(
                 (tmp_path / out / f"manifest_{args[0]}.json").read_text())
             recorded[out] = manifest["environment"]["fit_processes"]
-        # the fit and serial tune fits fork a worker; pooled tune fits do not
-        assert recorded == {"fit": [2], "tune1": [2], "tune2": [1]}
+        # the fit forks a worker, and so does each tune fit unless --jobs 1
+        assert recorded == {"fit": [2], "tune1": [1], "tune2": [2]}
         for name in ("grid_result.csv", "heatmap.csv"):
             assert (tmp_path / "tune1" / name).read_bytes() == \
                 (tmp_path / "tune2" / name).read_bytes()

@@ -309,17 +309,26 @@ class TestTestEvaluation:
         with pytest.raises(ConfigError, match="n_restarts must be an integer"):
             run_test_evaluation(Y, train, test, config, n_restarts=2.5)
 
-    @pytest.mark.parametrize("base_seed, message", [
-        (1.5, "base_seed must be an integer, got 1.5"),
-        (-2, "base_seed must be >= 0, got -2"),
-    ], ids=["fractional", "negative"])
-    def test_base_seed_checked_under_its_own_name(self, small_problem, base_seed,
-                                                  message):
-        Y, train, _, test = small_problem
+    # n_jobs, which grid_search takes too, is checked under its own name
+    @pytest.mark.parametrize("setting, value, message", [
+        ("base_seed", 1.5, "base_seed must be an integer, got 1.5"),
+        ("base_seed", -2, "base_seed must be >= 0, got -2"),
+        ("n_jobs", 0, "n_jobs must be >= 1, got 0"),
+        ("n_jobs", -3, "n_jobs must be >= 1, got -3"),
+        ("n_jobs", 2.5, "n_jobs must be an integer, got 2.5"),
+        ("n_jobs", "2", "n_jobs must be an integer, got '2'"),
+    ], ids=["fractional", "negative", "jobs-zero", "jobs-negative",
+            "jobs-fractional", "jobs-text"])
+    def test_base_seed_checked_under_its_own_name(self, small_problem, setting,
+                                                  value, message):
+        Y, train, val, test = small_problem
         config = GridSpec().fit_config(1, 1.0, 1.0, 0)
         with pytest.raises(ConfigError, match=message):
             run_test_evaluation(Y, train, test, config, n_restarts=2,
-                                base_seed=base_seed)
+                                **{setting: value})
+        if setting == "n_jobs":
+            with pytest.raises(ConfigError, match=message):
+                grid_search(Y, train, val, SHARED_GRID, n_jobs=value)
 
     def test_all_restarts_failed_raises_search_error(self, small_problem,
                                                       monkeypatch):
@@ -437,22 +446,26 @@ class TestCheckpointRows:
 
 
 class TestBlasThreadBound:
-    def test_pool_bounds_and_restores_blas_threads(self):
+    def test_pool_bounds_and_restores_blas_threads(self, monkeypatch,
+                                                   small_problem):
         calls = nbmf._workers._openblas_thread_calls()
         if calls is None:
             pytest.skip("numpy does not bundle scipy-openblas here")
         get_threads = calls[0]
         before = get_threads()
+        monkeypatch.setattr(nbmf.tune, "_fit_and_score",
+                            lambda *args: (get_threads(), 1, True, 0.0))
+        Y, train, val, _ = small_problem
         for n_jobs in (1, 2):
-            seen = list(nbmf.tune._run_jobs([get_threads] * 4, n_jobs=n_jobs))
-            assert seen == [1] * 4
+            rows = grid_search(Y, train, val, SHARED_GRID, n_jobs=n_jobs)[0]
+            assert [row.val_perplexity for row in rows] == [1] * 4
             assert get_threads() == before
 
     def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch):
-        # two row blocks: serial fits run on the main thread, each on two
-        # processes; pooled fits run on pool threads, each in one process.
-        # Unthrottled, with all of 250 x 400 in one block, a serial search
-        # differed from a 2-worker one in 1 of these 8 rows on 2 CPUs.
+        # two row blocks, so each fit runs on as many processes as n_jobs
+        # allows.  Without the OpenBLAS bound, with all of 250 x 400 in one
+        # block, a serial search differed from one on a 2-thread pool in 1
+        # of these 8 rows on 2 CPUs.
         monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 2)
         Y, _, _ = planted_dataset(250, 400, 8, 0.5, 0.5, seed=1)
         train, val, _ = split_observations(Y, SplitSpec(seed=1))
@@ -466,21 +479,27 @@ class TestBlasThreadBound:
             tables.append([replace(row, wall_time=0.0) for row in rows])
             processes.append(seen)
         assert tables[0] == tables[1]
-        assert processes == [{2}, {1}]
+        assert processes == [{1}, {2}]
 
-    def test_pooled_fits_fork_nothing(self, monkeypatch):
+    def test_fits_run_on_the_calling_thread(self, monkeypatch):
+        # two row blocks on 2 CPUs: n_jobs caps each fit's processes, None
+        # leaves them uncapped, and no other thread is alive while it runs
         monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 2)
-
-        def no_fork():
-            raise AssertionError("a pooled fit forked")
-
-        monkeypatch.setattr(nbmf._workers.os, "fork", no_fork)
         Y, _, _ = planted_dataset(250, 400, 3, seed=2)
         train, val, _ = split_observations(Y, SplitSpec(seed=2))
         grid = GridSpec(rank_values=(2, 3), alpha_values=(1.0,),
                         beta_values=(1.0,), n_restarts=1, max_iter=5)
-        results, _ = grid_search(Y, train, val, grid, n_jobs=2)
-        assert all(row.val_perplexity is not None for row in results)
+        threads, tables = [], {}
+        for n_jobs, expected in [(1, {1}), (2, {2}), (None, {2})]:
+            with nbmf._workers.recording_fit_processes() as seen:
+                rows = grid_search(
+                    Y, train, val, grid, n_jobs=n_jobs,
+                    on_row=lambda row: threads.append(threading.active_count()),
+                )[0]
+            assert seen == expected
+            tables[n_jobs] = [replace(row, wall_time=0.0) for row in rows]
+        assert threads == [1] * 6
+        assert tables[1] == tables[2] == tables[None]
 
     def test_bound_holds_until_the_last_holder_exits(self):
         calls = nbmf._workers._openblas_thread_calls()
@@ -496,8 +515,8 @@ class TestBlasThreadBound:
             second = nbmf._workers._one_blas_thread()
             first.__enter__()
             second.__enter__()
-            # the first holder leaves while the second, on another thread in
-            # a pool, would still be running
+            # the first holder leaves while the second, on another thread of
+            # a library caller, would still be running
             first.__exit__(None, None, None)
             assert get_threads() == 1
             second.__exit__(None, None, None)
@@ -519,41 +538,45 @@ class TestBlasThreadBound:
         finally:
             set_threads(before)
 
-    def test_restored_when_a_job_raises(self):
+    def test_restored_when_a_job_raises(self, monkeypatch, small_problem):
         calls = nbmf._workers._openblas_thread_calls()
         if calls is None:
             pytest.skip("numpy does not bundle scipy-openblas here")
         before = calls[0]()
 
-        def boom():
+        def boom(*args):
             raise RuntimeError("job failed")
 
+        monkeypatch.setattr(nbmf.tune, "_fit_and_score", boom)
+        Y, train, val, _ = small_problem
         with pytest.raises(RuntimeError):
-            list(nbmf.tune._run_jobs([boom, boom], n_jobs=2))
+            grid_search(Y, train, val, SHARED_GRID, n_jobs=2)
         assert calls[0]() == before
 
 
 class TestPoolCancellation:
-    def test_failure_cancels_queued_jobs(self):
+    def test_failure_cancels_queued_jobs(self, monkeypatch, small_problem):
         calls = nbmf._workers._openblas_thread_calls()
         before = calls[0]() if calls else None
         started = []
         lock = threading.Lock()
 
-        def boom():
+        def fit_and_score(Y, train_mask, eval_mask, config):
             with lock:
-                started.append("boom")
-            raise RuntimeError("job failed")
-
-        def slow():
-            with lock:
-                started.append("slow")
+                started.append(config.rank)
+            if config.rank == 1:
+                raise RuntimeError("job failed")
             time.sleep(0.2)
+            return 1.0, 1, True, 0.2
 
-        # Uncancelled, the 20 queued jobs would take about 2 s on 2 workers.
+        monkeypatch.setattr(nbmf.tune, "_fit_and_score", fit_and_score)
+        Y, train, val, _ = small_problem
+        grid = GridSpec(rank_values=tuple(range(1, 22)), alpha_values=(1.0,),
+                        beta_values=(1.0,), n_restarts=1, max_iter=5)
+        # Run on, the 20 queued fits would take about 4 s.
         begin = time.perf_counter()
         with pytest.raises(RuntimeError, match="job failed"):
-            list(nbmf.tune._run_jobs([boom] + [slow] * 20, n_jobs=2))
+            grid_search(Y, train, val, grid, n_jobs=2)
         assert len(started) <= 3
         assert time.perf_counter() - begin < 1.0
         if calls:
@@ -575,7 +598,7 @@ class TestPoolCancellation:
         monkeypatch.setattr(nbmf.tune, "_fit_and_score", fit_and_score)
         Y, train, _, test = small_problem
         config = GridSpec().fit_config(1, 1.0, 1.0, 0)
-        # Uncancelled, the 19 queued restarts would take about 2 s on 2 workers.
+        # Run on, the 19 queued restarts would take about 4 s.
         begin = time.perf_counter()
         with pytest.raises(RuntimeError, match="restart failed"):
             run_test_evaluation(Y, train, test, config, n_restarts=20, n_jobs=2)
@@ -749,13 +772,11 @@ class TestSharedProblem:
         assert self._held_bytes_per_cell(first_row) < 1
 
     def test_pool_holds_one_prepared_problem(self):
-        # one shared A and B (16 bytes a cell); each worker either fits, with
-        # P and R of at most 2 ** 16 cells each (8.7 bytes a cell here), or
-        # scores, with a full-size W @ H (8 bytes a cell) and about 6 bytes a
-        # cell over the validation cells: at most 45 bytes a cell, reached
-        # when both workers score at once, where two workers that each
-        # prepare hold 2 x 26.  Measured: 40.4 to 45.3, and 52.0 with one
-        # problem per fit.
+        # one shared A and B (16 bytes a cell), and then the one fit that
+        # runs, with P and R of at most 2 ** 16 cells each (8.7 bytes a cell
+        # here), or the one score, with a full-size W @ H (8 bytes a cell)
+        # and about 6 bytes a cell over the validation cells.  Measured:
+        # 30.6; two fits or scores at once, as on a thread pool, reached 45.
         M, N = 300, 400
         Y = random_binary_matrix(M, N, 0.5, seed=8)
         train, val, _ = split_observations(Y, SplitSpec(seed=8))
@@ -770,4 +791,4 @@ class TestSharedProblem:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - held) / (M * N) < 48
+        assert (peak - held) / (M * N) < 34
