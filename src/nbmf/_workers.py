@@ -5,7 +5,8 @@ workers, none at ``p = 1``, forked after the problem is prepared.  The
 workers inherit its arrays read-only, and the fit and its workers keep W,
 H and the workers' results in one anonymous shared mapping
 (:func:`shared_arrays`), which every fit makes, whatever its ``p``.
-:func:`fit_processes` works out ``p``.  :class:`Workers` owns the workers:
+:func:`fit_processes` works out ``p``, at most the cap that an open
+:func:`capping_fit_processes` block sets.  :class:`Workers` owns the workers:
 each runs one fixed range of row blocks whenever the fit sends it a sweep
 index, and answers when the range is done; with no ranges it forks
 nothing and its calls return at once.  The fit itself decides what a
@@ -110,20 +111,25 @@ _FORCED_CPUS = None
 # The set that an open recording_fit_processes block fills, else None.
 _recorded = None
 
+# The cap of the innermost capping_fit_processes block open on each thread.
+_scope = threading.local()
 
-def fit_processes(n_blocks, cap=None):
+
+def fit_processes(n_blocks):
     """How many processes a fit of ``n_blocks`` row blocks runs on.
 
     On Linux, from the main thread while no other Python thread is alive,
     the number of CPUs this process may run on (``os.sched_getaffinity``),
-    at most one per block and at most ``cap`` unless that is None; anywhere
-    else 1.  Recorded in an open :func:`recording_fit_processes` block.
+    at most one per block and at most the cap of an open
+    :func:`capping_fit_processes` block; anywhere else 1.  Recorded in an
+    open :func:`recording_fit_processes` block.
     """
     processes = 1
     if (sys.platform.startswith("linux")
             and threading.current_thread() is threading.main_thread()
             and threading.active_count() == 1):
         cpus = _FORCED_CPUS or len(os.sched_getaffinity(0))
+        cap = getattr(_scope, "cap", None)
         processes = max(1, min(cpus, n_blocks, cap or cpus))
     if _recorded is not None:
         _recorded.add(processes)
@@ -139,6 +145,18 @@ def recording_fit_processes():
         yield _recorded
     finally:
         _recorded = outer
+
+
+@contextmanager
+def capping_fit_processes(cap):
+    """Run every fit that this thread starts in the block on at most ``cap``
+    processes; None is no cap.  The outer block's cap returns on exit."""
+    outer = getattr(_scope, "cap", None)
+    _scope.cap = cap
+    try:
+        yield
+    finally:
+        _scope.cap = outer
 
 
 def shared_arrays(*shapes):

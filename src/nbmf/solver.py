@@ -47,8 +47,9 @@ takes its W step, then scores the new rows and writes their numerators
 computes two products and two ratio passes per block.  The pass runs on
 ``p`` processes, ``p`` from ``_workers.fit_processes``: on Linux, from the
 main thread while no other Python thread is alive, the CPUs this process
-may use, at most one per block and at most the cap that a mask from
-``_shared_problem`` carries; else 1.  Every ``p`` runs the same loop:
+may use, at most one per block and at most the cap that an open
+``_workers.capping_fit_processes`` block sets (``tune`` opens one around
+its fits); else 1.  Every ``p`` runs the same loop:
 after preparing, the fit forks ``p - 1`` workers, none at ``p = 1``, which
 inherit ``A`` and ``B``.  Each process owns a fixed contiguous range of
 blocks, the fit's own first.  W and H live in one anonymous shared mapping
@@ -61,13 +62,9 @@ adds those after its own, in block order.  So the bytes do not depend on
 ``p``.  Every fit runs its products at one OpenBLAS thread, so its bytes
 do not depend on the BLAS thread count either.
 
-Every call prepares its own problem, except on a mask that
-``_shared_problem(Y, mask)`` yields: that copy of the mask carries one
-read-only problem, which :func:`fit`, the public updates and
-:func:`objective` given the copy and the same ``Y`` read instead.  ``tune``
-passes such a copy to every fit of a grid search or of a restart set, so
-they share one copy of ``A`` and ``B`` (16 bytes a cell) and a cap on
-processes.
+Every call of :func:`fit`, the public updates and :func:`objective`
+prepares its own problem with ``_prepare``: ``A`` and ``B`` (16 bytes a
+cell) and the row counts, all read-only, which it drops when it returns.
 
 The public functions are pure: they read their inputs and return fresh
 arrays.  Besides the prepared problem, each call owns only its two scratch
@@ -82,7 +79,6 @@ step taken after the last evaluation is discarded.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -287,7 +283,9 @@ def _require_matrix_and_mask(Y, mask):
 
 def _prepare(Y, mask):
     """Dense observed ones ``A``, observed zeros ``B`` and the per-row
-    observed counts."""
+    observed counts, all read-only, so that no pass can write them."""
+    if 0 in Y.shape:
+        raise DimensionError(f"matrix of shape {Y.shape} has no cells")
     if Y.shape != mask.shape:
         raise DimensionError(
             f"mask shape {mask.shape} does not match matrix shape {Y.shape}"
@@ -299,47 +297,9 @@ def _prepare(Y, mask):
     del observed
     n_obs = B.sum(axis=1)
     B -= A
-    return A, B, n_obs
-
-
-class _PreparedMask(ObservationMask):
-    """A copy of a train mask that carries ``Y``, the problem prepared from
-    both and a cap on a fit's processes; :func:`_shared_problem` makes it."""
-
-    __slots__ = ("Y", "problem", "processes")
-
-
-@contextmanager
-def _shared_problem(Y, mask, processes=None):
-    """A copy of ``mask`` that carries one problem prepared from ``(Y, mask)``.
-
-    :func:`fit`, the public updates and :func:`objective`, given the copy
-    and this ``Y``, read that problem instead of preparing their own, and a
-    fit runs on at most ``processes`` processes unless that is None.  On
-    exit the copy drops the problem, so a copy that outlives the block, as
-    in a held traceback, keeps no matrix-sized array alive.
-    """
-    _require_matrix_and_mask(Y, mask)
-    shared = _PreparedMask._from_linear(*mask.shape, mask.linear)
-    object.__setattr__(shared, "Y", Y)
-    object.__setattr__(shared, "problem", _prepare(Y, mask))
-    object.__setattr__(shared, "processes", processes)
-    for array in shared.problem:
+    for array in (A, B, n_obs):
         array.flags.writeable = False
-    try:
-        yield shared
-    finally:
-        object.__setattr__(shared, "problem", None)
-
-
-def _problem(Y, mask):
-    """The problem that ``mask`` carries for this ``Y``, else a freshly
-    prepared one."""
-    if 0 in Y.shape:
-        raise DimensionError(f"matrix of shape {Y.shape} has no cells")
-    if isinstance(mask, _PreparedMask) and mask.Y is Y and mask.problem is not None:
-        return mask.problem
-    return _prepare(Y, mask)
+    return A, B, n_obs
 
 
 # Every pass walks the rows in blocks of at most _BLOCK cells (one row where a
@@ -411,7 +371,7 @@ def objective(Y, mask, factors, prior):
     penalty always covers all of H.  Raises :class:`NumericalError` if any
     cell of ``W @ H`` leaves (0, 1).
     """
-    A, B, _ = _problem(Y, mask)
+    A, B, _ = _prepare(Y, mask)
     W, H = factors.W, factors.H
     loglik = 0.0
     for rows, P, R in _blocks(*Y.shape):
@@ -441,7 +401,7 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     [epsilon, 1 - epsilon].  Raises :class:`NumericalError` if any cell of
     ``W @ H`` leaves (0, 1).
     """
-    A, B, _ = _problem(Y, mask)
+    A, B, _ = _prepare(Y, mask)
     W, H = factors.W, factors.H
     pos, neg = np.zeros((2, *H.shape))
     for rows, P, R in _blocks(*Y.shape):
@@ -474,7 +434,7 @@ def update_w(Y, mask, factors, epsilon=1e-12, clamp=True):
     floored at ``epsilon`` and the row renormalized.  Raises
     :class:`NumericalError` if any cell of ``W @ H`` leaves (0, 1).
     """
-    A, B, n_obs = _problem(Y, mask)
+    A, B, n_obs = _prepare(Y, mask)
     W, H = factors.W, factors.H
     new_W = np.empty_like(W)
     for rows, P, R in _blocks(*Y.shape):
@@ -506,10 +466,10 @@ def fit(Y, mask, config, on_sweep=None):
     _require_matrix_and_mask(Y, mask)
     if mask.n_cells == 0:
         raise EmptyMaskError("cannot fit on an empty mask")
-    A, B, n_obs = _problem(Y, mask)
+    A, B, n_obs = _prepare(Y, mask)
     prior, epsilon = config.prior, config.epsilon
     blocks = _blocks(*Y.shape)
-    processes = fit_processes(len(blocks), getattr(mask, "processes", None))
+    processes = fit_processes(len(blocks))
     # The fit's own range of blocks comes first; workers run the others.
     bounds = [len(blocks) * i // processes for i in range(processes + 1)]
     own = bounds[1]

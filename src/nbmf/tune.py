@@ -9,14 +9,14 @@ thread, each on at most ``n_jobs`` processes (see ``solver.fit``; None is
 no cap) and with numpy's OpenBLAS held to one thread, so the table is the
 same for any ``n_jobs`` on one machine.
 
-The train cells are prepared once per :func:`grid_search` or
-:func:`test_evaluation` call: ``_scored_rows`` opens the solver's
-``_shared_problem`` around its fits and hands each of them the copy of the
-train mask that it yields, which carries one read-only ``A`` and ``B``
-(16 bytes a matrix cell) and the cap ``n_jobs``.  The fits still call
-``fit(Y, mask, config)``.  Each fit adds only its two scratch arrays of
-one row block: at most 2**17 cells between them (1 MB) on a matrix up to
-2**16 columns wide, however many rows it has.
+``_scored_rows`` hands each fit the plain train mask through the public
+``fit(Y, mask, config)``, inside ``_workers.capping_fit_processes(n_jobs)``.
+So each fit prepares its own read-only ``A`` and ``B`` (16 bytes a matrix
+cell) and frees them before its score builds the full ``W @ H`` (8 bytes a
+cell): a search holds one of the two at a time.  Besides ``A`` and ``B`` a
+fit holds its two scratch arrays of one row block: at most 2**17 cells
+between them (1 MB) on a matrix up to 2**16 columns wide, however many
+rows it has.
 
 :class:`GridSpec` checks the restart count and base seed under their own
 names, and its other fit settings by building the
@@ -35,12 +35,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._workers import _one_blas_thread
+from ._workers import _one_blas_thread, capping_fit_processes
 from .binmat import _integer_setting
 from .errors import ConfigError, NumericalError, SearchError
 from .evaluate import _require_disjoint, perplexity
 from .io import _cell_text, _json_text, _write_text
-from .solver import BetaPrior, FitConfig, _shared_problem, fit, reconstruct
+from .solver import BetaPrior, FitConfig, fit, reconstruct
 
 __all__ = [
     "GridSpec",
@@ -253,18 +253,17 @@ def _check_jobs(n_jobs):
 def _scored_rows(Y, train_mask, eval_mask, configs, column, n_jobs):
     """Fit each config and score it on ``eval_mask``; yield rows in config order.
 
-    The score goes into the perplexity column named by ``column``.  Every
-    fit is given the copy of ``train_mask`` that ``_shared_problem`` yields,
-    so all of them read one read-only problem.  Consume the generator inside
-    ``closing`` so that the copy drops the problem and the OpenBLAS bound is
-    lifted as soon as the loop over it ends.
+    The score goes into the perplexity column named by ``column``, and
+    every fit runs on at most ``n_jobs`` processes.  Consume the generator
+    inside ``closing`` so that the OpenBLAS bound is lifted and the cap
+    restored as soon as the loop over it ends.
     """
     if not configs:
         return
-    with _one_blas_thread(), _shared_problem(Y, train_mask, n_jobs) as shared_mask:
+    with _one_blas_thread(), capping_fit_processes(n_jobs):
         for config in configs:
             score, n_iter, converged, wall = _fit_and_score(
-                Y, shared_mask, eval_mask, config)
+                Y, train_mask, eval_mask, config)
             scores = {"val_perplexity": None, "test_perplexity": None, column: score}
             yield GridRow(
                 rank=config.rank, alpha=config.prior.alpha, beta=config.prior.beta,

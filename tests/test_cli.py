@@ -16,6 +16,7 @@ import pytest
 
 import nbmf._workers
 import nbmf.cli
+import nbmf.tune
 from nbmf import (
     BetaPrior,
     CompletionReport,
@@ -819,6 +820,26 @@ class TestCtrlC:
         assert err.endswith("error: interrupted\n")
         assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
         assert not (tmp_path / "out" / ".nbmf.lock").exists()
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("mode", ["fit", "tune"])
+    def test_exits_1_with_one_line(self, workspace, capsys, monkeypatch, mode):
+        # as numpy's allocation fails for a [fit] rank of 1e10 on a 20 x 30
+        # matrix; raised here, so the test does not depend on overcommit
+        message = ("Unable to allocate 1.46 TiB for an array with shape "
+                   "(20, 10000000000) and data type float64")
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(nbmf.cli, "fit", out_of_memory)
+        monkeypatch.setattr(nbmf.tune, "fit", out_of_memory)
+        assert run(workspace, mode, "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: out of memory: {message}\n"
+        assert not (workspace / "out" / ".nbmf.lock").exists()
 
 
 class TestReport:

@@ -59,8 +59,8 @@ def test_completion_report_reaches_traced_calls():
 
 def test_tune_reaches_traced_calls():
     # the traced tune-grid workload feeds its solver and evaluate metrics
-    # from these spans, and binmat.to_dense from the one preparation of the
-    # train cells per tune call
+    # from these spans, and binmat.to_dense from the preparation of the
+    # train cells in each fit
     Y, _, _ = nbmf.planted_dataset(24, 18, 2, seed=1)
     train, val, test = split_observations(Y, SplitSpec(seed=5))
     grid = nbmf.GridSpec(rank_values=(1, 2), alpha_values=(1.0, 2.0),

@@ -12,7 +12,6 @@ import nbmf._workers
 import nbmf.solver
 import nbmf.tune
 from nbmf import (
-    BetaPrior,
     BinaryMatrix,
     ConfigError,
     FitConfig,
@@ -26,12 +25,9 @@ from nbmf import (
     export_heatmap,
     fit,
     grid_search,
-    objective,
     planted_dataset,
     random_binary_matrix,
     split_observations,
-    update_h,
-    update_w,
 )
 from nbmf import test_evaluation as run_test_evaluation
 from nbmf.io import _write_json
@@ -328,7 +324,7 @@ class TestTestEvaluation:
                                 **{setting: value})
         if setting == "n_jobs":
             with pytest.raises(ConfigError, match=message):
-                grid_search(Y, train, val, SHARED_GRID, n_jobs=value)
+                grid_search(Y, train, val, SMALL_GRID, n_jobs=value)
 
     def test_all_restarts_failed_raises_search_error(self, small_problem,
                                                       monkeypatch):
@@ -457,7 +453,7 @@ class TestBlasThreadBound:
                             lambda *args: (get_threads(), 1, True, 0.0))
         Y, train, val, _ = small_problem
         for n_jobs in (1, 2):
-            rows = grid_search(Y, train, val, SHARED_GRID, n_jobs=n_jobs)[0]
+            rows = grid_search(Y, train, val, SMALL_GRID, n_jobs=n_jobs)[0]
             assert [row.val_perplexity for row in rows] == [1] * 4
             assert get_threads() == before
 
@@ -550,8 +546,56 @@ class TestBlasThreadBound:
         monkeypatch.setattr(nbmf.tune, "_fit_and_score", boom)
         Y, train, val, _ = small_problem
         with pytest.raises(RuntimeError):
-            grid_search(Y, train, val, SHARED_GRID, n_jobs=2)
+            grid_search(Y, train, val, SMALL_GRID, n_jobs=2)
         assert calls[0]() == before
+
+
+class TestProcessCap:
+    """``n_jobs`` caps the fits of one search only: the cap is restored
+    however the search ends."""
+
+    @staticmethod
+    def plain_fit_processes():
+        # two row blocks on 2 CPUs, so an uncapped fit runs on 2 processes
+        Y, _, _ = planted_dataset(250, 400, 2, seed=3)
+        train = split_observations(Y, SplitSpec(seed=3))[0]
+        with nbmf._workers.recording_fit_processes() as seen:
+            fit(Y, train, FitConfig(rank=2, max_iter=2))
+        return seen
+
+    def test_restored_when_a_fit_raises(self, monkeypatch, small_problem):
+        monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 2)
+
+        def failing_fit(*args, **kwargs):
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setattr(nbmf.tune, "fit", failing_fit)
+        Y, train, val, _ = small_problem
+        with pytest.raises(RuntimeError, match="fit failed"):
+            grid_search(Y, train, val, SMALL_GRID, n_jobs=1)
+        assert self.plain_fit_processes() == {2}
+
+    def test_restored_when_on_row_raises(self, monkeypatch, small_problem):
+        monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 2)
+
+        def failing_row(row):
+            raise OSError("disk full")
+
+        Y, train, val, _ = small_problem
+        with pytest.raises(OSError, match="disk full"):
+            grid_search(Y, train, val, SMALL_GRID, n_jobs=1, on_row=failing_row)
+        assert self.plain_fit_processes() == {2}
+
+    def test_nested_scopes_restore_the_outer_cap(self, monkeypatch, small_problem):
+        monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 2)
+        Y, train, val, _ = small_problem
+        with nbmf._workers.capping_fit_processes(1):
+            grid_search(Y, train, val, SMALL_GRID, n_jobs=2)
+            assert self.plain_fit_processes() == {1}
+            with nbmf._workers.capping_fit_processes(None):
+                assert self.plain_fit_processes() == {2}
+            assert self.plain_fit_processes() == {1}
+        assert self.plain_fit_processes() == {2}
 
 
 class TestPoolCancellation:
@@ -648,81 +692,55 @@ def prepared(monkeypatch):
     return calls
 
 
-SHARED_GRID = GridSpec(rank_values=(1, 2), alpha_values=(1.0, 2.0),
-                       beta_values=(1.0,), n_restarts=3, max_iter=30)
+SMALL_GRID = GridSpec(rank_values=(1, 2), alpha_values=(1.0, 2.0),
+                      beta_values=(1.0,), n_restarts=3, max_iter=30)
 
 
 class TestSharedProblem:
+    """No problem is shared between fits: each prepares and frees its own."""
+
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_prepared_once_per_call_and_read_only(self, small_problem, prepared,
                                                   n_jobs):
+        # each fit that runs prepares one problem of its own from the plain
+        # train mask
         Y, train, val, test = small_problem
-        _, best = grid_search(Y, train, val, SHARED_GRID, n_jobs=n_jobs)
-        assert len(prepared) == 1 and prepared[0][0] is train
-        config = SHARED_GRID.fit_config(best.rank, best.alpha, best.beta, 0)
+        _, best = grid_search(Y, train, val, SMALL_GRID, n_jobs=n_jobs)
+        assert len(prepared) == len(SMALL_GRID.points())
+        config = SMALL_GRID.fit_config(best.rank, best.alpha, best.beta, 0)
         run_test_evaluation(Y, train, test, config, n_restarts=3, n_jobs=n_jobs)
-        assert len(prepared) == 2 and prepared[1][0] is train
+        assert len(prepared) == len(SMALL_GRID.points()) + 3
         # a sweep that wrote to A, B or n_obs would have raised, and
         # would leave other bytes than a fresh preparation
         fresh = nbmf.solver._prepare(Y, train)
-        for _, problem in prepared[:2]:
+        for mask, problem in prepared:
+            assert mask is train
             for array, expected in zip(problem, fresh, strict=True):
                 assert not array.flags.writeable
                 assert array.tobytes() == expected.tobytes()
 
     def test_complete_resume_prepares_nothing(self, small_problem, prepared):
         Y, train, val, _ = small_problem
-        done, _ = grid_search(Y, train, val, SHARED_GRID)
+        done, _ = grid_search(Y, train, val, SMALL_GRID)
         prepared.clear()
-        resumed, _ = grid_search(Y, train, val, SHARED_GRID, resume_rows=done.rows)
+        resumed, _ = grid_search(Y, train, val, SMALL_GRID, resume_rows=done.rows)
         assert resumed == done and prepared == []
 
     def test_dense_data_is_a_config_error(self, small_problem):
         Y, train, val, _ = small_problem
         with pytest.raises(ConfigError, match="BinaryMatrix"):
-            grid_search(Y.to_dense(), train, val, SHARED_GRID)
+            grid_search(Y.to_dense(), train, val, SMALL_GRID)
 
-    def test_shared_rows_equal_unshared_fits(self, small_problem):
+    def test_rows_equal_plain_fits(self, small_problem):
         Y, train, val, _ = small_problem
-        results, _ = grid_search(Y, train, val, SHARED_GRID, n_jobs=2)
+        results, _ = grid_search(Y, train, val, SMALL_GRID, n_jobs=2)
         for row in results:
-            config = SHARED_GRID.fit_config(row.rank, row.alpha, row.beta,
+            config = SMALL_GRID.fit_config(row.rank, row.alpha, row.beta,
                                             row.restart_seed)
             score, n_iter, converged, _ = nbmf.tune._fit_and_score(
                 Y, train, val, config)
             assert (score, n_iter, converged) == (
                 row.val_perplexity, row.n_iter, row.converged)
-
-    def test_carried_problem_gives_the_bits_of_a_fresh_one(self, small_problem,
-                                                           prepared):
-        Y, train, _, _ = small_problem
-        factors = fit(Y, train, FitConfig(rank=2, max_iter=5, seed=3))[0]
-        prior = BetaPrior(2.0, 1.5)
-        calls = [
-            lambda mask: update_h(Y, mask, factors, prior),
-            lambda mask: update_w(Y, mask, factors),
-            lambda mask: np.float64(objective(Y, mask, factors, prior)),
-        ]
-        expected = [call(train) for call in calls]
-        with nbmf.solver._shared_problem(Y, train) as shared:
-            del prepared[:]
-            got = [call(shared) for call in calls]
-            assert prepared == []
-        for value, reference in zip(got, expected, strict=True):
-            assert value.tobytes() == reference.tobytes()
-
-    def test_equal_matrix_object_prepares_afresh(self, small_problem, prepared):
-        Y, train, _, _ = small_problem
-        config = FitConfig(rank=2, max_iter=20, tol=1e-12, seed=4)
-        expected = fit(Y, train, config)
-        twin = BinaryMatrix.from_dense(Y.to_dense())
-        with nbmf.solver._shared_problem(Y, train) as shared:
-            del prepared[:]
-            got = fit(twin, shared, config)
-            assert len(prepared) == 1
-        assert got[0].W.tobytes() == expected[0].W.tobytes()
-        assert got[0].H.tobytes() == expected[0].H.tobytes()
-        assert got[1].objective_trace == expected[1].objective_trace
 
     @staticmethod
     def _held_bytes_per_cell(run):
@@ -740,8 +758,8 @@ class TestSharedProblem:
         return (now - held) / (300 * 400)
 
     def test_no_problem_held_after_a_fit_raises(self, monkeypatch):
-        # the fit's error, held as by a caller reporting it, reaches the
-        # copy of the train mask through its traceback
+        # the fit's error, held as by a caller reporting it, keeps the
+        # search's frames alive through its traceback
         real_fit = nbmf.tune.fit
 
         def failing_fit(Y, mask, config, on_sweep=None):
@@ -751,7 +769,7 @@ class TestSharedProblem:
 
         def search(Y, train, val, n_jobs):
             with pytest.raises(RuntimeError, match="fit failed") as caught:
-                grid_search(Y, train, val, SHARED_GRID, n_jobs=n_jobs)
+                grid_search(Y, train, val, SMALL_GRID, n_jobs=n_jobs)
             return caught
 
         monkeypatch.setattr(nbmf.tune, "fit", failing_fit)
@@ -761,8 +779,8 @@ class TestSharedProblem:
 
     def test_no_problem_held_after_the_rows_are_closed_early(self):
         def first_row(Y, train, val):
-            configs = [SHARED_GRID.fit_config(*point, 0)
-                       for point in SHARED_GRID.points()]
+            configs = [SMALL_GRID.fit_config(*point, 0)
+                       for point in SMALL_GRID.points()]
             rows = nbmf.tune._scored_rows(Y, train, val, configs,
                                           "val_perplexity", 2)
             next(rows)
@@ -771,24 +789,25 @@ class TestSharedProblem:
 
         assert self._held_bytes_per_cell(first_row) < 1
 
-    def test_pool_holds_one_prepared_problem(self):
-        # one shared A and B (16 bytes a cell), and then the one fit that
-        # runs, with P and R of at most 2 ** 16 cells each (8.7 bytes a cell
-        # here), or the one score, with a full-size W @ H (8 bytes a cell)
-        # and about 6 bytes a cell over the validation cells.  Measured:
-        # 30.6; two fits or scores at once, as on a thread pool, reached 45.
-        M, N = 300, 400
-        Y = random_binary_matrix(M, N, 0.5, seed=8)
-        train, val, _ = split_observations(Y, SplitSpec(seed=8))
-        grid = GridSpec(rank_values=(4,), alpha_values=(1.0, 2.0, 3.0, 4.0),
-                        beta_values=(1.0, 2.0), n_restarts=1, max_iter=20,
-                        tol=1e-12)
-        grid_search(Y, train, val, grid, n_jobs=2)  # warm
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            grid_search(Y, train, val, grid, n_jobs=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - held) / (M * N) < 34
+    def test_search_holds_one_fit_or_one_score(self):
+        # the fit that runs, with its own A and B (16 bytes a cell) and P
+        # and R of at most 2 ** 16 cells each, or the one score, with a
+        # full-size W @ H (8 bytes a cell) and about 6 bytes a cell over the
+        # validation cells.  Measured: 25.4 at 300 x 400, where P and R are
+        # 8.7 bytes a cell, and 19.1 at 500 x 800.  With one A and B held
+        # across the search: 30.6 and 30.5.
+        for (M, N), bound in [((500, 800), 24), ((300, 400), 28)]:
+            Y = random_binary_matrix(M, N, 0.5, seed=8)
+            train, val, _ = split_observations(Y, SplitSpec(seed=8))
+            grid = GridSpec(rank_values=(4,), alpha_values=(1.0, 2.0),
+                            beta_values=(1.0,), n_restarts=1, max_iter=3,
+                            tol=1e-12)
+            grid_search(Y, train, val, grid, n_jobs=2)  # warm
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                grid_search(Y, train, val, grid, n_jobs=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (peak - held) / (M * N) < bound, (M, N)
