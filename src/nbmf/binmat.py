@@ -362,11 +362,13 @@ def density(matrix):
 # The writer builds each chunk's lines right-aligned in a fixed-width byte
 # matrix whose leading-zero cells hold 0 and drops those cells in one pass.
 # The reader is a fast path for the plain form (ASCII digits, spaces, LF or
-# CRLF, comment lines starting at the line's first non-space byte): it reads
-# the digits of each chunk's tokens by dense gathers and accepts the file only
-# when every check passes.  Anything else goes to the line-by-line scanner,
-# which defines the format: it either reads the file or raises an error
-# naming the offending line.
+# CRLF, comment lines starting at the line's first non-space byte).  It
+# counts the file's newlines in one pass to size the index array, then reads
+# the file again from its handle a chunk at a time, so the text is never held
+# whole; it reads the digits of each chunk's tokens by dense gathers and
+# accepts the file only when every check passes.  Anything else goes to the
+# line-by-line scanner, which defines the format: it either reads the file or
+# raises an error naming the offending line.
 # ---------------------------------------------------------------------------
 
 _DIGIT0, _SPACE, _NEWLINE = ord("0"), ord(" "), ord("\n")
@@ -492,24 +494,20 @@ def _chunk_values(buf):
     return values
 
 
-def _line_chunks(raw):
-    """``(start, end)`` of runs of whole lines of about ``_CHUNK_BYTES``."""
-    start = 0
-    while start < len(raw):
-        end = raw.find(b"\n", start + _CHUNK_BYTES) + 1
-        end = end or len(raw)
-        yield start, end
-        start = end
-
-
-def _parse_plain(raw):
-    """``(shape, linear)`` of a plain, valid file; None if the scanner must read it."""
+def _parse_plain(handle):
+    """``(shape, linear)`` of a plain, valid file read from the binary
+    ``handle``; None if the scanner must read it."""
     # A pair takes a line of its own after the header's, so the newlines
-    # bound the number of pairs.
-    linear = np.empty(raw.count(b"\n"), dtype=np.int64)
+    # bound the number of pairs.  bytes.count allocates nothing per block.
+    n_newlines = 0
+    while block := handle.read(_CHUNK_BYTES):
+        n_newlines += block.count(b"\n")
+    handle.seek(0)
+    linear = np.empty(n_newlines, dtype=np.int64)
     shape, n_cells, ordered = None, 0, True
-    for start, end in _line_chunks(raw):
-        chunk = _plain_lines(raw[start:end])
+    # Whole lines: a chunk's bytes, then the rest of its last line.
+    while chunk := handle.read(_CHUNK_BYTES):
+        chunk = _plain_lines(chunk + handle.readline())
         if chunk is None:
             return None
         values = _chunk_values(np.frombuffer(chunk, dtype=np.uint8))
@@ -546,7 +544,7 @@ def _parse_plain(raw):
 
 def _read_coords(path, cls):
     with open(path, "rb") as handle:
-        parsed = _parse_plain(handle.read())
+        parsed = _parse_plain(handle)
     if parsed is None:
         shape, coords = _scan_coords(path)
         return cls(shape[0], shape[1], coords)

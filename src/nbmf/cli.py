@@ -3,10 +3,11 @@
 Runs are described by a flat INI config (sections ``[run]``, ``[split]``,
 ``[fit]``, ``[tune]``); the subcommand picks the action.  Every run writes a
 manifest with the config hash, seeds, and artifact list into the output
-directory, and takes a lock file there so concurrent runs cannot trample
-each other.  ``io`` and ``binmat`` write every file but the lock, whole or
-not at all.  Exit codes are stable: 0 success, 1 runtime or numerical
-failure, 2 configuration error.
+directory (fit's also records the ``[split]`` settings and the dataset's
+SHA-256, which eval checks before scoring), and takes a lock file there so
+concurrent runs cannot trample each other.  ``io`` and ``binmat`` write
+every file but the lock, whole or not at all.  Exit codes are stable: 0
+success, 1 runtime or numerical failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -250,9 +251,9 @@ def _environment():
     }
 
 
-def _write_manifest(config, artifacts, seeds, fit_processes=None):
+def _write_manifest(config, artifacts, seeds, fit_processes=None, **recorded):
     """``fit_processes``: the process counts the run's fits ran on, if it
-    ran any."""
+    ran any; ``recorded``: further fields of the manifest."""
     path = config.out_dir / f"manifest_{config.mode}.json"
     environment = _environment()
     if fit_processes is not None:
@@ -263,7 +264,51 @@ def _write_manifest(config, artifacts, seeds, fit_processes=None):
         "seeds": seeds,
         "artifacts": sorted(artifacts),
         "environment": environment,
+        **recorded,
     })
+
+
+def _file_sha256(path):
+    """The SHA-256 of the file at ``path``, read a chunk at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _fit_inputs(config):
+    """The dataset digest and ``[split]`` settings that ``manifest_fit.json``
+    records, under the config's key names."""
+    split = config.split
+    return {
+        "dataset_sha256": _file_sha256(config.dataset),
+        "split": {"train": split.train_frac, "val": split.val_frac,
+                  "test": split.test_frac, "seed": split.seed},
+    }
+
+
+def _check_fit_inputs(path, inputs):
+    """Raise unless the fit manifest at ``path`` records ``inputs``.
+
+    A missing manifest, or a field that it does not record (one written
+    before it recorded them), is not checked.
+    """
+    try:
+        recorded = json.loads(path.read_text(encoding="utf-8"))
+        checked = [("dataset_sha256", recorded.get("dataset_sha256"),
+                    inputs["dataset_sha256"])]
+        checked += [(f"[split] {key}", recorded.get("split", {}).get(key), value)
+                    for key, value in inputs["split"].items()]
+    except FileNotFoundError:
+        return
+    except (ValueError, AttributeError) as exc:
+        raise NbmfError(f"cannot read {path}: {exc}") from None
+    differ = [f"{name} {new!r} (fit: {old!r})"
+              for name, old, new in checked if old is not None and old != new]
+    if differ:
+        raise NbmfError(f"{path}: the factors were fit on another dataset or "
+                        f"split; this run has {', '.join(differ)}")
 
 
 def _split_dataset(config):
@@ -274,6 +319,7 @@ def _split_dataset(config):
 
 def cmd_fit(config):
     Y, train, val, test = _split_dataset(config)
+    inputs = _fit_inputs(config)
     with _output_lock(config.out_dir):
         log_every = config.log_every
 
@@ -301,7 +347,7 @@ def cmd_fit(config):
         _write_manifest(
             config, [p.name for p in artifacts],
             {"split": config.split.seed, "fit": config.fit_config.seed},
-            fit_processes,
+            fit_processes, **inputs,
         )
         print(
             f"fit finished: n_iter={report.n_iter} converged={report.converged} "
@@ -312,14 +358,20 @@ def cmd_fit(config):
 
 def cmd_eval(config):
     """Score the saved factors on the held-out cells of ``[split]``'s split,
-    made again as fit made it: fit's mask files are never read back."""
+    made again as fit made it: fit's mask files are never read back.
+
+    A dataset or ``[split]`` other than the one ``manifest_fit.json``
+    records is refused before scoring.
+    """
     for name in (W_FILE, H_FILE, META_FILE):
         if not (config.out_dir / name).is_file():
             raise ConfigError(
                 f"missing factor file: {config.out_dir / name} (run fit first)"
             )
     Y = load_coordinate_file(config.dataset)
+    inputs = _fit_inputs(config)
     with _output_lock(config.out_dir):
+        _check_fit_inputs(config.out_dir / "manifest_fit.json", inputs)
         factors, meta = read_factors(config.out_dir)
         if (meta["n_rows"], meta["n_cols"]) != Y.shape:
             raise DimensionError(
@@ -370,7 +422,7 @@ def _read_partial_rows(path, stamp):
 
 def cmd_tune(config, n_jobs):
     Y, train, val, test = _split_dataset(config)
-    dataset_sha256 = hashlib.sha256(config.dataset.read_bytes()).hexdigest()
+    dataset_sha256 = _file_sha256(config.dataset)
     stamp = f"# config_sha256={config.config_sha256} dataset_sha256={dataset_sha256}\n"
     with _output_lock(config.out_dir):
         partial_path = config.out_dir / GRID_PARTIAL_CSV

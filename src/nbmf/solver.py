@@ -264,6 +264,12 @@ def init_factors(n_rows, n_cols, rank, epsilon=1e-12, seed=0):
     """
     if n_rows < 1 or n_cols < 1 or rank < 1:
         raise ConfigError("n_rows, n_cols, and rank must all be >= 1")
+    # numpy refuses an array of more bytes than an intp holds with a
+    # ValueError; such factors are out of memory, as larger ones that it
+    # tries and fails to allocate are.
+    if max(n_rows, n_cols) * rank > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"rank-{rank} factors of a {n_rows}x{n_cols} matrix "
+                          "exceed the largest possible array")
     rng = np.random.default_rng(seed)
     expo = rng.standard_exponential((n_rows, rank))
     W = _clamp_w(expo, epsilon)

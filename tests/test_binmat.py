@@ -483,7 +483,8 @@ class TestParserParity:
     def test_token_widths_at_the_int64_limit(self, tmp_path):
         path = tmp_path / "wide.txt"
         path.write_bytes(b"999999999999999999 1\n999999999999999998 0\n")
-        assert nbmf.binmat._parse_plain(path.read_bytes()) is not None
+        with path.open("rb") as handle:
+            assert nbmf.binmat._parse_plain(handle) is not None
         assert load_coordinate_file(path).linear.tolist() == [(10**18 - 2) * 1 + 0]
         # wider tokens can overflow int64, so the scanner reads them
         path.write_bytes(b"3 3\n" + b"0" * 19 + b"2 1\n")
@@ -555,7 +556,8 @@ class TestChunkedText:
         save_mask(grid, path)
         assert path.read_bytes() == _reference_text(grid)
         # the file stays on the fast path and reads back unchanged
-        assert nbmf.binmat._parse_plain(path.read_bytes()) is not None
+        with path.open("rb") as handle:
+            assert nbmf.binmat._parse_plain(handle) is not None
         assert load_mask(path) == grid
 
     @pytest.mark.parametrize("row_width", range(1, 14))
@@ -648,3 +650,17 @@ class TestTextMemory:
         save_mask(mask, path)
         peak = self.traced_peak(load_mask, path)
         assert peak <= 70 * mask.n_cells
+
+    @pytest.mark.parametrize("save, load", [
+        (save_mask, load_mask), (save_coordinate_file, load_coordinate_file),
+    ])
+    def test_load_holds_no_file_text(self, mask, tmp_path, save, load):
+        # The index array is 8 B/cell and the file's text about 8 more, so
+        # a reader that held the text whole would peak near 21 B/cell.
+        grid = mask if load is load_mask else BinaryMatrix._from_linear(
+            *mask.shape, mask.linear)
+        path = tmp_path / "cells.txt"
+        save(grid, path)
+        assert path.stat().st_size > 32 * nbmf.binmat._CHUNK_BYTES
+        peak = self.traced_peak(load, path)
+        assert peak <= 16 * mask.n_cells

@@ -477,6 +477,62 @@ class TestEval:
         assert payload["validation"]["perplexity"] == pytest.approx(math.log(2))
         assert payload["test"]["perplexity"] == pytest.approx(math.log(2))
 
+    def test_fit_manifest_records_split_and_dataset(self, workspace):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        manifest = json.loads((workspace / "out" / "manifest_fit.json").read_text())
+        assert manifest["split"] == {"train": 0.7, "val": 0.15, "test": 0.15, "seed": 3}
+        assert manifest["dataset_sha256"] == \
+            hashlib.sha256((workspace / "data.txt").read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("train = 0.7\nval = 0.15\ntest = 0.15", "train = 0.5\nval = 0.3\ntest = 0.2",
+         ["[split] train 0.5 (fit: 0.7)", "[split] val 0.3 (fit: 0.15)",
+          "[split] test 0.2 (fit: 0.15)"]),
+        ("seed = 3", "seed = 4", ["[split] seed 4 (fit: 3)"]),
+    ], ids=["fractions", "seed"])
+    def test_edited_split_exits_1_naming_it(self, workspace, capsys, old, new, named):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        (workspace / "run.ini").write_text(BASE_CONFIG.replace(old, new))
+        capsys.readouterr()
+        assert run(workspace, "eval", "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {workspace / 'out' / 'manifest_fit.json'}: ")
+        assert err.count("\n") == 1 and "dataset_sha256" not in err
+        for field in named:
+            assert field in err
+        assert not (workspace / "out" / "completion_report.csv").exists()
+
+    def test_replaced_dataset_exits_1_naming_it(self, workspace, capsys):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        Y, _, _ = planted_dataset(18, 12, 2, seed=10)
+        save_coordinate_file(Y, workspace / "data.txt")
+        capsys.readouterr()
+        assert run(workspace, "eval", "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dataset_sha256" in err
+        assert "[split]" not in err
+        assert not (workspace / "out" / "completion_report.csv").exists()
+
+    @pytest.mark.parametrize("drop", ["fields", "manifest"])
+    def test_without_recorded_inputs_scores_as_before(self, workspace, drop):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        path = workspace / "out" / "manifest_fit.json"
+        if drop == "manifest":
+            path.unlink()
+        else:  # a manifest written before it recorded them
+            payload = json.loads(path.read_text())
+            del payload["split"], payload["dataset_sha256"]
+            path.write_text(json.dumps(payload))
+        (workspace / "run.ini").write_text(BASE_CONFIG.replace("seed = 3", "seed = 4"))
+        assert run(workspace, "eval", "--config", "@/run.ini") == 0
+
+    def test_unreadable_fit_manifest_exits_1_naming_it(self, workspace, capsys):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        (workspace / "out" / "manifest_fit.json").write_text("[1, 2")
+        capsys.readouterr()
+        assert run(workspace, "eval", "--config", "@/run.ini") == 1
+        assert "manifest_fit.json" in capsys.readouterr().err
+
     def test_eval_rerun_csv_byte_identical(self, workspace):
         assert run(workspace, "fit", "--config", "@/run.ini") == 0
         assert run(workspace, "eval", "--config", "@/run.ini") == 0
@@ -513,6 +569,12 @@ class TestTune:
         stats = json.loads((out / "boxstats.json").read_text())
         assert set(stats["stats"]) == {"min", "q1", "median", "q3", "max"}
         assert len(stats["test_perplexities"]) == 3
+
+    def test_dataset_digest_is_read_in_chunks_and_equals_sha256(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(0).bytes(3 * (1 << 20) + 7))
+        assert nbmf.cli._file_sha256(path) == \
+            hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_single_point_grid(self, workspace):
         (workspace / "run.ini").write_text(BASE_CONFIG.replace(
@@ -839,6 +901,19 @@ class TestOutOfMemory:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err == f"error: out of memory: {message}\n"
+        assert not (workspace / "out" / ".nbmf.lock").exists()
+
+    @pytest.mark.parametrize("mode, old, new", [
+        ("fit", "rank = 2", "rank = 1000000000000000000"),
+        ("tune", "rank_values = 1 2", "rank_values = 1000000000000000000"),
+    ], ids=["fit", "tune"])
+    def test_rank_beyond_any_array_exits_1_with_one_line(self, workspace, capsys,
+                                                          mode, old, new):
+        (workspace / "run.ini").write_text(BASE_CONFIG.replace(old, new))
+        assert run(workspace, mode, "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: rank-1000000000000000000 ")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not (workspace / "out" / ".nbmf.lock").exists()
 
 

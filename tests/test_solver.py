@@ -183,6 +183,12 @@ class TestInitFactors:
         b = init_factors(5, 6, 3, seed=1)
         assert not np.array_equal(a.H, b.H)
 
+    @pytest.mark.parametrize("shape", [(20, 30), (30, 20), (1, 1)])
+    def test_rank_beyond_any_array_is_out_of_memory(self, shape):
+        # numpy's own error for such a size is a ValueError
+        with pytest.raises(MemoryError, match="^rank-4611686018427387904 "):
+            init_factors(*shape, 2**62)
+
 
 class TestReconstruct:
     def test_rank_one_scalar(self):
