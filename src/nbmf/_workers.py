@@ -6,7 +6,8 @@ workers inherit its arrays read-only, and the fit and its workers keep W,
 H and the workers' results in one anonymous shared mapping
 (:func:`shared_arrays`), which every fit makes, whatever its ``p``.
 :func:`fit_processes` works out ``p``, at most the cap that an open
-:func:`capping_fit_processes` block sets.  :class:`Workers` owns the workers:
+:func:`capping_fit_processes` block sets; the fit reports it in
+``FitReport.processes``.  :class:`Workers` owns the workers:
 each runs one fixed range of row blocks whenever the fit sends it a sweep
 index, and answers when the range is done; with no ranges it forks
 nothing and its calls return at once.  The fit itself decides what a
@@ -108,9 +109,6 @@ def _one_blas_thread():
 # Set only by tests: the CPU count that fit_processes assumes.
 _FORCED_CPUS = None
 
-# The set that an open recording_fit_processes block fills, else None.
-_recorded = None
-
 # The cap of the innermost capping_fit_processes block open on each thread.
 _scope = threading.local()
 
@@ -121,30 +119,15 @@ def fit_processes(n_blocks):
     On Linux, from the main thread while no other Python thread is alive,
     the number of CPUs this process may run on (``os.sched_getaffinity``),
     at most one per block and at most the cap of an open
-    :func:`capping_fit_processes` block; anywhere else 1.  Recorded in an
-    open :func:`recording_fit_processes` block.
+    :func:`capping_fit_processes` block; anywhere else 1.
     """
-    processes = 1
-    if (sys.platform.startswith("linux")
+    if not (sys.platform.startswith("linux")
             and threading.current_thread() is threading.main_thread()
             and threading.active_count() == 1):
-        cpus = _FORCED_CPUS or len(os.sched_getaffinity(0))
-        cap = getattr(_scope, "cap", None)
-        processes = max(1, min(cpus, n_blocks, cap or cpus))
-    if _recorded is not None:
-        _recorded.add(processes)
-    return processes
-
-
-@contextmanager
-def recording_fit_processes():
-    """Yield a set that collects the process count of every fit in the block."""
-    global _recorded
-    outer, _recorded = _recorded, set()
-    try:
-        yield _recorded
-    finally:
-        _recorded = outer
+        return 1
+    cpus = _FORCED_CPUS or len(os.sched_getaffinity(0))
+    cap = getattr(_scope, "cap", None)
+    return max(1, min(cpus, n_blocks, cap or cpus))
 
 
 @contextmanager

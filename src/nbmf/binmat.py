@@ -299,6 +299,11 @@ def split_observations(matrix, spec):
         raise ConfigError("spec must be a SplitSpec")
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     total = n_rows * n_cols
+    # numpy refuses an array of more bytes than an intp holds with a
+    # ValueError; the 2-byte buckets of so many cells are out of memory.
+    if total > np.iinfo(np.intp).max // 2:
+        raise MemoryError(f"the split of a {n_rows}x{n_cols} matrix exceeds "
+                          "the largest possible array")
 
     # Bucket select: each cell's bucket is its key's top bits, so every key
     # in bucket b is below every key in bucket b + 1.

@@ -3,11 +3,12 @@
 Runs are described by a flat INI config (sections ``[run]``, ``[split]``,
 ``[fit]``, ``[tune]``); the subcommand picks the action.  Every run writes a
 manifest with the config hash, seeds, and artifact list into the output
-directory (fit's also records the ``[split]`` settings and the dataset's
-SHA-256, which eval checks before scoring), and takes a lock file there so
-concurrent runs cannot trample each other.  ``io`` and ``binmat`` write
-every file but the lock, whole or not at all.  Exit codes are stable: 0
-success, 1 runtime or numerical failure, 2 configuration error.
+directory (fit's also records the ``[split]`` settings and the SHA-256 of
+the dataset and of each factor file, which eval checks before scoring),
+and takes a lock file there so concurrent runs cannot trample each other.
+``io`` and ``binmat`` write every file but the lock, whole or not at all.
+Exit codes are stable: 0 success, 1 runtime or numerical failure, 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._workers import _openblas_thread_calls, recording_fit_processes
+from ._workers import _openblas_thread_calls
 from .binmat import _GAP, SplitSpec, _integer_setting, load_coordinate_file, save_mask, \
     split_observations
 from .errors import ConfigError, DimensionError, NbmfError
@@ -252,8 +253,8 @@ def _environment():
 
 
 def _write_manifest(config, artifacts, seeds, fit_processes=None, **recorded):
-    """``fit_processes``: the process counts the run's fits ran on, if it
-    ran any; ``recorded``: further fields of the manifest."""
+    """``fit_processes``: the process counts from the reports of the run's
+    fits, if it ran any; ``recorded``: further fields of the manifest."""
     path = config.out_dir / f"manifest_{config.mode}.json"
     environment = _environment()
     if fit_processes is not None:
@@ -289,7 +290,8 @@ def _fit_inputs(config):
 
 
 def _check_fit_inputs(path, inputs):
-    """Raise unless the fit manifest at ``path`` records ``inputs``.
+    """Raise unless the fit manifest at ``path`` records ``inputs``, and the
+    factor files beside it are the ones the fit wrote.
 
     A missing manifest, or a field that it does not record (one written
     before it recorded them), is not checked.
@@ -300,6 +302,8 @@ def _check_fit_inputs(path, inputs):
                     inputs["dataset_sha256"])]
         checked += [(f"[split] {key}", recorded.get("split", {}).get(key), value)
                     for key, value in inputs["split"].items()]
+        written = [(name, recorded.get("factor_sha256", {}).get(name))
+                   for name in (W_FILE, H_FILE, META_FILE)]
     except FileNotFoundError:
         return
     except (ValueError, AttributeError) as exc:
@@ -309,6 +313,11 @@ def _check_fit_inputs(path, inputs):
     if differ:
         raise NbmfError(f"{path}: the factors were fit on another dataset or "
                         f"split; this run has {', '.join(differ)}")
+    edited = [name for name, digest in written
+              if digest is not None and digest != _file_sha256(path.parent / name)]
+    if edited:
+        raise NbmfError(f"{path}: {', '.join(edited)} changed after the fit "
+                        "wrote them")
 
 
 def _split_dataset(config):
@@ -327,8 +336,7 @@ def cmd_fit(config):
             if log_every > 0 and iteration % log_every == 0:
                 print(f"iter {iteration} objective {value:.6f}")
 
-        with recording_fit_processes() as fit_processes:
-            factors, report = fit(Y, train, config.fit_config, on_sweep=on_sweep)
+        factors, report = fit(Y, train, config.fit_config, on_sweep=on_sweep)
         artifacts = write_factors(
             config.out_dir, factors,
             alpha=config.fit_config.prior.alpha,
@@ -337,6 +345,7 @@ def cmd_fit(config):
             seed=config.fit_config.seed,
             converged=report.converged,
         )
+        factor_sha256 = {path.name: _file_sha256(path) for path in artifacts}
         report_path = config.out_dir / REPORT_JSON
         write_report(report_path, report)
         artifacts.append(report_path)
@@ -347,7 +356,7 @@ def cmd_fit(config):
         _write_manifest(
             config, [p.name for p in artifacts],
             {"split": config.split.seed, "fit": config.fit_config.seed},
-            fit_processes, **inputs,
+            {report.processes}, factor_sha256=factor_sha256, **inputs,
         )
         print(
             f"fit finished: n_iter={report.n_iter} converged={report.converged} "
@@ -361,7 +370,8 @@ def cmd_eval(config):
     made again as fit made it: fit's mask files are never read back.
 
     A dataset or ``[split]`` other than the one ``manifest_fit.json``
-    records is refused before scoring.
+    records, or a factor file whose digest differs from the one it records,
+    is refused before scoring.
     """
     for name in (W_FILE, H_FILE, META_FILE):
         if not (config.out_dir / name).is_file():
@@ -438,18 +448,17 @@ def cmd_tune(config, n_jobs):
                 f"val_perplexity={shown}"
             )
 
-        with recording_fit_processes() as fit_processes:
-            results, best = grid_search(
-                Y, train, val, config.grid, n_jobs=n_jobs,
-                resume_rows=tuple(checkpoint), on_row=on_row,
-            )
-            evaluation = test_evaluation(
-                Y, train, test,
-                config.grid.fit_config(best.rank, best.alpha, best.beta, 0),
-                n_restarts=config.grid.n_restarts,
-                base_seed=config.grid.base_seed,
-                n_jobs=n_jobs,
-            )
+        results, best = grid_search(
+            Y, train, val, config.grid, n_jobs=n_jobs,
+            resume_rows=tuple(checkpoint), on_row=on_row,
+        )
+        evaluation = test_evaluation(
+            Y, train, test,
+            config.grid.fit_config(best.rank, best.alpha, best.beta, 0),
+            n_restarts=config.grid.n_restarts,
+            base_seed=config.grid.base_seed,
+            n_jobs=n_jobs,
+        )
 
         grid_path = config.out_dir / GRID_CSV
         results.to_csv(grid_path)
@@ -461,7 +470,8 @@ def cmd_tune(config, n_jobs):
             config,
             [grid_path.name, heatmap_path.name, stats_path.name],
             {"split": config.split.seed, "base": config.grid.base_seed},
-            fit_processes,
+            # resumed and failed rows carry 0: no fit of this run ran them
+            {row.processes for row in (*results, *evaluation.rows)} - {0},
         )
         partial_path.unlink(missing_ok=True)
         print(

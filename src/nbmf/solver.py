@@ -49,7 +49,8 @@ computes two products and two ratio passes per block.  The pass runs on
 main thread while no other Python thread is alive, the CPUs this process
 may use, at most one per block and at most the cap that an open
 ``_workers.capping_fit_processes`` block sets (``tune`` opens one around
-its fits); else 1.  Every ``p`` runs the same loop:
+its fits); else 1.  The fit reports ``p`` in ``FitReport.processes``.
+Every ``p`` runs the same loop:
 after preparing, the fit forks ``p - 1`` workers, none at ``p = 1``, which
 inherit ``A`` and ``B``.  Each process owns a fixed contiguous range of
 blocks, the fit's own first.  W and H live in one anonymous shared mapping
@@ -213,13 +214,14 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Objective trace and stopping outcome of one training run."""
+    """Objective trace, stopping outcome and process count of one training run."""
 
     objective_trace: tuple
     n_iter: int
     converged: bool
     wall_time: float
     seed: int
+    processes: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "objective_trace", tuple(self.objective_trace))
@@ -231,13 +233,7 @@ class FitReport:
         return self.objective_trace[-1]
 
     def to_dict(self):
-        return {
-            "objective_trace": list(self.objective_trace),
-            "n_iter": self.n_iter,
-            "converged": self.converged,
-            "wall_time": self.wall_time,
-            "seed": self.seed,
-        }
+        return {**vars(self), "objective_trace": list(self.objective_trace)}
 
     @classmethod
     def from_dict(cls, data):
@@ -247,6 +243,7 @@ class FitReport:
             converged=bool(data["converged"]),
             wall_time=float(data["wall_time"]),
             seed=int(data["seed"]),
+            processes=int(data.get("processes", 1)),  # absent from older reports
         )
 
 
@@ -565,6 +562,7 @@ def fit(Y, mask, config, on_sweep=None):
         converged=converged,
         wall_time=time.perf_counter() - start,
         seed=config.seed,
+        processes=processes,
     )
     return FactorPair(W.copy(), H.copy()), report
 

@@ -10,8 +10,10 @@ no cap) and with numpy's OpenBLAS held to one thread, so the table is the
 same for any ``n_jobs`` on one machine.
 
 ``_scored_rows`` hands each fit the plain train mask through the public
-``fit(Y, mask, config)``, inside ``_workers.capping_fit_processes(n_jobs)``.
-So each fit prepares its own read-only ``A`` and ``B`` (16 bytes a matrix
+``fit(Y, mask, config)``, inside ``_workers.capping_fit_processes(n_jobs)``,
+and calls ``on_row`` with each row as it is made; any error but a fit's
+``NumericalError`` (a failed row) ends the search before the next fit.
+Each fit prepares its own read-only ``A`` and ``B`` (16 bytes a matrix
 cell) and frees them before its score builds the full ``W @ H`` (8 bytes a
 cell): a search holds one of the two at a time.  Besides ``A`` and ``B`` a
 fit holds its two scratch arrays of one row block: at most 2**17 cells
@@ -30,7 +32,6 @@ the same text and a last ``#`` line.
 from __future__ import annotations
 
 import functools
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -121,7 +122,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridRow:
-    """One fitted candidate.  ``val_perplexity`` is None if the fit failed."""
+    """One fitted candidate.  ``val_perplexity`` is None if the fit failed.
+    ``processes`` is the fit's process count: 0 if it failed or was read back."""
 
     rank: int
     alpha: float
@@ -132,6 +134,7 @@ class GridRow:
     n_iter: int
     converged: bool
     wall_time: float
+    processes: int = 0
 
     @property
     def key(self):
@@ -240,8 +243,8 @@ def _fit_and_score(Y, train_mask, eval_mask, config):
         factors, report = fit(Y, train_mask, config)
         score = perplexity(Y, eval_mask, reconstruct(factors)).value
     except NumericalError:
-        return None, 0, False, 0.0
-    return score, report.n_iter, report.converged, report.wall_time
+        return None, 0, False, 0.0, 0
+    return score, report.n_iter, report.converged, report.wall_time, report.processes
 
 
 def _check_jobs(n_jobs):
@@ -250,26 +253,28 @@ def _check_jobs(n_jobs):
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
 
 
-def _scored_rows(Y, train_mask, eval_mask, configs, column, n_jobs):
-    """Fit each config and score it on ``eval_mask``; yield rows in config order.
+def _scored_rows(Y, train_mask, eval_mask, configs, column, n_jobs, on_row=None):
+    """Fit each config and score it on ``eval_mask``; return the rows in
+    config order.
 
-    The score goes into the perplexity column named by ``column``, and
-    every fit runs on at most ``n_jobs`` processes.  Consume the generator
-    inside ``closing`` so that the OpenBLAS bound is lifted and the cap
-    restored as soon as the loop over it ends.
+    The score goes into the perplexity column named by ``column``, every
+    fit runs on at most ``n_jobs`` processes, and ``on_row(row)``, when
+    given, is called as each row is made.
     """
-    if not configs:
-        return
+    rows = []
     with _one_blas_thread(), capping_fit_processes(n_jobs):
         for config in configs:
-            score, n_iter, converged, wall = _fit_and_score(
+            score, n_iter, converged, wall, processes = _fit_and_score(
                 Y, train_mask, eval_mask, config)
             scores = {"val_perplexity": None, "test_perplexity": None, column: score}
-            yield GridRow(
+            rows.append(GridRow(
                 rank=config.rank, alpha=config.prior.alpha, beta=config.prior.beta,
-                restart_seed=config.seed, **scores,
-                n_iter=n_iter, converged=converged, wall_time=wall,
-            )
+                restart_seed=config.seed, **scores, n_iter=n_iter,
+                converged=converged, wall_time=wall, processes=processes,
+            ))
+            if on_row is not None:
+                on_row(rows[-1])
+    return rows
 
 
 def grid_search(Y, train_mask, val_mask, grid, n_jobs=None, resume_rows=None,
@@ -289,12 +294,9 @@ def grid_search(Y, train_mask, val_mask, grid, n_jobs=None, resume_rows=None,
     done = {row.key: row for row in (resume_rows or [])}
     keys = [(*point, grid.base_seed) for point in grid.points()]
     pending = [grid.fit_config(*key) for key in keys if key not in done]
-    with closing(_scored_rows(Y, train_mask, val_mask, pending, "val_perplexity",
-                              n_jobs)) as fresh:
-        for row in fresh:
-            done[row.key] = row
-            if on_row is not None:
-                on_row(row)
+    fresh = _scored_rows(Y, train_mask, val_mask, pending, "val_perplexity", n_jobs,
+                         on_row)
+    done.update((row.key, row) for row in fresh)
     result = GridResult(tuple(done[key] for key in keys))
     return result, best_row(result.rows)
 

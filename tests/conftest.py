@@ -43,16 +43,12 @@ def rng():
 @pytest.fixture(autouse=True)
 def no_scope_left_open():
     """Fail the test after which a scope of ``nbmf._workers`` is still open:
-    a cap on fit processes, a ``recording_fit_processes`` block or an
-    OpenBLAS bound.  The state is reset first, so only that test fails."""
+    a cap on fit processes or an OpenBLAS bound.  The state is reset first, so only that test fails."""
     yield
     left = []
     if getattr(workers._scope, "cap", None) is not None:
         left.append(f"a cap of {workers._scope.cap} fit processes")
         workers._scope.cap = None
-    if workers._recorded is not None:
-        left.append("a recording_fit_processes block")
-        workers._recorded = None
     if workers._blas_holders != 0:
         left.append(f"{workers._blas_holders} _one_blas_thread block(s)")
         workers._blas_holders = 0

@@ -25,6 +25,7 @@ from nbmf import (
     GridResult,
     GridSpec,
     NbmfError,
+    NumericalError,
     SplitSpec,
     completion_report,
     load_coordinate_file,
@@ -86,6 +87,16 @@ def search_stamp(workspace):
 
 def temporary_files(directory):
     return [path.name for path in directory.iterdir() if path.name.endswith(".tmp")]
+
+
+def fit_without_factor_digests(workspace):
+    """Run fit, then drop the factor digests from its manifest, as from one
+    written before it recorded them, so that eval reads edited factors."""
+    assert run(workspace, "fit", "--config", "@/run.ini") == 0
+    path = workspace / "out" / "manifest_fit.json"
+    payload = json.loads(path.read_text())
+    del payload["factor_sha256"]
+    path.write_text(json.dumps(payload))
 
 
 EVERY_KEY_CONFIG = """\
@@ -415,7 +426,7 @@ class TestEval:
         assert "Traceback" not in err
 
     def test_invalid_factors_exit_1_naming_them(self, workspace, capsys):
-        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        fit_without_factor_digests(workspace)
         w_path = workspace / "out" / "W.txt"
         np.savetxt(w_path, 0.8 * np.loadtxt(w_path, ndmin=2), fmt="%.17g")
         capsys.readouterr()
@@ -425,7 +436,7 @@ class TestEval:
         assert "W rows do not sum to 1" in err
 
     def test_comment_only_factor_file_exits_1(self, workspace, capsys):
-        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        fit_without_factor_digests(workspace)
         (workspace / "out" / "W.txt").write_text("# nothing\n")
         capsys.readouterr()
         assert run(workspace, "eval", "--config", "@/run.ini") == 1
@@ -433,7 +444,7 @@ class TestEval:
         assert err.startswith("error:") and "W.txt: empty matrix file" in err
 
     def test_non_utf8_meta_exits_1_naming_it(self, workspace, capsys):
-        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        fit_without_factor_digests(workspace)
         meta = workspace / "out" / "meta.txt"
         meta.write_bytes(meta.read_bytes().replace(b"converged", b"conv\xe9rged"))
         capsys.readouterr()
@@ -442,7 +453,7 @@ class TestEval:
         assert err.startswith("error:") and "meta.txt: not UTF-8 text" in err
 
     def test_loose_meta_value_exits_1_naming_it(self, workspace, capsys):
-        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        fit_without_factor_digests(workspace)
         meta = workspace / "out" / "meta.txt"
         meta.write_text(re.sub(r"converged \w+", "converged maybe", meta.read_text()))
         capsys.readouterr()
@@ -524,6 +535,43 @@ class TestEval:
             del payload["split"], payload["dataset_sha256"]
             path.write_text(json.dumps(payload))
         (workspace / "run.ini").write_text(BASE_CONFIG.replace("seed = 3", "seed = 4"))
+        assert run(workspace, "eval", "--config", "@/run.ini") == 0
+
+    def test_fit_manifest_records_factor_digests(self, workspace):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        out = workspace / "out"
+        manifest = json.loads((out / "manifest_fit.json").read_text())
+        assert manifest["factor_sha256"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("W.txt", "H.txt", "meta.txt")
+        }
+
+    @pytest.mark.parametrize("edited", [["W.txt"], ["meta.txt"], ["W.txt", "H.txt"]],
+                             ids=["W", "meta", "W-and-H"])
+    def test_edited_factor_file_exits_1_naming_it(self, workspace, capsys, edited):
+        # each edit leaves valid factors of the right shape, which eval
+        # would otherwise score
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        out = workspace / "out"
+        coin = {"W.txt": np.full((18, 2), 0.5), "H.txt": np.full((2, 12), 0.5)}
+        for name in edited:
+            if name == "meta.txt":
+                (out / name).write_text((out / name).read_text()
+                                        .replace("seed 11", "seed 12"))
+            else:
+                np.savetxt(out / name, coin[name], fmt="%.17g")
+        capsys.readouterr()
+        assert run(workspace, "eval", "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {out / 'manifest_fit.json'}: {', '.join(edited)} "
+                       "changed after the fit wrote them\n")
+        assert not (out / "completion_report.csv").exists()
+
+    def test_edited_factors_without_digests_are_scored(self, workspace):
+        # a manifest written before it recorded the digests: eval scores
+        # as it always did
+        fit_without_factor_digests(workspace)
+        np.savetxt(workspace / "out" / "W.txt", np.full((18, 2), 0.5), fmt="%.17g")
         assert run(workspace, "eval", "--config", "@/run.ini") == 0
 
     def test_unreadable_fit_manifest_exits_1_naming_it(self, workspace, capsys):
@@ -916,6 +964,17 @@ class TestOutOfMemory:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (workspace / "out" / ".nbmf.lock").exists()
 
+    @pytest.mark.parametrize("mode", ["fit", "tune"])
+    def test_split_beyond_any_array_exits_1_with_one_line(self, workspace,
+                                                          capsys, mode):
+        # 2**62 cells: the split's 2-byte buckets exceed what numpy can size
+        (workspace / "data.txt").write_text("2147483648 2147483648\n")
+        assert run(workspace, mode, "--config", "@/run.ini") == 1
+        err = capsys.readouterr().err
+        assert err == ("error: out of memory: the split of a 2147483648x2147483648 "
+                       "matrix exceeds the largest possible array\n")
+        assert not (workspace / "out" / ".nbmf.lock").exists()
+
 
 class TestReport:
     def test_summarizes_run(self, workspace, capsys):
@@ -986,6 +1045,28 @@ class TestReport:
         capsys.readouterr()
         assert run(tmp_path, "report", "--out", "@/fit") == 0
         assert capsys.readouterr().out.splitlines()[1].endswith(" fit_processes=2")
+
+    def test_resumed_and_failed_fits_record_no_process_count(self, workspace,
+                                                            monkeypatch):
+        # both rows carry 0 processes, which no manifest lists
+        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/full") == 0
+        lines = (workspace / "full" / "grid_result.csv").read_text().splitlines()
+        (workspace / "resumed").mkdir()
+        (workspace / "resumed" / "grid_partial.csv").write_text(
+            "\n".join(lines[:3]) + "\n" + search_stamp(workspace))
+        real_fit = nbmf.tune.fit
+
+        def flaky_fit(Y, mask, config, on_sweep=None):
+            if config.seed == 6:  # the second restart
+                raise NumericalError("boom", iteration=1)
+            return real_fit(Y, mask, config, on_sweep=on_sweep)
+
+        monkeypatch.setattr(nbmf.tune, "fit", flaky_fit)
+        assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 0
+        manifest = json.loads((workspace / "resumed" / "manifest_tune.json").read_text())
+        assert manifest["environment"]["fit_processes"] == [1]  # one row block
+        stats = json.loads((workspace / "resumed" / "boxstats.json").read_text())
+        assert stats["test_perplexities"][1] is None
 
     def test_manifest_without_fit_processes_is_summarized(self, workspace,
                                                           capsys):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,14 @@ class TestFitReport:
     def test_round_trip_dict(self):
         report = FitReport((3.0, 2.0, 1.5), 2, True, 0.25, 7)
         assert FitReport.from_dict(report.to_dict()) == report
+
+    def test_processes_round_trip_and_default_to_one(self):
+        report = FitReport((3.0, 2.0, 1.5), 2, True, 0.25, 7, processes=3)
+        data = report.to_dict()
+        assert data["processes"] == 3
+        assert FitReport.from_dict(data) == report
+        del data["processes"]  # a report written before it recorded them
+        assert FitReport.from_dict(data) == replace(report, processes=1)
 
 
 class TestInitFactors:
@@ -855,11 +864,10 @@ class TestForkedFit:
 
     def fit_on(self, monkeypatch, processes, Y, mask, config, on_sweep=None):
         monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", processes)
-        with nbmf._workers.recording_fit_processes() as seen:
-            result = fit(Y, mask, config, on_sweep=on_sweep)
+        factors, report = fit(Y, mask, config, on_sweep=on_sweep)
         n_blocks = len(nbmf.solver._blocks(*Y.shape))
-        assert seen == {min(processes, n_blocks)}
-        return result
+        assert report.processes == min(processes, n_blocks)
+        return factors, report
 
     @pytest.mark.parametrize("shape", [(400, 400), (600, 900), (1000, 400),
                                        (3, 70000)])

@@ -1,7 +1,6 @@
 import functools
 import math
 import threading
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -442,15 +441,15 @@ class TestCheckpointRows:
 
 
 class TestBlasThreadBound:
-    def test_pool_bounds_and_restores_blas_threads(self, monkeypatch,
-                                                   small_problem):
+    def test_search_bounds_and_restores_blas_threads(self, monkeypatch,
+                                                     small_problem):
         calls = nbmf._workers._openblas_thread_calls()
         if calls is None:
             pytest.skip("numpy does not bundle scipy-openblas here")
         get_threads = calls[0]
         before = get_threads()
         monkeypatch.setattr(nbmf.tune, "_fit_and_score",
-                            lambda *args: (get_threads(), 1, True, 0.0))
+                            lambda *args: (get_threads(), 1, True, 0.0, 1))
         Y, train, val, _ = small_problem
         for n_jobs in (1, 2):
             rows = grid_search(Y, train, val, SMALL_GRID, n_jobs=n_jobs)[0]
@@ -470,10 +469,9 @@ class TestBlasThreadBound:
                         tol=1e-15, base_seed=1)
         tables, processes = [], []
         for n_jobs in (1, 2):
-            with nbmf._workers.recording_fit_processes() as seen:
-                rows = grid_search(Y, train, val, grid, n_jobs=n_jobs)[0]
-            tables.append([replace(row, wall_time=0.0) for row in rows])
-            processes.append(seen)
+            rows = grid_search(Y, train, val, grid, n_jobs=n_jobs)[0]
+            tables.append([replace(row, wall_time=0.0, processes=0) for row in rows])
+            processes.append({row.processes for row in rows})
         assert tables[0] == tables[1]
         assert processes == [{1}, {2}]
 
@@ -487,13 +485,13 @@ class TestBlasThreadBound:
                         beta_values=(1.0,), n_restarts=1, max_iter=5)
         threads, tables = [], {}
         for n_jobs, expected in [(1, {1}), (2, {2}), (None, {2})]:
-            with nbmf._workers.recording_fit_processes() as seen:
-                rows = grid_search(
-                    Y, train, val, grid, n_jobs=n_jobs,
-                    on_row=lambda row: threads.append(threading.active_count()),
-                )[0]
-            assert seen == expected
-            tables[n_jobs] = [replace(row, wall_time=0.0) for row in rows]
+            rows = grid_search(
+                Y, train, val, grid, n_jobs=n_jobs,
+                on_row=lambda row: threads.append(threading.active_count()),
+            )[0]
+            assert {row.processes for row in rows} == expected
+            tables[n_jobs] = [replace(row, wall_time=0.0, processes=0)
+                              for row in rows]
         assert threads == [1] * 6
         assert tables[1] == tables[2] == tables[None]
 
@@ -559,9 +557,7 @@ class TestProcessCap:
         # two row blocks on 2 CPUs, so an uncapped fit runs on 2 processes
         Y, _, _ = planted_dataset(250, 400, 2, seed=3)
         train = split_observations(Y, SplitSpec(seed=3))[0]
-        with nbmf._workers.recording_fit_processes() as seen:
-            fit(Y, train, FitConfig(rank=2, max_iter=2))
-        return seen
+        return fit(Y, train, FitConfig(rank=2, max_iter=2))[1].processes
 
     def test_restored_when_a_fit_raises(self, monkeypatch, small_problem):
         monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 2)
@@ -573,7 +569,7 @@ class TestProcessCap:
         Y, train, val, _ = small_problem
         with pytest.raises(RuntimeError, match="fit failed"):
             grid_search(Y, train, val, SMALL_GRID, n_jobs=1)
-        assert self.plain_fit_processes() == {2}
+        assert self.plain_fit_processes() == 2
 
     def test_restored_when_on_row_raises(self, monkeypatch, small_problem):
         monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 2)
@@ -584,97 +580,81 @@ class TestProcessCap:
         Y, train, val, _ = small_problem
         with pytest.raises(OSError, match="disk full"):
             grid_search(Y, train, val, SMALL_GRID, n_jobs=1, on_row=failing_row)
-        assert self.plain_fit_processes() == {2}
+        assert self.plain_fit_processes() == 2
 
     def test_nested_scopes_restore_the_outer_cap(self, monkeypatch, small_problem):
         monkeypatch.setattr(nbmf._workers, "_FORCED_CPUS", 2)
         Y, train, val, _ = small_problem
         with nbmf._workers.capping_fit_processes(1):
             grid_search(Y, train, val, SMALL_GRID, n_jobs=2)
-            assert self.plain_fit_processes() == {1}
+            assert self.plain_fit_processes() == 1
             with nbmf._workers.capping_fit_processes(None):
-                assert self.plain_fit_processes() == {2}
-            assert self.plain_fit_processes() == {1}
-        assert self.plain_fit_processes() == {2}
+                assert self.plain_fit_processes() == 2
+            assert self.plain_fit_processes() == 1
+        assert self.plain_fit_processes() == 2
 
 
-class TestPoolCancellation:
-    def test_failure_cancels_queued_jobs(self, monkeypatch, small_problem):
-        calls = nbmf._workers._openblas_thread_calls()
-        before = calls[0]() if calls else None
+class TestStopAtFirstFailure:
+    """The fits run one at a time in grid order, so the first failure stops
+    the search before any later fit starts."""
+
+    def test_failing_fit_stops_the_search(self, monkeypatch, small_problem):
         started = []
-        lock = threading.Lock()
 
         def fit_and_score(Y, train_mask, eval_mask, config):
-            with lock:
-                started.append(config.rank)
-            if config.rank == 1:
-                raise RuntimeError("job failed")
-            time.sleep(0.2)
-            return 1.0, 1, True, 0.2
+            started.append(config.rank)
+            if config.rank == 3:
+                raise RuntimeError("fit failed")
+            return 1.0, 1, True, 0.0, 1
 
         monkeypatch.setattr(nbmf.tune, "_fit_and_score", fit_and_score)
         Y, train, val, _ = small_problem
         grid = GridSpec(rank_values=tuple(range(1, 22)), alpha_values=(1.0,),
                         beta_values=(1.0,), n_restarts=1, max_iter=5)
-        # Run on, the 20 queued fits would take about 4 s.
-        begin = time.perf_counter()
-        with pytest.raises(RuntimeError, match="job failed"):
+        with pytest.raises(RuntimeError, match="fit failed"):
             grid_search(Y, train, val, grid, n_jobs=2)
-        assert len(started) <= 3
-        assert time.perf_counter() - begin < 1.0
-        if calls:
-            assert calls[0]() == before
+        assert started == [1, 2, 3]
 
-    def test_failed_restart_cancels_queued_restarts(self, monkeypatch,
-                                                    small_problem):
+    def test_failing_restart_stops_the_restarts(self, monkeypatch, small_problem):
         started = []
-        lock = threading.Lock()
 
         def fit_and_score(Y, train_mask, eval_mask, config):
-            with lock:
-                started.append(config.seed)
-            if config.seed == 0:
+            started.append(config.seed)
+            if config.seed == 2:
                 raise RuntimeError("restart failed")
-            time.sleep(0.2)
-            return 1.0, 1, True, 0.2
+            return 1.0, 1, True, 0.0, 1
 
         monkeypatch.setattr(nbmf.tune, "_fit_and_score", fit_and_score)
         Y, train, _, test = small_problem
         config = GridSpec().fit_config(1, 1.0, 1.0, 0)
-        # Run on, the 19 queued restarts would take about 4 s.
-        begin = time.perf_counter()
         with pytest.raises(RuntimeError, match="restart failed"):
             run_test_evaluation(Y, train, test, config, n_restarts=20, n_jobs=2)
-        assert time.perf_counter() - begin < 1.0
-        assert len(started) <= 3
+        assert started == [0, 1, 2]
 
-    def test_failing_row_callback_cancels_queued_fits(self, monkeypatch,
-                                                      small_problem):
-        # grid_search's own loop raises (say, the partial CSV cannot be
-        # written); the queued fits must not run while the error is handled
-        started = []
-        lock = threading.Lock()
+    def test_failing_row_callback_stops_the_search(self, monkeypatch,
+                                                   small_problem):
+        # grid_search's caller fails on a row (say, the partial CSV cannot be
+        # written): each row reaches it as soon as its fit is scored, in grid
+        # order, and no fit starts after the failing row
+        started, seen = [], []
 
-        def slow_fit(*args):
-            with lock:
-                started.append(1)
-            time.sleep(0.05)
-            return 1.0, 1, True, 0.05
+        def fit_and_score(Y, train_mask, eval_mask, config):
+            started.append((config.rank, config.prior.alpha, config.prior.beta))
+            return 1.0, 1, True, 0.0, 1
 
         def failing_row(row):
-            raise OSError("disk full")
+            seen.append(row.key)
+            if len(seen) == 3:
+                raise OSError("disk full")
 
-        monkeypatch.setattr(nbmf.tune, "_fit_and_score", slow_fit)
+        monkeypatch.setattr(nbmf.tune, "_fit_and_score", fit_and_score)
         Y, train, val, _ = small_problem
         grid = GridSpec(rank_values=(1, 2, 3, 4), alpha_values=(1.0, 2.0),
                         beta_values=(1.0, 2.0), n_restarts=1, max_iter=5)
-        with pytest.raises(OSError) as caught:
+        with pytest.raises(OSError, match="disk full"):
             grid_search(Y, train, val, grid, n_jobs=2, on_row=failing_row)
-        # the error is still held, as by a caller reporting it
-        time.sleep(0.3)
-        assert len(started) <= 4
-        assert "disk full" in str(caught.value)
+        assert started == grid.points()[:3]
+        assert seen == [(*point, grid.base_seed) for point in grid.points()[:3]]
 
 
 @pytest.fixture
@@ -737,10 +717,10 @@ class TestSharedProblem:
         for row in results:
             config = SMALL_GRID.fit_config(row.rank, row.alpha, row.beta,
                                             row.restart_seed)
-            score, n_iter, converged, _ = nbmf.tune._fit_and_score(
+            score, n_iter, converged, _, processes = nbmf.tune._fit_and_score(
                 Y, train, val, config)
-            assert (score, n_iter, converged) == (
-                row.val_perplexity, row.n_iter, row.converged)
+            assert (score, n_iter, converged, processes) == (
+                row.val_perplexity, row.n_iter, row.converged, row.processes)
 
     @staticmethod
     def _held_bytes_per_cell(run):
@@ -777,17 +757,21 @@ class TestSharedProblem:
             assert self._held_bytes_per_cell(
                 functools.partial(search, n_jobs=n_jobs)) < 1
 
-    def test_no_problem_held_after_the_rows_are_closed_early(self):
-        def first_row(Y, train, val):
-            configs = [SMALL_GRID.fit_config(*point, 0)
-                       for point in SMALL_GRID.points()]
-            rows = nbmf.tune._scored_rows(Y, train, val, configs,
-                                          "val_perplexity", 2)
-            next(rows)
-            rows.close()
-            return rows
+    def test_no_problem_held_after_on_row_raises(self):
+        # as above, for an error that the row callback raises after the
+        # first fit is scored
+        def failing_row(row):
+            raise OSError("disk full")
 
-        assert self._held_bytes_per_cell(first_row) < 1
+        def search(Y, train, val, n_jobs):
+            with pytest.raises(OSError, match="disk full") as caught:
+                grid_search(Y, train, val, SMALL_GRID, n_jobs=n_jobs,
+                            on_row=failing_row)
+            return caught
+
+        for n_jobs in (1, 2):
+            assert self._held_bytes_per_cell(
+                functools.partial(search, n_jobs=n_jobs)) < 1
 
     def test_search_holds_one_fit_or_one_score(self):
         # the fit that runs, with its own A and B (16 bytes a cell) and P
