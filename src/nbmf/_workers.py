@@ -3,15 +3,17 @@
 Every fit runs each sweep on ``p`` processes: itself and ``p - 1``
 workers, none at ``p = 1``, forked after the problem is prepared.  The
 workers inherit its arrays read-only, and the fit and its workers keep W,
-H and the workers' results in one anonymous shared mapping
+H and the workers' array results in one anonymous shared mapping
 (:func:`shared_arrays`), which every fit makes, whatever its ``p``.
 :func:`fit_processes` works out ``p``, at most the cap that an open
 :func:`capping_fit_processes` block sets; the fit reports it in
-``FitReport.processes``.  :class:`Workers` owns the workers:
-each runs one fixed range of row blocks whenever the fit sends it a sweep
-index, and answers when the range is done; with no ranges it forks
-nothing and its calls return at once.  The fit itself decides what a
-range computes and how the results are added up; see ``solver.fit``.
+``FitReport.processes``.  :class:`Workers` owns the workers: each runs
+one fixed range of row blocks whenever the fit sends it a sweep index,
+and answers with what the range returned, or the exception it raised.
+Index and answer travel as pickles over a pair of pipes per worker; with
+no ranges it forks nothing and its calls return at once.  The fit itself
+decides what a range computes and how the results are added up; see
+``solver.fit``.
 
 Every worker ignores SIGINT (Ctrl-C reaches the fit, which stops them),
 leaves only through ``os._exit`` (a normal exit would run the fit's
@@ -33,11 +35,10 @@ import mmap
 import os
 import pickle
 import signal
-import struct
 import sys
 import threading
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -159,64 +160,34 @@ def shared_arrays(*shapes):
     return arrays
 
 
-_COMMAND = struct.Struct("q")  # the sweep index a worker is sent
-_LENGTH = struct.Struct("I")   # the length of a worker's pickled error, 0 if none
-
-
-def _read_exactly(fd, size):
-    """``size`` bytes from ``fd``, or None at EOF."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return data
-
-
-def _write_all(fd, data):
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _serve(run, start, stop, commands, replies):
-    """A worker's loop: run ``run(sweep, start, stop)`` for each command."""
-    while (command := _read_exactly(commands, _COMMAND.size)) is not None:
+def _answer(run, sweep, start, stop):
+    """A worker's pickled answer to one sweep: what ``run`` returned, or the
+    exception it raised, or an :class:`NbmfError` naming an exception that
+    does not survive a pickle round trip."""
+    try:
+        return pickle.dumps(run(sweep, start, stop))
+    except Exception as exc:
         try:
-            run(_COMMAND.unpack(command)[0], start, stop)
-            error = b""
-        except Exception as exc:
-            error = pickle.dumps(exc)
-        _write_all(replies, _LENGTH.pack(len(error)) + error)
-
-
-def _fork():
-    with warnings.catch_warnings():
-        # Python 3.12 and later warn on fork() while other OS threads exist:
-        # here those are OpenBLAS's pool threads.  The worker never uses them
-        # (the fit holds OpenBLAS to one thread, so products run on the
-        # calling thread), no other Python thread is alive, and the worker
-        # runs only numpy calls on arrays before os._exit.  Checked on
-        # CPython 3.12.1 and 3.13.0 with a standard-library copy of this
-        # filter: with one other thread alive, a bare os.fork() warns and the
-        # filtered one does not.  The package itself is unverified there.
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                DeprecationWarning)
-        return os.fork()
+            answer = pickle.dumps(exc)
+            pickle.loads(answer)
+            return answer
+        except Exception:
+            return pickle.dumps(NbmfError(f"fit worker: {type(exc).__name__}: {exc}"))
 
 
 class Workers:
     """One forked worker per ``(start, stop)`` range of row blocks.
 
-    :meth:`start` sends every worker a sweep index, on which it calls
-    ``run(sweep, start, stop)``; :meth:`wait` waits until each has answered
-    and raises the first error one of them met, or :class:`NbmfError` if
-    one has died.  Use it as a context manager: on exit the workers are
+    :meth:`start` pickles a sweep index to every worker, which calls
+    ``run(sweep, start, stop)`` and pickles back what it returned or the
+    exception it raised; :meth:`wait` returns the answers in range order,
+    raises the first exception, or raises :class:`NbmfError` if a worker
+    has died.  Use it as a context manager: on exit the workers are
     stopped and reaped, however the block ends.
     """
 
     def __init__(self, run, ranges):
-        self.pids, self.commands, self.replies = [], [], []
+        self.pids, self.pipes = [], []
         try:
             for start, stop in ranges:
                 self._fork(run, start, stop)
@@ -227,49 +198,71 @@ class Workers:
     def _fork(self, run, start, stop):
         commands, command_end = os.pipe()
         reply_end, replies = os.pipe()
-        pid = _fork()
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn on fork() while other OS threads exist:
+            # here those are OpenBLAS's pool threads.  The worker never uses them
+            # (the fit holds OpenBLAS to one thread, so products run on the
+            # calling thread), no other Python thread is alive, and the worker
+            # runs only numpy calls on arrays before os._exit.  Checked on
+            # CPython 3.12.1 and 3.13.0 with a standard-library copy of this
+            # filter: with one other thread alive, a bare os.fork() warns and the
+            # filtered one does not.  The package itself is unverified there.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
         if pid == 0:
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 # The fit's ends of every worker's pipes: a worker that held
                 # another's command pipe open would keep it from seeing EOF.
-                for fd in (command_end, reply_end, *self.commands, *self.replies):
-                    os.close(fd)
-                _serve(run, start, stop, commands, replies)
+                os.close(command_end)
+                os.close(reply_end)
+                for pipe in self.pipes:
+                    for file in pipe:
+                        file.close()
+                commands, replies = open(commands, "rb"), open(replies, "wb")
+                # Until pickle.load meets EOF: the fit has closed the pipe.
+                while True:
+                    replies.write(_answer(run, pickle.load(commands), start, stop))
+                    replies.flush()
             finally:
                 os._exit(0)
-        self.pids.append(pid)
-        self.commands.append(command_end)
-        self.replies.append(reply_end)
         os.close(commands)
         os.close(replies)
+        self.pids.append(pid)
+        self.pipes.append((open(command_end, "wb"), open(reply_end, "rb")))
 
     def _died(self, pid):
         return NbmfError(f"fit worker process {pid} died before it finished "
                          "its row blocks")
 
     def start(self, sweep):
-        command = _COMMAND.pack(sweep)
-        for pid, fd in zip(self.pids, self.commands):
+        for pid, (commands, _) in zip(self.pids, self.pipes):
             try:
-                _write_all(fd, command)
+                pickle.dump(sweep, commands)
+                commands.flush()
             except BrokenPipeError:
                 raise self._died(pid) from None
 
     def wait(self):
-        for pid, fd in zip(self.pids, self.replies):
-            header = _read_exactly(fd, _LENGTH.size)
-            error = header and _read_exactly(fd, _LENGTH.unpack(header)[0])
-            if error is None:
-                raise self._died(pid)
-            if error:
-                raise pickle.loads(error)
+        answers = []
+        for pid, (_, replies) in zip(self.pids, self.pipes):
+            try:
+                answer = pickle.load(replies)
+            except (EOFError, pickle.UnpicklingError):  # none, or cut short
+                raise self._died(pid) from None
+            if isinstance(answer, BaseException):
+                raise answer
+            answers.append(answer)
+        return answers
 
     def close(self):
         """Close the pipes, so that every worker exits, and reap them."""
-        for fd in self.commands + self.replies:
-            os.close(fd)
-        self.commands, self.replies = [], []
+        for pipe in self.pipes:
+            for file in pipe:
+                with suppress(BrokenPipeError):  # a sweep a dead worker missed
+                    file.close()
+        self.pipes = []
         for pid in self.pids:
             try:
                 os.waitpid(pid, 0)

@@ -278,9 +278,9 @@ def _file_sha256(path):
     return digest.hexdigest()
 
 
-def _fit_inputs(config):
-    """The dataset digest and ``[split]`` settings that ``manifest_fit.json``
-    records, under the config's key names."""
+def _run_inputs(config):
+    """The dataset digest and ``[split]`` settings that every fit, eval and
+    tune manifest records, under the config's key names."""
     split = config.split
     return {
         "dataset_sha256": _file_sha256(config.dataset),
@@ -328,7 +328,7 @@ def _split_dataset(config):
 
 def cmd_fit(config):
     Y, train, val, test = _split_dataset(config)
-    inputs = _fit_inputs(config)
+    inputs = _run_inputs(config)
     with _output_lock(config.out_dir):
         log_every = config.log_every
 
@@ -379,7 +379,7 @@ def cmd_eval(config):
                 f"missing factor file: {config.out_dir / name} (run fit first)"
             )
     Y = load_coordinate_file(config.dataset)
-    inputs = _fit_inputs(config)
+    inputs = _run_inputs(config)
     with _output_lock(config.out_dir):
         _check_fit_inputs(config.out_dir / "manifest_fit.json", inputs)
         factors, meta = read_factors(config.out_dir)
@@ -396,7 +396,8 @@ def cmd_eval(config):
         csv_path = config.out_dir / COMPLETION_CSV
         _write_text(csv_path, report.CSV_HEADER + "\n" + report.to_csv_row() + "\n")
         _write_manifest(
-            config, [json_path.name, csv_path.name], {"split": config.split.seed}
+            config, [json_path.name, csv_path.name], {"split": config.split.seed},
+            **inputs,
         )
         print(
             f"validation perplexity {report.validation.perplexity:.6f} "
@@ -432,8 +433,9 @@ def _read_partial_rows(path, stamp):
 
 def cmd_tune(config, n_jobs):
     Y, train, val, test = _split_dataset(config)
-    dataset_sha256 = _file_sha256(config.dataset)
-    stamp = f"# config_sha256={config.config_sha256} dataset_sha256={dataset_sha256}\n"
+    inputs = _run_inputs(config)
+    stamp = (f"# config_sha256={config.config_sha256} "
+             f"dataset_sha256={inputs['dataset_sha256']}\n")
     with _output_lock(config.out_dir):
         partial_path = config.out_dir / GRID_PARTIAL_CSV
         checkpoint = list(_read_partial_rows(partial_path, stamp))
@@ -472,6 +474,7 @@ def cmd_tune(config, n_jobs):
             {"split": config.split.seed, "base": config.grid.base_seed},
             # resumed and failed rows carry 0: no fit of this run ran them
             {row.processes for row in (*results, *evaluation.rows)} - {0},
+            **inputs,
         )
         partial_path.unlink(missing_ok=True)
         print(

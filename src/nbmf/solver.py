@@ -57,11 +57,12 @@ blocks, the fit's own first.  W and H live in one anonymous shared mapping
 (``_workers.shared_arrays``), and each sweep writes its W step over W,
 block by block, and its next H over H.  The fit runs its own blocks
 through one reused pair of numerator slots, adding each block's to the
-sums as it goes; a worker writes each of its blocks' numerators and
-log-likelihood into that block's own slots in the mapping, and the fit
-adds those after its own, in block order.  So the bytes do not depend on
-``p``.  Every fit runs its products at one OpenBLAS thread, so its bytes
-do not depend on the BLAS thread count either.
+sums as it goes; a worker writes each of its blocks' numerators into that
+block's own slots in the mapping and answers with their log-likelihoods
+(``_workers.Workers``), and the fit adds those after its own, in block
+order.  So the bytes do not depend on ``p``.  Every fit runs its products
+at one OpenBLAS thread, so its bytes do not depend on the BLAS thread
+count either.
 
 Every call of :func:`fit`, the public updates and :func:`objective`
 prepares its own problem with ``_prepare``: ``A`` and ``B`` (16 bytes a
@@ -479,14 +480,12 @@ def fit(Y, mask, config, on_sweep=None):
 
     start = time.perf_counter()
     factors = init_factors(Y.n_rows, Y.n_cols, config.rank, epsilon, config.seed)
-    # W, H, and each worker-run block's log-likelihood and H-step numerators.
-    # A block's W step reads only the block's own rows of the W before it, so
-    # each sweep writes its W over that one.
-    stored = len(blocks) - own
-    W, H, logliks, pos, neg = shared_arrays(
-        factors.W.shape, factors.H.shape, (stored,), (stored, *factors.H.shape),
-        (stored, *factors.H.shape),
-    )
+    # W, H, and each worker-run block's H-step numerators.  A block's W step
+    # reads only the block's own rows of the W before it, so each sweep
+    # writes its W over that one.
+    stored = (len(blocks) - own, *factors.H.shape)
+    W, H, pos, neg = shared_arrays(factors.W.shape, factors.H.shape, stored,
+                                   stored)
     W[...], H[...] = factors.W, factors.H
     own_pos, own_neg = np.empty((2, *H.shape))
 
@@ -509,10 +508,11 @@ def fit(Y, mask, config, on_sweep=None):
         return _log_likelihood(R_b, S_b)
 
     def run_range(sweep, lo, hi):
-        """A worker's share of ``evaluate``: blocks ``lo`` to ``hi`` into
-        their stored slots."""
-        for b in range(lo, hi):
-            logliks[b - own] = block_share(b, sweep, pos[b - own], neg[b - own])
+        """A worker's share of ``evaluate``: blocks ``lo`` to ``hi``, their
+        numerators into their stored slots; returns their log-likelihoods,
+        as floats, which pickle faster than numpy scalars."""
+        return [float(block_share(b, sweep, pos[b - own], neg[b - own]))
+                for b in range(lo, hi)]
 
     def evaluate(sweep):
         """Score ``(W, H)``, after this sweep's W step unless ``sweep`` is
@@ -528,7 +528,7 @@ def fit(Y, mask, config, on_sweep=None):
             loglik += block_share(b, sweep, own_pos, own_neg)
             pos_sum += own_pos
             neg_sum += own_neg
-        workers.wait()
+        logliks = [value for answer in workers.wait() for value in answer]
         for k, value in enumerate(logliks):
             pos_sum += pos[k]
             neg_sum += neg[k]

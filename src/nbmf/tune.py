@@ -40,7 +40,8 @@ from ._workers import _one_blas_thread, capping_fit_processes
 from .binmat import _integer_setting
 from .errors import ConfigError, NumericalError, SearchError
 from .evaluate import _require_disjoint, perplexity
-from .io import _cell_text, _json_text, _write_text
+from .io import (_cell_text, _json_text, _meta_bool, _meta_float, _meta_int,
+                 _write_text)
 from .solver import BetaPrior, FitConfig, fit, reconstruct
 
 __all__ = [
@@ -146,17 +147,19 @@ class GridRow:
 
 
 def _optional_float(cell):
-    return float(cell) if cell else None
+    return _meta_float(cell) if cell else None
 
 
 # The columns of grid_result.csv and of its checkpoint, in order, each with
-# the parser of its cells.  Wall time is left out, so re-running the same
+# the parser of its cells: the config grammar, which every cell that
+# _cell_text writes matches.  Wall time is left out, so re-running the same
 # search writes the same bytes; readers skip columns outside the table, such
 # as the wall_time of older checkpoints.
 _CSV_COLUMNS = {
-    "rank": int, "alpha": float, "beta": float, "restart_seed": int,
-    "val_perplexity": _optional_float, "test_perplexity": _optional_float,
-    "n_iter": int, "converged": {"true": True, "false": False}.__getitem__,
+    "rank": _meta_int, "alpha": _meta_float, "beta": _meta_float,
+    "restart_seed": _meta_int, "val_perplexity": _optional_float,
+    "test_perplexity": _optional_float, "n_iter": _meta_int,
+    "converged": _meta_bool,
 }
 
 
@@ -213,8 +216,8 @@ class GridResult:
                                      f"{len(cells)} fields, not {len(header)}")
                 try:
                     values = {name: parse(cells[i]) for name, parse, i in fields}
-                except (KeyError, ValueError) as exc:
-                    raise ValueError(f"line {line_no}: malformed row ({exc})") from None
+                except ValueError:
+                    raise ValueError(f"line {line_no}: malformed row {line!r}") from None
                 rows.append(GridRow(**values, wall_time=0.0))
         return cls(tuple(rows))
 

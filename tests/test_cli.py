@@ -765,6 +765,28 @@ class TestTune:
         err = capsys.readouterr().err
         assert "grid_partial.csv" in err and "malformed row" in err
 
+    @pytest.mark.parametrize("row", [
+        "1,1.0,1.0,0,nan,,5,false",
+        "1,1.0,1.0,0,inf,,5,false",
+        "1,1.0,1.0,0, 0.5,,5,false",
+        "1,1.0,1.0,0,0.5,,1_0,false",
+        "1,1e999,1.0,0,0.5,,5,false",
+    ], ids=["nan", "inf", "space", "underscore", "overflow"])
+    def test_checkpoint_cell_off_the_config_grammar_exits_2_and_is_kept(
+            self, workspace, capsys, row):
+        # the checkpoint records this search, so only the cell stops the resume
+        out = workspace / "out"
+        out.mkdir()
+        partial = out / "grid_partial.csv"
+        content = ("rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
+                   "n_iter,converged\n" + row + "\n" + search_stamp(workspace))
+        partial.write_text(content)
+        assert run(workspace, "tune", "--config", "@/run.ini") == 2
+        err = capsys.readouterr().err
+        assert f"malformed checkpoint (line 2: malformed row {row!r})" in err
+        assert partial.read_text() == content
+        assert not (out / "grid_result.csv").exists()
+
     def test_partial_rows_written_like_grid_result(self, workspace, monkeypatch):
         # stop the run after the grid so its checkpoint file stays behind
         def interrupted(*args, **kwargs):
@@ -1045,6 +1067,19 @@ class TestReport:
         capsys.readouterr()
         assert run(tmp_path, "report", "--out", "@/fit") == 0
         assert capsys.readouterr().out.splitlines()[1].endswith(" fit_processes=2")
+
+    def test_every_manifest_records_the_run_inputs(self, workspace):
+        for mode in ("fit", "eval", "tune"):
+            assert run(workspace, mode, "--config", "@/run.ini") == 0
+        manifests = {
+            mode: json.loads((workspace / "out" / f"manifest_{mode}.json").read_text())
+            for mode in ("fit", "eval", "tune")
+        }
+        fit = manifests.pop("fit")
+        assert fit["split"] == {"train": 0.7, "val": 0.15, "test": 0.15, "seed": 3}
+        for manifest in manifests.values():
+            assert manifest["dataset_sha256"] == fit["dataset_sha256"]
+            assert manifest["split"] == fit["split"]
 
     def test_resumed_and_failed_fits_record_no_process_count(self, workspace,
                                                             monkeypatch):

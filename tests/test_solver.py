@@ -856,6 +856,21 @@ def planted_fit_inputs(M, N, seed=1):
     return Y, train
 
 
+def unpicklable_error():
+    """An error that pickle refuses: one of its attributes is a lambda."""
+    error = RuntimeError("block failed")
+    error.retry = lambda: None
+    return error
+
+
+class TwoArgumentError(Exception):
+    """An error that pickles but cannot be remade: its ``args`` hold the one
+    message, and its constructor takes two arguments."""
+
+    def __init__(self, block, sweep):
+        super().__init__(f"block {block} failed at sweep {sweep}")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="fits fork workers on Linux only")
 class TestForkedFit:
@@ -922,6 +937,48 @@ class TestForkedFit:
             assert child_pids() == before
         assert errors == [(3, "iteration 3: reconstruction left the open "
                               "interval (0, 1)")] * 3
+
+    @pytest.mark.parametrize("error, named", [
+        (unpicklable_error(), "RuntimeError: block failed"),
+        (TwoArgumentError(2, 3), "TwoArgumentError: block 2 failed at sweep 3"),
+    ], ids=["holds-a-lambda", "cannot-be-remade"])
+    def test_worker_error_that_cannot_be_pickled_is_named(self, monkeypatch,
+                                                          error, named):
+        real = nbmf.solver._block_ratios
+
+        def failing(A, B, W, H, P, R, sweep=None, check=True):
+            # the third block of 400 x 400, as above, run by a worker at p > 1
+            offset = A.ctypes.data - A.base.ctypes.data
+            if check and sweep == 3 and offset == 266 * A.strides[0]:
+                raise error
+            return real(A, B, W, H, P, R, sweep, check)
+
+        monkeypatch.setattr(nbmf.solver, "_block_ratios", failing)
+        Y, train = planted_fit_inputs(400, 400)
+        config = FitConfig(rank=3, max_iter=10, tol=1e-300)
+        before = child_pids()
+        with pytest.raises(type(error)) as excinfo:
+            self.fit_on(monkeypatch, 1, Y, train, config)
+        assert excinfo.value is error
+        for p in (2, 3):
+            with pytest.raises(NbmfError) as excinfo:
+                self.fit_on(monkeypatch, p, Y, train, config)
+            assert str(excinfo.value) == f"fit worker: {named}"
+            assert child_pids() == before
+
+    def test_no_pipe_outlives_the_fit(self, monkeypatch):
+        Y, train = planted_fit_inputs(600, 900)
+        config = FitConfig(rank=3, max_iter=4, tol=1e-300)
+        before = sorted(os.listdir("/proc/self/fd"))
+        self.fit_on(monkeypatch, 3, Y, train, config)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+        def stop(iteration, value, factors):
+            raise RuntimeError("on_sweep failed")
+
+        with pytest.raises(RuntimeError, match="on_sweep failed"):
+            self.fit_on(monkeypatch, 3, Y, train, config, on_sweep=stop)
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     def test_no_worker_outlives_the_fit(self, monkeypatch):
         Y, train = planted_fit_inputs(600, 900)

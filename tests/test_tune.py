@@ -222,7 +222,7 @@ class TestGridSearch:
             [r.val_perplexity for r in full]
         assert best_resumed.key == best_full.key
 
-    def test_resume_on_the_pool_matches_serial_search(self, small_problem):
+    def test_resume_of_interleaved_rows_matches_full_search(self, small_problem):
         Y, train, val, _ = small_problem
         grid = GridSpec(rank_values=(1, 2), alpha_values=(1.0, 2.0),
                         beta_values=(1.0, 3.0), base_seed=4)
