@@ -572,22 +572,22 @@ def _put_digits(block, values):
         rest = quotient
 
 
-def _write_coords(path, grid):
-    """Write the header and one "row col" line per cell, in sorted order."""
+def _write_coords(handle, grid):
+    """Write the header and one "row col" line per cell, in sorted order, to
+    the binary ``handle``."""
     n_rows, n_cols = grid.shape
-    with _replaced(path) as handle:
-        handle.write(f"{n_rows} {n_cols}\n".encode("ascii"))
-        row_width, col_width = len(str(n_rows - 1)), len(str(n_cols - 1))
-        width = row_width + col_width + 2
-        step = max(1, _CHUNK_BYTES // width)
-        for start in range(0, grid.linear.size, step):
-            rows, cols = np.divmod(grid.linear[start:start + step], n_cols)
-            lines = np.empty((rows.size, width), dtype=np.uint8)
-            _put_digits(lines[:, :row_width], rows)
-            lines[:, row_width] = _SPACE
-            _put_digits(lines[:, row_width + 1:-1], cols)
-            lines[:, -1] = _NEWLINE
-            handle.write(lines[lines != 0])
+    handle.write(f"{n_rows} {n_cols}\n".encode("ascii"))
+    row_width, col_width = len(str(n_rows - 1)), len(str(n_cols - 1))
+    width = row_width + col_width + 2
+    step = max(1, _CHUNK_BYTES // width)
+    for start in range(0, grid.linear.size, step):
+        rows, cols = np.divmod(grid.linear[start:start + step], n_cols)
+        lines = np.empty((rows.size, width), dtype=np.uint8)
+        _put_digits(lines[:, :row_width], rows)
+        lines[:, row_width] = _SPACE
+        _put_digits(lines[:, row_width + 1:-1], cols)
+        lines[:, -1] = _NEWLINE
+        handle.write(lines[lines != 0])
 
 
 def load_coordinate_file(path):
@@ -597,7 +597,8 @@ def load_coordinate_file(path):
 
 def save_coordinate_file(matrix, path):
     """Write a :class:`BinaryMatrix` in the coordinate text format."""
-    _write_coords(path, matrix)
+    with _replaced(path) as handle:
+        _write_coords(handle, matrix)
 
 
 def load_mask(path):
@@ -607,4 +608,5 @@ def load_mask(path):
 
 def save_mask(mask, path):
     """Write an :class:`ObservationMask` in the coordinate text format."""
-    _write_coords(path, mask)
+    with _replaced(path) as handle:
+        _write_coords(handle, mask)

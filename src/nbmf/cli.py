@@ -20,7 +20,7 @@ import json
 import os
 import platform
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -28,13 +28,13 @@ import numpy as np
 
 from . import __version__
 from ._workers import _openblas_thread_calls
-from .binmat import _GAP, SplitSpec, _integer_setting, load_coordinate_file, save_mask, \
-    split_observations
+from .binmat import _GAP, SplitSpec, _integer_setting, _replaced, _write_coords, \
+    load_coordinate_file, split_observations
 from .errors import ConfigError, DimensionError, NbmfError
 from .evaluate import completion_report
 from .io import H_FILE, META_FILE, W_FILE, _meta_float, _meta_int, _write_json, \
     _write_text, read_factors, write_factors, write_report
-from .solver import BetaPrior, FitConfig, fit, reconstruct
+from .solver import BetaPrior, FitConfig, _check_fit, _fit_cells, reconstruct
 from .tune import GridResult, GridSpec, export_heatmap, grid_search, test_evaluation
 
 __all__ = ["main", "RunConfig", "load_run_config"]
@@ -252,6 +252,21 @@ def _environment():
     }
 
 
+def _peak_rss_mb():
+    """The run's peak resident memory in MB (2**20 bytes): the larger of this
+    process's ``VmHWM``, which ``exec`` resets, and the peak of the fit
+    workers it has reaped (``RUSAGE_CHILDREN``).  None off Linux."""
+    if not sys.platform.startswith("linux"):
+        return None
+    import resource
+
+    with open("/proc/self/status", encoding="ascii") as status:
+        own = next(int(line.split()[1]) for line in status
+                   if line.startswith("VmHWM:"))
+    workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return max(own, workers) / 1024  # both in KiB
+
+
 def _write_manifest(config, artifacts, seeds, fit_processes=None, **recorded):
     """``fit_processes``: the process counts from the reports of the run's
     fits, if it ran any; ``recorded``: further fields of the manifest."""
@@ -265,6 +280,7 @@ def _write_manifest(config, artifacts, seeds, fit_processes=None, **recorded):
         "seeds": seeds,
         "artifacts": sorted(artifacts),
         "environment": environment,
+        "peak_rss_mb": _peak_rss_mb(),
         **recorded,
     })
 
@@ -327,16 +343,33 @@ def _split_dataset(config):
 
 
 def cmd_fit(config):
+    """Fit on the train cells of ``[split]``'s split; write the factors, the
+    fit report, the three masks and the manifest.
+
+    No input outlives its last use: the masks are written to their
+    temporary files (``binmat._replaced``) before the fit, and the fit is
+    handed the only references to the dataset and the train mask, which it
+    frees while it prepares, so its sweeps hold ``A`` and ``B`` alone.  The
+    masks are renamed into place after the factors and the report are
+    written; a fit that raises removes them.
+    """
     Y, train, val, test = _split_dataset(config)
     inputs = _run_inputs(config)
-    with _output_lock(config.out_dir):
+    with _output_lock(config.out_dir), ExitStack() as pending_masks:
+        _check_fit(Y, train)  # before any file is written
         log_every = config.log_every
 
         def on_sweep(iteration, value, _factors):
             if log_every > 0 and iteration % log_every == 0:
                 print(f"iter {iteration} objective {value:.6f}")
 
-        factors, report = fit(Y, train, config.fit_config, on_sweep=on_sweep)
+        mask_paths = [config.out_dir / name for name in MASK_FILES.values()]
+        for path, mask in zip(mask_paths, (train, val, test)):
+            _write_coords(pending_masks.enter_context(_replaced(path)), mask)
+        del mask, val, test
+        cells = [Y, train]
+        del Y, train
+        factors, report = _fit_cells(cells, config.fit_config, on_sweep=on_sweep)
         artifacts = write_factors(
             config.out_dir, factors,
             alpha=config.fit_config.prior.alpha,
@@ -349,10 +382,8 @@ def cmd_fit(config):
         report_path = config.out_dir / REPORT_JSON
         write_report(report_path, report)
         artifacts.append(report_path)
-        for name, mask in (("train", train), ("val", val), ("test", test)):
-            mask_path = config.out_dir / MASK_FILES[name]
-            save_mask(mask, mask_path)
-            artifacts.append(mask_path)
+        pending_masks.close()  # renames the masks into place
+        artifacts += mask_paths
         _write_manifest(
             config, [p.name for p in artifacts],
             {"split": config.split.seed, "fit": config.fit_config.seed},
@@ -406,27 +437,46 @@ def cmd_eval(config):
     return 0
 
 
+def _text_sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _checkpoint_text(table, stamp):
+    """A checkpoint of ``table``: its CSV text, then ``stamp`` and the
+    digest of that text, ``rows_sha256``, on a last line of their own."""
+    text = table._csv_text()
+    return f"{text}{stamp} rows_sha256={_text_sha256(text)}\n"
+
+
 def _read_partial_rows(path, stamp):
     """Rows checkpointed by an interrupted tune, or () when there are none.
 
-    Tune only ever replaces the checkpoint whole, so one that does not parse
-    or whose last line is not ``stamp`` stops the resume and is left as is.
+    Tune only ever replaces the checkpoint whole, so one that does not parse,
+    whose last line does not hold every word of ``stamp`` and a
+    ``rows_sha256``, or whose lines above it differ from that digest, stops
+    the resume and is left as is.
     """
     if not path.is_file():
         return ()
     advice = "; remove the file to start the search over"
+    malformed = f"cannot resume from {path}: malformed checkpoint"
     try:
         table = GridResult.from_csv(path)
     except ValueError as exc:
-        raise ConfigError(
-            f"cannot resume from {path}: malformed checkpoint ({exc}){advice}"
-        ) from None
-    recorded = path.read_text(encoding="utf-8").splitlines()[-1].split()
+        raise ConfigError(f"{malformed} ({exc}){advice}") from None
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    recorded = lines[-1].split()
     differ = [word.partition("=")[0] for word in stamp.split()[1:]
               if word not in recorded]
     if differ:
         raise ConfigError(f"cannot resume from {path}: its last line does not "
                           f"record this run's {' and '.join(differ)}{advice}")
+    if not any(word.startswith("rows_sha256=") for word in recorded):  # older
+        raise ConfigError(f"cannot resume from {path}: its last line does not "
+                          f"record rows_sha256{advice}")
+    if f"rows_sha256={_text_sha256(''.join(lines[:-1]))}" not in recorded:
+        raise ConfigError(f"{malformed} (the lines above its last differ from "
+                          f"its rows_sha256){advice}")
     print(f"resuming: {len(table)} grid rows found in {path.name}")
     return table.rows
 
@@ -435,14 +485,14 @@ def cmd_tune(config, n_jobs):
     Y, train, val, test = _split_dataset(config)
     inputs = _run_inputs(config)
     stamp = (f"# config_sha256={config.config_sha256} "
-             f"dataset_sha256={inputs['dataset_sha256']}\n")
+             f"dataset_sha256={inputs['dataset_sha256']}")
     with _output_lock(config.out_dir):
         partial_path = config.out_dir / GRID_PARTIAL_CSV
         checkpoint = list(_read_partial_rows(partial_path, stamp))
 
         def on_row(row):
             checkpoint.append(row)
-            _write_text(partial_path, GridResult(checkpoint)._csv_text() + stamp)
+            _write_text(partial_path, _checkpoint_text(GridResult(checkpoint), stamp))
             shown = "failed" if row.val_perplexity is None \
                 else f"{row.val_perplexity:.6f}"
             print(
@@ -490,6 +540,8 @@ def _manifest_summary(payload):
         f"{payload['mode']}: config {payload['config_sha256'][:12]} "
         f"seeds {payload['seeds']} artifacts {', '.join(payload['artifacts'])}"
     )
+    if "peak_rss_mb" in payload:  # written before manifests recorded it
+        summary += f" peak_rss_mb={json.dumps(payload['peak_rss_mb'])}"
     if "environment" not in payload:  # written before manifests recorded it
         return summary
     env = payload["environment"]

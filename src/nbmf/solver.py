@@ -67,11 +67,16 @@ count either.
 Every call of :func:`fit`, the public updates and :func:`objective`
 prepares its own problem with ``_prepare``: ``A`` and ``B`` (16 bytes a
 cell) and the row counts, all read-only, which it drops when it returns.
+``_prepare`` takes its inputs as the list ``[Y, mask]`` and empties it,
+dropping the mask once its dense copy is made and ``Y`` once ``A`` is; the
+CLI's fit hands over its only references (``_fit_cells``), so its sweeps run
+without the dataset or the mask, while library callers keep theirs.
 
 The public functions are pure: they read their inputs and return fresh
 arrays.  Besides the prepared problem, each call owns only its two scratch
 arrays of one block's size (each worker of a fit has its own), and a fit
-its shared mapping: W, H, and 2·K·N float64 per block a worker runs.
+its shared mapping: W, H and ``1 - H`` (made once a sweep, for the W steps of
+every block), and 2·K·N float64 per block a worker runs.
 :func:`fit` allocates them once and writes every block step into them, so
 a sweep allocates nothing of the matrix's size; the W and H it returns or
 passes to ``on_sweep`` are copies that no later sweep overwrites.  The H
@@ -280,22 +285,41 @@ def reconstruct(factors):
     return factors.W @ factors.H
 
 
-def _require_matrix_and_mask(Y, mask):
-    if not isinstance(Y, BinaryMatrix) or not isinstance(mask, ObservationMask):
-        raise ConfigError("fit expects a BinaryMatrix and an ObservationMask")
-
-
-def _prepare(Y, mask):
-    """Dense observed ones ``A``, observed zeros ``B`` and the per-row
-    observed counts, all read-only, so that no pass can write them."""
+def _check_shapes(Y, mask):
     if 0 in Y.shape:
         raise DimensionError(f"matrix of shape {Y.shape} has no cells")
     if Y.shape != mask.shape:
         raise DimensionError(
             f"mask shape {mask.shape} does not match matrix shape {Y.shape}"
         )
+
+
+def _check_fit(Y, mask):
+    """Raise unless ``fit`` can run on ``(Y, mask)``: a :class:`BinaryMatrix`
+    with cells and a nonempty :class:`ObservationMask` of its shape."""
+    if not isinstance(Y, BinaryMatrix) or not isinstance(mask, ObservationMask):
+        raise ConfigError("fit expects a BinaryMatrix and an ObservationMask")
+    if mask.n_cells == 0:
+        raise EmptyMaskError("cannot fit on an empty mask")
+    _check_shapes(Y, mask)
+
+
+def _prepare(cells):
+    """Dense observed ones ``A``, observed zeros ``B`` and the per-row
+    observed counts, all read-only, so that no pass can write them.
+
+    ``cells`` is the list ``[Y, mask]``, which is emptied on entry; each
+    input is dropped once consumed, the mask when its dense copy is made and
+    ``Y`` when ``A`` is, so that inputs the caller holds nowhere else are
+    freed before ``B`` is made.
+    """
+    Y, mask = cells
+    cells.clear()
+    _check_shapes(Y, mask)
     observed = mask.to_dense()
+    del mask
     A = Y.to_dense()
+    del Y
     A *= observed
     B = observed.astype(float)
     del observed
@@ -375,7 +399,7 @@ def objective(Y, mask, factors, prior):
     penalty always covers all of H.  Raises :class:`NumericalError` if any
     cell of ``W @ H`` leaves (0, 1).
     """
-    A, B, _ = _prepare(Y, mask)
+    A, B, _ = _prepare([Y, mask])
     W, H = factors.W, factors.H
     loglik = 0.0
     for rows, P, R in _blocks(*Y.shape):
@@ -405,7 +429,7 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     [epsilon, 1 - epsilon].  Raises :class:`NumericalError` if any cell of
     ``W @ H`` leaves (0, 1).
     """
-    A, B, _ = _prepare(Y, mask)
+    A, B, _ = _prepare([Y, mask])
     W, H = factors.W, factors.H
     pos, neg = np.zeros((2, *H.shape))
     for rows, P, R in _blocks(*Y.shape):
@@ -415,9 +439,12 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     return _h_step(pos, neg, H, prior.alpha, prior.beta, epsilon, clamp)
 
 
-def _w_step(R, S, n_obs, W, H, epsilon, clamp):
+def _w_step(R, S, n_obs, W, HG, epsilon, clamp):
+    """One block's W-step rows.  ``HG`` is the pair ``(H, 1 - H)``, which a
+    caller makes once for all its blocks."""
+    H, G = HG
     pos = R @ H.T
-    neg = S @ (1.0 - H).T
+    neg = S @ G.T
     new_W = W * (pos + neg)
     np.divide(new_W, n_obs[:, None], out=new_W, where=n_obs[:, None] > 0)
     if clamp:
@@ -438,12 +465,13 @@ def update_w(Y, mask, factors, epsilon=1e-12, clamp=True):
     floored at ``epsilon`` and the row renormalized.  Raises
     :class:`NumericalError` if any cell of ``W @ H`` leaves (0, 1).
     """
-    A, B, n_obs = _prepare(Y, mask)
+    A, B, n_obs = _prepare([Y, mask])
     W, H = factors.W, factors.H
+    HG = (H, 1.0 - H)
     new_W = np.empty_like(W)
     for rows, P, R in _blocks(*Y.shape):
         new_W[rows] = _w_step(*_block_ratios(A[rows], B[rows], W[rows], H, P, R),
-                              n_obs[rows], W[rows], H, epsilon, clamp)
+                              n_obs[rows], W[rows], HG, epsilon, clamp)
     return new_W
 
 
@@ -467,25 +495,33 @@ def fit(Y, mask, config, on_sweep=None):
     objective turns non-finite, and :class:`NbmfError` if a worker process
     dies.
     """
-    _require_matrix_and_mask(Y, mask)
-    if mask.n_cells == 0:
-        raise EmptyMaskError("cannot fit on an empty mask")
-    A, B, n_obs = _prepare(Y, mask)
+    return _fit_cells([Y, mask], config, on_sweep)
+
+
+def _fit_cells(cells, config, on_sweep=None):
+    """:func:`fit` on ``cells = [Y, mask]``, a list that it empties on
+    entry: a caller that holds ``Y`` and the mask nowhere else lets
+    ``_prepare`` free each one once it is consumed, so the sweeps run with
+    ``A``, ``B``, the row counts, W and H alone."""
+    _check_fit(*cells)
+    n_rows, n_cols = cells[0].shape
+    A, B, n_obs = _prepare(cells)
     prior, epsilon = config.prior, config.epsilon
-    blocks = _blocks(*Y.shape)
+    blocks = _blocks(n_rows, n_cols)
     processes = fit_processes(len(blocks))
     # The fit's own range of blocks comes first; workers run the others.
     bounds = [len(blocks) * i // processes for i in range(processes + 1)]
     own = bounds[1]
 
     start = time.perf_counter()
-    factors = init_factors(Y.n_rows, Y.n_cols, config.rank, epsilon, config.seed)
-    # W, H, and each worker-run block's H-step numerators.  A block's W step
-    # reads only the block's own rows of the W before it, so each sweep
-    # writes its W over that one.
+    factors = init_factors(n_rows, n_cols, config.rank, epsilon, config.seed)
+    # W, H with 1 - H beside it, and each worker-run block's H-step
+    # numerators.  A block's W step reads only the block's own rows of the W
+    # before it, so each sweep writes its W over that one.
     stored = (len(blocks) - own, *factors.H.shape)
-    W, H, pos, neg = shared_arrays(factors.W.shape, factors.H.shape, stored,
-                                   stored)
+    W, HG, pos, neg = shared_arrays(factors.W.shape, (2, *factors.H.shape),
+                                    stored, stored)
+    H = HG[0]
     W[...], H[...] = factors.W, factors.H
     own_pos, own_neg = np.empty((2, *H.shape))
 
@@ -501,7 +537,7 @@ def fit(Y, mask, config, on_sweep=None):
             # [epsilon, 1 - epsilon] stay inside (0, 1), and the new
             # rows are checked below.
             W_b[...] = _w_step(*_block_ratios(A_b, B_b, W_b, H, P, R, check=False),
-                               n_obs[rows], W_b, H, epsilon, clamp=True)
+                               n_obs[rows], W_b, HG, epsilon, clamp=True)
         R_b, S_b = _block_ratios(A_b, B_b, W_b, H, P, R, sweep)
         np.matmul(W_b.T, R_b, out=pos_b)
         np.matmul(W_b.T, S_b, out=neg_b)
@@ -548,6 +584,7 @@ def fit(Y, mask, config, on_sweep=None):
 
         for sweep in range(1, config.max_iter + 1):
             H[...] = next_H
+            np.subtract(1.0, H, out=HG[1])
             value, next_H = evaluate(sweep)
             trace.append(value)
             if on_sweep is not None:

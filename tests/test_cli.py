@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 
 import nbmf._workers
 import nbmf.cli
+import nbmf.solver
 import nbmf.tune
 from nbmf import (
     BetaPrior,
@@ -78,11 +80,13 @@ def run(workspace, *args):
     return main([arg.replace("@", str(workspace)) for arg in args])
 
 
-def search_stamp(workspace):
-    """The last line of a checkpoint that a tune of ``run.ini`` writes."""
-    digest = lambda name: hashlib.sha256((workspace / name).read_bytes()).hexdigest()
-    return (f"# config_sha256={digest('run.ini')} "
-            f"dataset_sha256={digest('data.txt')}\n")
+def with_search_stamp(workspace, rows):
+    """``rows`` with the last line that a tune of ``run.ini`` writes below
+    them in its checkpoint."""
+    digest = lambda data: hashlib.sha256(data).hexdigest()
+    return (f"{rows}# config_sha256={digest((workspace / 'run.ini').read_bytes())} "
+            f"dataset_sha256={digest((workspace / 'data.txt').read_bytes())} "
+            f"rows_sha256={digest(rows.encode())}\n")
 
 
 def temporary_files(directory):
@@ -335,13 +339,13 @@ class TestFit:
 
     def test_lock_names_the_running_process(self, workspace, monkeypatch):
         lock = workspace / "out" / ".nbmf.lock"
-        real_fit, seen = nbmf.cli.fit, []
+        real_fit, seen = nbmf.cli._fit_cells, []
 
         def fit_reading_lock(*args, **kwargs):
             seen.append(lock.read_text())
             return real_fit(*args, **kwargs)
 
-        monkeypatch.setattr(nbmf.cli, "fit", fit_reading_lock)
+        monkeypatch.setattr(nbmf.cli, "_fit_cells", fit_reading_lock)
         assert run(workspace, "fit", "--config", "@/run.ini") == 0
         assert seen == [f"{os.getpid()}\n"]
         assert not lock.exists()
@@ -372,6 +376,25 @@ class TestFit:
         (out / ".nbmf.lock").write_bytes(content)
         assert run(workspace, "fit", "--config", "@/run.ini") == 1
         assert "is locked by another run" in capsys.readouterr().err
+
+
+    def test_fit_holds_only_what_the_sweeps_read(self, tmp_path):
+        # A and B (16 bytes a cell) and the boolean train mask while B is
+        # made (1); the dataset and the split's masks are gone by then.
+        # Measured: 19.5 bytes a cell, and 31.5 when the fit held them too.
+        M, N = 600, 900  # nine row blocks
+        Y, _, _ = planted_dataset(M, N, 8, 0.5, 0.5, seed=1)
+        save_coordinate_file(Y, tmp_path / "data.txt")
+        del Y
+        (tmp_path / "run.ini").write_text(BASE_CONFIG.replace(
+            "rank = 2", "rank = 8\nmax_iter = 3"))
+        tracemalloc.start()
+        try:
+            assert run(tmp_path, "fit", "--config", "@/run.ini") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (M * N) <= 22
 
 
 class TestEval:
@@ -649,10 +672,9 @@ class TestTune:
         header = ("rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
                   "n_iter,converged,wall_time")
         body = reference.splitlines()[1:3]
-        (resumed_dir / "grid_partial.csv").write_text(
-            header + "\n" + "\n".join(line + ",0.0" for line in body) + "\n"
-            + search_stamp(workspace)
-        )
+        (resumed_dir / "grid_partial.csv").write_text(with_search_stamp(
+            workspace, header + "\n" + "\n".join(line + ",0.0" for line in body) + "\n"
+        ))
         assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 0
         assert (resumed_dir / "grid_result.csv").read_text() == reference
         assert not (resumed_dir / "grid_partial.csv").exists()
@@ -730,10 +752,10 @@ class TestTune:
         resumed_dir.mkdir()
         lines = reference.splitlines()
         partial = resumed_dir / "grid_partial.csv"
-        partial.write_text(
+        partial.write_text(with_search_stamp(
+            workspace,
             lines[0] + ",wall_time\n" + "".join(line + ",0.25\n" for line in lines[1:3])
-            + search_stamp(workspace)
-        )
+        ))
 
         def interrupted(*args, **kwargs):
             raise NbmfError("interrupted")
@@ -745,7 +767,7 @@ class TestTune:
         console = capsys.readouterr().out
         assert "resuming: 2 grid rows" in console
         assert console.count("grid rank=") == 2  # only the two missing points
-        assert partial.read_text() == reference + search_stamp(workspace)
+        assert partial.read_text() == with_search_stamp(workspace, reference)
         monkeypatch.undo()
         assert run(workspace, "tune", "--config", "@/run.ini", "--out", "@/resumed") == 0
         assert (resumed_dir / "grid_result.csv").read_text() == reference
@@ -778,8 +800,9 @@ class TestTune:
         out = workspace / "out"
         out.mkdir()
         partial = out / "grid_partial.csv"
-        content = ("rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
-                   "n_iter,converged\n" + row + "\n" + search_stamp(workspace))
+        content = with_search_stamp(workspace, (
+            "rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
+            "n_iter,converged\n" + row + "\n"))
         partial.write_text(content)
         assert run(workspace, "tune", "--config", "@/run.ini") == 2
         err = capsys.readouterr().err
@@ -800,7 +823,7 @@ class TestTune:
         rewritten = workspace / "rewritten.csv"
         GridResult(rows).to_csv(rewritten)
         assert partial.read_text() == \
-            rewritten.read_text() + search_stamp(workspace)
+            with_search_stamp(workspace, rewritten.read_text())
 
     @pytest.mark.parametrize("edit, named", [
         ("config", "does not record this run's config_sha256;"),
@@ -835,6 +858,44 @@ class TestTune:
         assert partial.read_bytes() == content
         assert not (workspace / "out" / "grid_result.csv").exists()
 
+    def test_edited_checkpoint_score_exits_2_and_is_kept(self, workspace, capsys,
+                                                        monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise NbmfError("interrupted")
+
+        monkeypatch.setattr(nbmf.cli, "test_evaluation", interrupted)
+        assert run(workspace, "tune", "--config", "@/run.ini") == 1
+        monkeypatch.undo()
+        partial = workspace / "out" / "grid_partial.csv"
+        # a score inside the grammar that no fit reaches, and that would win
+        lines = [("2,2.0,1.0,5,-1.0,,5,false\n" if line.startswith("2,2.0,1.0,")
+                  else line) for line in partial.read_text().splitlines(keepends=True)]
+        content = "".join(lines)
+        assert content != partial.read_text()
+        partial.write_text(content)
+        capsys.readouterr()
+        assert run(workspace, "tune", "--config", "@/run.ini") == 2
+        err = capsys.readouterr().err
+        assert ("grid_partial.csv: malformed checkpoint (the lines above its last "
+                "differ from its rows_sha256); remove the file") in err
+        assert partial.read_text() == content
+        assert not (workspace / "out" / "grid_result.csv").exists()
+
+    def test_checkpoint_without_rows_digest_exits_2_and_is_kept(self, workspace,
+                                                                 capsys):
+        # the last line of a checkpoint written before it recorded rows_sha256
+        rows = ("rank,alpha,beta,restart_seed,val_perplexity,test_perplexity,"
+                "n_iter,converged\n1,1.0,1.0,5,0.7,,12,false\n")
+        content = with_search_stamp(workspace, rows).rsplit(" rows_sha256=", 1)[0] + "\n"
+        (workspace / "out").mkdir()
+        partial = workspace / "out" / "grid_partial.csv"
+        partial.write_text(content)
+        assert run(workspace, "tune", "--config", "@/run.ini") == 2
+        err = capsys.readouterr().err
+        assert "grid_partial.csv: its last line does not record rows_sha256;" in err
+        assert partial.read_text() == content
+        assert not (workspace / "out" / "grid_result.csv").exists()
+
     def test_seed_override_sets_base_seed(self, workspace):
         assert run(workspace, "tune", "--config", "@/run.ini", "--seed", "70") == 0
         stats = json.loads((workspace / "out" / "boxstats.json").read_text())
@@ -866,6 +927,40 @@ class TestInterruptedWrites:
         for mode in ("fit", "eval", "tune"):
             assert run(workspace, mode, "--config", "@/run.ini") == 0
         assert temporary_files(workspace / "out") == []
+
+    @pytest.mark.parametrize("error", [NumericalError("boom", iteration=1),
+                                       KeyboardInterrupt],
+                             ids=["raises", "interrupted"])
+    def test_failed_fit_writes_no_mask(self, workspace, monkeypatch, error):
+        # the masks are written before the fit, under temporary names
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        out = workspace / "out"
+        masks = {name: (out / name).read_bytes()
+                 for name in nbmf.cli.MASK_FILES.values()}
+        (workspace / "run.ini").write_text(BASE_CONFIG.replace("seed = 3", "seed = 4"))
+        real, calls = nbmf.solver._block_ratios, []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:  # in the W step of the first sweep
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nbmf.solver, "_block_ratios", failing)
+        for target in ("out", "fresh"):
+            calls.clear()
+            assert run(workspace, "fit", "--config", "@/run.ini",
+                       "--out", f"@/{target}") == 1
+            assert len(calls) == 3
+        assert {name: (out / name).read_bytes() for name in masks} == masks
+        assert temporary_files(out) == []
+        assert list((workspace / "fresh").iterdir()) == []
+
+    def test_fit_on_an_empty_train_mask_writes_nothing(self, workspace, capsys):
+        (workspace / "data.txt").write_text("1 1\n0 0\n")  # no train cell
+        assert run(workspace, "fit", "--config", "@/run.ini") == 1
+        assert "empty mask" in capsys.readouterr().err
+        assert list((workspace / "out").iterdir()) == []
 
     @pytest.mark.skipif(os.name != "posix", reason="needs SIGKILL")
     def test_killed_tune_resumes_to_the_same_bytes(self, tmp_path, capsys):
@@ -965,7 +1060,7 @@ class TestOutOfMemory:
         def out_of_memory(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(nbmf.cli, "fit", out_of_memory)
+        monkeypatch.setattr(nbmf.cli, "_fit_cells", out_of_memory)
         monkeypatch.setattr(nbmf.tune, "fit", out_of_memory)
         assert run(workspace, mode, "--config", "@/run.ini") == 1
         err = capsys.readouterr().err
@@ -1088,7 +1183,7 @@ class TestReport:
         lines = (workspace / "full" / "grid_result.csv").read_text().splitlines()
         (workspace / "resumed").mkdir()
         (workspace / "resumed" / "grid_partial.csv").write_text(
-            "\n".join(lines[:3]) + "\n" + search_stamp(workspace))
+            with_search_stamp(workspace, "\n".join(lines[:3]) + "\n"))
         real_fit = nbmf.tune.fit
 
         def flaky_fit(Y, mask, config, on_sweep=None):
@@ -1119,6 +1214,40 @@ class TestReport:
         assert lines[1].endswith(f"cpu_count={os.cpu_count()}")
         assert lines[2].startswith("fit: config ")
         assert lines[3].endswith(f"cpu_count={os.cpu_count()}")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_manifests_record_the_peak_rss(self, workspace, capsys):
+        for mode in ("fit", "eval", "tune"):
+            assert run(workspace, mode, "--config", "@/run.ini") == 0
+        peaks = {
+            mode: json.loads((workspace / "out" / f"manifest_{mode}.json")
+                             .read_text())["peak_rss_mb"]
+            for mode in ("fit", "eval", "tune")
+        }
+        for peak in peaks.values():
+            assert isinstance(peak, float) and peak > 0
+        capsys.readouterr()
+        assert run(workspace, "report", "--out", "@/out") == 0
+        lines = capsys.readouterr().out.splitlines()
+        for mode, peak in peaks.items():
+            [line] = [line for line in lines if line.startswith(f"{mode}: config ")]
+            assert line.endswith(f" peak_rss_mb={peak!r}")
+
+    def test_peak_rss_is_null_off_linux(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert nbmf.cli._peak_rss_mb() is None
+
+    def test_manifest_without_peak_rss_is_summarized(self, workspace, capsys):
+        assert run(workspace, "fit", "--config", "@/run.ini") == 0
+        path = workspace / "out" / "manifest_fit.json"
+        payload = json.loads(path.read_text())
+        del payload["peak_rss_mb"]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(workspace, "report", "--out", "@/out") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("fit: config ")
+        assert lines[0].endswith("train_mask.txt, val_mask.txt")
 
     def test_manifest_without_environment_is_summarized(self, workspace, capsys):
         assert run(workspace, "fit", "--config", "@/run.ini") == 0

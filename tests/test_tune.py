@@ -663,8 +663,9 @@ def prepared(monkeypatch):
     real_prepare = nbmf.solver._prepare
     calls = []
 
-    def recording_prepare(Y, mask):
-        problem = real_prepare(Y, mask)
+    def recording_prepare(cells):
+        mask = cells[1]
+        problem = real_prepare(cells)
         calls.append((mask, problem))
         return problem
 
@@ -692,7 +693,7 @@ class TestSharedProblem:
         assert len(prepared) == len(SMALL_GRID.points()) + 3
         # a sweep that wrote to A, B or n_obs would have raised, and
         # would leave other bytes than a fresh preparation
-        fresh = nbmf.solver._prepare(Y, train)
+        fresh = nbmf.solver._prepare([Y, train])
         for mask, problem in prepared:
             assert mask is train
             for array, expected in zip(problem, fresh, strict=True):
