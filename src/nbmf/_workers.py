@@ -206,7 +206,8 @@ class Workers:
             # runs only numpy calls on arrays before os._exit.  Checked on
             # CPython 3.12.1 and 3.13.0 with a standard-library copy of this
             # filter: with one other thread alive, a bare os.fork() warns and the
-            # filtered one does not.  The package itself is unverified there.
+            # filtered one does not.  The tier-1 CI job runs the package's
+            # suite on 3.12 and 3.13 as well as 3.11.
             warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                     DeprecationWarning)
             pid = os.fork()

@@ -7,11 +7,13 @@ objects, so the same matrix can be trained and scored on disjoint subsets of
 its cells (matrix completion).
 
 Both types store their cells as one sorted, duplicate-free, read-only
-``int64`` array of linear indices ``row * n_cols + col`` (the ``linear``
-attribute).  Parsing, writing, splitting, densifying and scoring all work on
-that array; ``BinaryMatrix.ones``, a frozenset of ``(row, col)`` tuples, is
-a view built on demand for callers that want a Python set.  Nothing in the
-package uses it.
+array of linear indices ``row * n_cols + col`` (the ``linear``
+attribute): ``int32`` while the grid has at most 2**31 - 1 cells, so that
+every index fits, and ``int64`` beyond (:func:`_index_dtype`).  Parsing,
+writing, splitting, densifying and scoring all work on that array;
+``BinaryMatrix.ones``, a frozenset of ``(row, col)`` tuples, is a view
+built on demand for callers that want a Python set.  Nothing in the package
+uses it.
 
 All types here are immutable after construction and safe to share across
 threads.  Datasets and masks are written here, and every file of the
@@ -50,7 +52,46 @@ __all__ = [
     "density",
 ]
 
+_INT32_MAX = np.iinfo(np.int32).max
 _INT64_MAX = np.iinfo(np.int64).max
+# Index arrays are built and read this many cells at a time, so their int64
+# and intp temporaries stay cache-sized.
+_CELL_CHUNK = 1 << 16
+
+
+def _index_dtype(n_rows, n_cols):
+    """The dtype of an ``n_rows`` by ``n_cols`` grid's linear indices:
+    ``int32`` when every cell's index fits in it, else ``int64``."""
+    return np.dtype(np.int32 if n_rows * n_cols <= _INT32_MAX else np.int64)
+
+
+def _intp_chunks(linear):
+    """``(start, chunk)`` pairs that cover ``linear`` in ``_CELL_CHUNK``
+    pieces, each chunk copied into one reused ``intp`` buffer.
+
+    numpy indexes with ``intp`` arrays on its fast path and casts any other
+    index through a slower buffered one, so consumers convert a chunk at a
+    time and never the whole array.  A chunk is overwritten by the next.
+    """
+    buffer = np.empty(min(linear.size, _CELL_CHUNK), dtype=np.intp)
+    for start in range(0, linear.size, _CELL_CHUNK):
+        chunk = buffer[:min(_CELL_CHUNK, linear.size - start)]
+        chunk[...] = linear[start:start + _CELL_CHUNK]
+        yield start, chunk
+
+
+def _flatnonzero(flags, dtype):
+    """``np.flatnonzero(flags)`` as ``dtype``, found ``_CELL_CHUNK`` cells at
+    a time, so no ``intp`` array of every index is made."""
+    flags = np.ravel(flags)
+    found = np.empty(np.count_nonzero(flags), dtype=dtype)
+    n_found = 0
+    for start in range(0, flags.size, _CELL_CHUNK):
+        part = flags[start:start + _CELL_CHUNK].nonzero()[0]
+        # Every index is below flags.size, which dtype holds.
+        np.add(part, start, out=found[n_found:n_found + part.size], casting="unsafe")
+        n_found += part.size
+    return found
 
 
 def _integer_setting(name, value):
@@ -80,8 +121,9 @@ def _replaced(path):
 def _linear_from_pairs(pairs, n_rows, n_cols, what):
     """Sorted unique linear indices of an iterable of (row, col) pairs."""
     coords = np.asarray(list(pairs))
+    dtype = _index_dtype(n_rows, n_cols)
     if coords.size == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=dtype)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValueError(f"each {what} must be a (row, col) pair")
     if coords.dtype.kind not in "iu":
@@ -91,7 +133,11 @@ def _linear_from_pairs(pairs, n_rows, n_cols, what):
     if outside.any():
         r, c = coords[np.argmax(outside)].tolist()
         raise BoundsError(f"{what} ({r}, {c}) outside a {n_rows}x{n_cols} grid")
-    return np.unique(rows.astype(np.int64) * n_cols + cols.astype(np.int64))
+    linear = np.empty(len(coords), dtype=dtype)
+    for start in range(0, linear.size, _CELL_CHUNK):
+        part = coords[start:start + _CELL_CHUNK].astype(np.int64)
+        linear[start:start + len(part)] = part[:, 0] * n_cols + part[:, 1]
+    return np.unique(linear)
 
 
 class _CellGrid:
@@ -109,9 +155,13 @@ class _CellGrid:
 
     @classmethod
     def _from_linear(cls, n_rows, n_cols, linear):
-        """Wrap indices already known to be sorted, unique and in bounds."""
+        """Wrap indices already known to be sorted, unique and in bounds.
+
+        The package's producers pass the grid's index dtype already; the
+        cast is for other callers and for pickles of other dtypes.
+        """
         self = object.__new__(cls)
-        self._set(n_rows, n_cols, np.asarray(linear, dtype=np.int64))
+        self._set(n_rows, n_cols, np.asarray(linear, dtype=_index_dtype(n_rows, n_cols)))
         return self
 
     def _set(self, n_rows, n_cols, linear):
@@ -147,7 +197,8 @@ class _CellGrid:
 
     def _dense(self, dtype, fill):
         dense = np.zeros(self.n_rows * self.n_cols, dtype=dtype)
-        dense[self.linear] = fill
+        for _, cells in _intp_chunks(self.linear):
+            dense[cells] = fill
         return dense.reshape(self.shape)
 
 
@@ -184,13 +235,17 @@ class BinaryMatrix(_CellGrid):
         array = np.asarray(array)
         if array.ndim != 2:
             raise DimensionError("expected a 2-d array")
-        # Booleans are compared as they are, without a float copy; nonzero
-        # on a boolean array is several times faster than on floats.
-        values = array if array.dtype == bool else array.astype(float, copy=False)
-        ones = values == 1.0
-        if not (ones | (values == 0.0)).all():
-            raise ValueError("entries must be 0 or 1")
-        return cls._from_linear(array.shape[0], array.shape[1], np.flatnonzero(ones))
+        # A boolean array is its own ones, read without a copy; nonzero on
+        # a boolean array is several times faster than on floats.
+        if array.dtype == bool:
+            ones = array
+        else:
+            values = array.astype(float, copy=False)
+            ones = values == 1.0
+            if not (ones | (values == 0.0)).all():
+                raise ValueError("entries must be 0 or 1")
+        return cls._from_linear(array.shape[0], array.shape[1],
+                                _flatnonzero(ones, _index_dtype(*array.shape)))
 
 
 class ObservationMask(_CellGrid):
@@ -280,10 +335,9 @@ def _splitmix64_keys(seed, count):
 
 
 # The split ranks cells by the top _BUCKET_BITS bits of their keys first, so
-# it holds 2 bytes per cell instead of every 8-byte key; _SPLIT_CHUNK keys at
+# it holds 2 bytes per cell instead of every 8-byte key; _CELL_CHUNK keys at
 # a time stay cache-sized while they are made.
 _BUCKET_BITS = 12
-_SPLIT_CHUNK = 1 << 16
 
 
 def split_observations(matrix, spec):
@@ -310,8 +364,8 @@ def split_observations(matrix, spec):
     shift = np.uint64(64 - _BUCKET_BITS)
     bucket = np.empty(total, dtype=np.uint16)
     counts = np.zeros(1 << _BUCKET_BITS, dtype=np.intp)
-    for start in range(0, total, _SPLIT_CHUNK):
-        stop = min(start + _SPLIT_CHUNK, total)
+    for start in range(0, total, _CELL_CHUNK):
+        stop = min(start + _CELL_CHUNK, total)
         keys = _splitmix64_at(spec.seed, np.arange(start + 1, stop + 1, dtype=np.uint64))
         bucket[start:stop] = keys >> shift
         counts += np.bincount(bucket[start:stop], minlength=counts.size)
@@ -338,11 +392,21 @@ def split_observations(matrix, spec):
         phase += bucket > b
         phase[cells] += keys >= cut
     del bucket  # 2 bytes per cell that the masks need not wait beside
-    # Reading the labels back in cell order gives each mask already sorted.
-    return tuple(
-        ObservationMask._from_linear(n_rows, n_cols, np.flatnonzero(phase == k))
-        for k in range(3)
-    )
+    # A cut of rank n leaves exactly n cells below it.  Reading the labels
+    # back in cell order, a chunk at a time, fills each mask already sorted.
+    ends = [min(n, total) for n in (n_train, n_train + n_val)]
+    sizes = (ends[0], ends[1] - ends[0], total - ends[1])
+    masks = [np.empty(size, dtype=_index_dtype(n_rows, n_cols)) for size in sizes]
+    filled = [0, 0, 0]
+    for start in range(0, total, _CELL_CHUNK):
+        labels = phase[start:start + _CELL_CHUNK]
+        for k, mask in enumerate(masks):
+            part = (labels == k).nonzero()[0]
+            # Every index is below total, which the mask's dtype holds.
+            np.add(part, start, out=mask[filled[k]:filled[k] + part.size],
+                   casting="unsafe")
+            filled[k] += part.size
+    return tuple(ObservationMask._from_linear(n_rows, n_cols, mask) for mask in masks)
 
 
 def density(matrix):
@@ -370,8 +434,10 @@ def density(matrix):
 # CRLF, comment lines starting at the line's first non-space byte).  It
 # counts the file's newlines in one pass to size the index array, then reads
 # the file again from its handle a chunk at a time, so the text is never held
-# whole; it reads the digits of each chunk's tokens by dense gathers and
-# accepts the file only when every check passes.  Anything else goes to the
+# whole, and makes the array in the grid's dtype once the header is read.  It
+# finds each chunk's token ends and newlines as int32 positions, reads the
+# digits of its tokens by gathers back from the ends, and accepts the file
+# only when every check passes.  Anything else goes to the
 # line-by-line scanner, which defines the format: it either reads the file or
 # raises an error naming the offending line.
 # ---------------------------------------------------------------------------
@@ -383,6 +449,9 @@ _TOKEN = re.compile(r"[+-]?[0-9]+")
 _GAP = re.compile(r"[ \t]+")
 # Chosen by timing the reader and the writer on 700k- and 4.2M-line files.
 _CHUNK_BYTES = 1 << 17
+# The reader's fast path takes tokens of up to this many digits, which an
+# int64 always holds; longer ones go to the scanner.
+_MAX_DIGITS = 18
 
 
 def _scan_coords(path):
@@ -460,43 +529,56 @@ def _chunk_values(buf):
     """The integer tokens of whole lines of plain text, as ``int64``.
 
     None unless every byte is a digit, space or newline, every line holds
-    zero or two tokens, and no token is longer than 18 digits.
+    zero or two tokens, and no token is longer than 18 digits.  Byte
+    positions are ``int32``, and each temporary is dropped once read.
     """
-    digit = buf - np.uint8(_DIGIT0)
+    if buf.size > _INT32_MAX:
+        return None
+    # Each byte's digit value (above 9 for a separator), after _MAX_DIGITS
+    # values of 10, so that reading that many bytes before a token stays
+    # inside and finds no digit.
+    digit = np.full(_MAX_DIGITS + buf.size, 10, dtype=np.uint8)
+    np.subtract(buf, np.uint8(_DIGIT0), out=digit[_MAX_DIGITS:])
+    is_digit = digit[_MAX_DIGITS:] <= 9
     is_newline = buf == _NEWLINE
-    if not (is_newline | (buf == _SPACE) | (digit <= 9)).all():
+    if not (is_digit | is_newline | (buf == _SPACE)).all():
         return None
-    seps = np.flatnonzero(digit > 9)
-    # run[i]: digits between separator i - 1 and separator i, counting a
-    # separator before the first byte and after the last.
-    bounds = np.concatenate(([-1], seps, [buf.size]))
-    run = np.diff(bounds) - 1
-    holds = run > 0
-    ends = bounds[1:][holds] - 1
-    widths = run[holds]
-    if ends.size % 2:
+    # Mark each token's last digit and each newline; between the marks of
+    # two consecutive tokens lie the newlines of the gap between them.
+    marked = is_digit  # reused in place
+    marked[:-1] &= ~is_digit[1:]
+    marked |= is_newline
+    marks = _flatnonzero(marked, np.int32)
+    del marked, is_digit
+    tokens = np.flatnonzero(~is_newline[marks])
+    del is_newline
+    if tokens.size % 2:
         return None
-    if ends.size == 0:
-        return np.empty(0, dtype=np.int64)
     # No newline between the tokens of a pair, at least one between a pair
     # and the next.
-    newlines_to_next = np.add.reduceat(is_newline, ends - widths + 1, dtype=np.intp)
-    if newlines_to_next[0::2].any() or not newlines_to_next[1:-1:2].all():
+    gaps = np.diff(tokens)
+    if (gaps[0::2] != 1).any() or (gaps[1::2] == 1).any():
         return None
-    max_width = int(widths.max())
-    if max_width > 18:
-        return None
-    # Digit k of each token counted from its last byte; a token shorter than
-    # k + 1 digits reads a byte before it (negative indices wrap inside
-    # ``buf``) whose value is masked out.
-    values = digit[ends].astype(np.int64)
-    for k in range(1, max_width):
-        place = digit[ends - k]
-        place *= widths > k
+    del gaps
+    ends = marks[tokens]
+    del marks, tokens
+    # numpy gathers by intp indices several times faster than by int32.
+    ends = ends.astype(np.intp)
+    # Digit k of each token counted from its last byte, until a token's
+    # byte k places back is no digit.
+    values = digit[_MAX_DIGITS:][ends].astype(np.int64)
+    alive = np.ones(ends.size, dtype=bool)
+    for k in range(1, _MAX_DIGITS + 1):
+        place = digit[_MAX_DIGITS - k:][ends]
+        alive &= place <= 9
+        if not alive.any():
+            return values
+        if k == _MAX_DIGITS:
+            return None  # a longer token
+        place *= alive
         # Widen before scaling: a uint8 product may wrap under value-based
         # casting (NumPy < 2).
         values += np.multiply(place, 10**k, dtype=np.int64)
-    return values
 
 
 def _parse_plain(handle):
@@ -508,8 +590,7 @@ def _parse_plain(handle):
     while block := handle.read(_CHUNK_BYTES):
         n_newlines += block.count(b"\n")
     handle.seek(0)
-    linear = np.empty(n_newlines, dtype=np.int64)
-    shape, n_cells, ordered = None, 0, True
+    shape, linear, n_cells, ordered = None, None, 0, True
     # Whole lines: a chunk's bytes, then the rest of its last line.
     while chunk := handle.read(_CHUNK_BYTES):
         chunk = _plain_lines(chunk + handle.readline())
@@ -522,6 +603,9 @@ def _parse_plain(handle):
             shape = tuple(values[:2].tolist())
             if shape[0] * shape[1] > _INT64_MAX:
                 return None
+            # The header fixes the dtype; the cells are written straight
+            # into it.
+            linear = np.empty(n_newlines, dtype=_index_dtype(*shape))
             values = values[2:]
         if values.size == 0:
             continue

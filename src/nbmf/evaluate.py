@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binmat import _intp_chunks
 from .errors import ConfigError, DimensionError, EmptyMaskError, NumericalError
 from .io import _cell_text, _json_text
 from .solver import reconstruct
@@ -106,7 +107,10 @@ class MaskReport:
 def _mask_report(Y, mask, pred):
     score = perplexity(Y, mask, pred)
     truth = Y.ones_at(mask)
-    positive = np.take(pred, mask.linear) >= 0.5
+    # np.take would copy an int32 index array whole into intp.
+    positive = np.empty(mask.n_cells, dtype=bool)
+    for start, cells in _intp_chunks(mask.linear):
+        positive[start:start + cells.size] = np.take(pred, cells) >= 0.5
     return MaskReport(
         perplexity=score.value,
         n_cells=score.n_cells,

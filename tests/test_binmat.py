@@ -295,7 +295,7 @@ class TestCoordinateFile:
 class TestIndexStorage:
     def test_linear_indices_sorted_unique_read_only(self):
         m = BinaryMatrix(3, 4, [(2, 1), (0, 3), (2, 1), (1, 0)])
-        assert m.linear.dtype == np.int64
+        assert m.linear.dtype == np.int32
         assert m.linear.tolist() == [3, 4, 9]
         with pytest.raises(ValueError):
             m.linear[0] = 0
@@ -360,6 +360,60 @@ class TestIndexStorage:
                 assert mask.linear.tolist() == sorted(expected.tolist())
 
 
+class TestIndexDtype:
+    """``.linear`` is int32 while the grid has at most 2**31 - 1 cells and
+    int64 beyond.  The edge grids hold their first and last cell and are
+    never densified."""
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((46340, 46340), np.int32),
+        ((46341, 46341), np.int64),
+        ((1, 2**31 - 1), np.int32),
+        ((2**31, 1), np.int64),
+    ])
+    def test_edge_grids_round_trip(self, tmp_path, shape, dtype):
+        n_rows, n_cols = shape
+        corners = [(0, 0), (n_rows - 1, n_cols - 1)]
+        matrix = BinaryMatrix(n_rows, n_cols, corners)
+        mask = ObservationMask(n_rows, n_cols, corners)
+        save_coordinate_file(matrix, tmp_path / "data.txt")
+        save_mask(mask, tmp_path / "mask.txt")
+        assert (tmp_path / "mask.txt").read_text() == (
+            f"{n_rows} {n_cols}\n0 0\n{n_rows - 1} {n_cols - 1}\n"
+        )
+        copies = [
+            (matrix, load_coordinate_file(tmp_path / "data.txt")),
+            (mask, load_mask(tmp_path / "mask.txt")),
+            (matrix, pickle.loads(pickle.dumps(matrix))),
+            (mask, pickle.loads(pickle.dumps(mask))),
+        ]
+        for original, copy in copies:
+            assert copy == original
+            assert copy.linear.dtype == original.linear.dtype == dtype
+            assert copy.linear.tolist() == [0, n_rows * n_cols - 1]
+        rows, cols = mask.indices()
+        assert rows.tolist() == [0, n_rows - 1] and cols.tolist() == [0, n_cols - 1]
+        first = BinaryMatrix(n_rows, n_cols, [(0, 0)])
+        last = ObservationMask(n_rows, n_cols, [(n_rows - 1, n_cols - 1)])
+        assert matrix.ones_at(mask).tolist() == [True, True]
+        assert first.ones_at(mask).tolist() == [True, False]
+        assert mask.shared_cells(last) == last.shared_cells(mask) == 1
+
+    def test_every_producer_writes_the_grid_dtype(self, tmp_path):
+        Y = BinaryMatrix.from_dense(np.eye(4, dtype=bool))
+        plain, scanned = tmp_path / "plain.txt", tmp_path / "scanned.txt"
+        save_coordinate_file(Y, plain)
+        # A tab takes the file off the fast path to the scanner.
+        scanned.write_bytes(b"4 4\n0\t0\n1 1\n2 2\n3 3\n")
+        grids = [Y, BinaryMatrix.from_dense(np.eye(4)), BinaryMatrix(4, 4, [(1, 1)]),
+                 *split_observations(Y, SplitSpec(seed=1)),
+                 load_coordinate_file(plain), load_coordinate_file(scanned),
+                 BinaryMatrix._from_linear(4, 4, np.array([0, 5], dtype=np.int64))]
+        for grid in grids:
+            assert grid.linear.dtype == np.int32
+        assert load_coordinate_file(scanned) == load_coordinate_file(plain) == Y
+
+
 def _argsort_split(n_rows, n_cols, spec):
     """Masks as consecutive slices of the stable argsort of the keys."""
     from nbmf.binmat import _splitmix64_keys
@@ -407,6 +461,37 @@ def test_split_peak_memory():
         tracemalloc.stop()
     assert sum(mask.n_cells for mask in masks) == 1_000_000
     assert peak <= 14 * 1_000_000
+
+
+def test_load_and_split_peak_memory(tmp_path):
+    """Reading a dataset and splitting it make 4-byte indices directly and
+    hold chunk-sized temporaries beside them (tracemalloc peak per cell of a
+    600x900 planted file: 8.1 bytes, 14.1 with 8-byte indices)."""
+    path = tmp_path / "planted.txt"
+    save_coordinate_file(nbmf.planted_dataset(600, 900, 8, seed=1)[0], path)
+    tracemalloc.start()
+    try:
+        masks = split_observations(load_coordinate_file(path), SplitSpec(seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(mask.n_cells for mask in masks) == 600 * 900
+    assert peak <= 10 * 600 * 900
+
+
+def test_to_dense_converts_one_chunk_at_a_time():
+    """An int32 mask densifies with one chunk of intp indices beside the
+    dense array, never an intp copy of every index."""
+    mask = split_observations(BinaryMatrix(600, 900, []), SplitSpec(seed=1))[0]
+    assert mask.linear.dtype == np.int32 and mask.n_cells * 8 > 2**20
+    tracemalloc.start()
+    try:
+        dense = mask.to_dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense.sum() == mask.n_cells
+    assert peak <= dense.nbytes + 8 * nbmf.binmat._CELL_CHUNK + 4096
 
 
 def _scanned(path):
@@ -650,6 +735,15 @@ class TestTextMemory:
         save_mask(mask, path)
         peak = self.traced_peak(load_mask, path)
         assert peak <= 70 * mask.n_cells
+
+    def test_load_makes_the_index_array_in_its_dtype(self, mask, tmp_path):
+        # The 4-byte array and the chunk temporaries read 6.4 B/cell; an
+        # int64 array cast to int32 once read peaks at 12.
+        path = tmp_path / "mask.txt"
+        save_mask(mask, path)
+        assert load_mask(path).linear.dtype == np.int32
+        peak = self.traced_peak(load_mask, path)
+        assert peak <= 9 * mask.n_cells
 
     @pytest.mark.parametrize("save, load", [
         (save_mask, load_mask), (save_coordinate_file, load_coordinate_file),
