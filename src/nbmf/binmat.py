@@ -94,12 +94,17 @@ def _flatnonzero(flags, dtype):
     return found
 
 
-def _integer_setting(name, value):
-    """``operator.index(value)``, else a :class:`ConfigError` naming ``name``."""
+def _integer_setting(name, value, minimum=None):
+    """``operator.index(value)``, a plain ``int`` even for a bool or a numpy
+    integer; a :class:`ConfigError` naming ``name`` if it is not an integer
+    or is below ``minimum``.  The package's one check of an integer setting."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return number
 
 
 @contextmanager
@@ -294,7 +299,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _integer_setting("seed", self.seed)
+        object.__setattr__(self, "seed", _integer_setting("seed", self.seed))
         for name in ("train_frac", "val_frac", "test_frac"):
             frac = getattr(self, name)
             if not (0.0 < frac < 1.0):

@@ -70,8 +70,8 @@ class RunConfig:
     config_sha256: str = ""
 
     def __post_init__(self):
-        if _integer_setting("log_every", self.log_every) < 0:
-            raise ConfigError(f"log_every must be >= 0, got {self.log_every}")
+        log_every = _integer_setting("log_every", self.log_every, 0)
+        object.__setattr__(self, "log_every", log_every)
 
 
 def _words(parse):
@@ -594,29 +594,26 @@ def cmd_report(out_dir):
     return 0
 
 
-def _flag_int(source, text):
-    """``text`` as an integer in the grammar of the config values."""
+def _flag_int(source, text, minimum=None):
+    """``text`` as an integer in the grammar of the config values, at least
+    ``minimum``; a :class:`ConfigError` naming ``source`` otherwise."""
     try:
-        return _meta_int(text)
+        number = _meta_int(text)
     except ValueError:
-        raise ConfigError(f"{source} must be an integer, got {text!r}") from None
+        number = None
+    if number is None or (minimum is not None and number < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{source} must be an integer{at_least}, got {text!r}")
+    return number
 
 
 def _job_count(flag):
     """The cap on each fit's processes: ``--jobs``, else ``$NBMF_JOBS``, else None."""
     if flag is not None:
-        source, text = "--jobs", flag
-    elif JOBS_ENV_VAR in os.environ:
-        source, text = f"${JOBS_ENV_VAR}", os.environ[JOBS_ENV_VAR]
-    else:
-        return None
-    try:
-        n_jobs = _meta_int(text)
-    except ValueError:
-        n_jobs = 0
-    if n_jobs < 1:
-        raise ConfigError(f"{source} must be an integer >= 1, got {text!r}")
-    return n_jobs
+        return _flag_int("--jobs", flag, 1)
+    if JOBS_ENV_VAR in os.environ:
+        return _flag_int(f"${JOBS_ENV_VAR}", os.environ[JOBS_ENV_VAR], 1)
+    return None
 
 
 def _build_parser():

@@ -206,16 +206,13 @@ class FitConfig:
     def __post_init__(self):
         if not isinstance(self.prior, BetaPrior):
             raise ConfigError("prior must be a BetaPrior")
-        if _integer_setting("rank", self.rank) < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.rank}")
+        for name, minimum in (("rank", 1), ("max_iter", 1), ("seed", 0)):
+            value = _integer_setting(name, getattr(self, name), minimum)
+            object.__setattr__(self, name, value)
         if not self.tol > 0:
             raise ConfigError(f"tol must be > 0, got {self.tol}")
-        if _integer_setting("max_iter", self.max_iter) < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (0.0 < self.epsilon < 1e-3):
             raise ConfigError(f"epsilon must lie in (0, 1e-3), got {self.epsilon}")
-        if _integer_setting("seed", self.seed) < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -265,8 +262,10 @@ def init_factors(n_rows, n_cols, rank, epsilon=1e-12, seed=0):
     per row) and H is uniform on (epsilon, 1 - epsilon).  Deterministic in
     ``seed``; W is drawn before H.
     """
-    if n_rows < 1 or n_cols < 1 or rank < 1:
-        raise ConfigError("n_rows, n_cols, and rank must all be >= 1")
+    n_rows = _integer_setting("n_rows", n_rows, 1)
+    n_cols = _integer_setting("n_cols", n_cols, 1)
+    rank = _integer_setting("rank", rank, 1)
+    seed = _integer_setting("seed", seed, 0)
     # numpy refuses an array of more bytes than an intp holds with a
     # ValueError; such factors are out of memory, as larger ones that it
     # tries and fails to allocate are.

@@ -10,13 +10,6 @@ from .errors import ConfigError
 __all__ = ["planted_dataset", "random_binary_matrix"]
 
 
-def _check_sizes(**sizes):
-    """Raise a :class:`ConfigError` naming any size that is not an int >= 1."""
-    for name, value in sizes.items():
-        if _integer_setting(name, value) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
-
-
 def planted_dataset(n_rows, n_cols, rank, h_alpha=3.0, h_beta=3.0, seed=0,
                     w_concentration=1.0):
     """Sample data from the generative model itself.
@@ -26,7 +19,10 @@ def planted_dataset(n_rows, n_cols, rank, h_alpha=3.0, h_beta=3.0, seed=0,
     Beta(h_alpha, h_beta), then samples each cell as Bernoulli((W @ H)[m, n]).
     Returns ``(matrix, W, H)`` so recovery can be checked against the truth.
     """
-    _check_sizes(n_rows=n_rows, n_cols=n_cols, rank=rank)
+    n_rows = _integer_setting("n_rows", n_rows, 1)
+    n_cols = _integer_setting("n_cols", n_cols, 1)
+    rank = _integer_setting("rank", rank, 1)
+    seed = _integer_setting("seed", seed, 0)
     # A NaN or infinite parameter would sample NaN factors, and with them an
     # all-zero matrix, without an error.
     for name, value in (("h_alpha", h_alpha), ("h_beta", h_beta),
@@ -42,7 +38,9 @@ def planted_dataset(n_rows, n_cols, rank, h_alpha=3.0, h_beta=3.0, seed=0,
 
 def random_binary_matrix(n_rows, n_cols, density=0.5, seed=0):
     """An i.i.d. Bernoulli(density) matrix, deterministic in ``seed``."""
-    _check_sizes(n_rows=n_rows, n_cols=n_cols)
+    n_rows = _integer_setting("n_rows", n_rows, 1)
+    n_cols = _integer_setting("n_cols", n_cols, 1)
+    seed = _integer_setting("seed", seed, 0)
     if not (0.0 <= density <= 1.0):
         raise ConfigError(f"density must lie in [0, 1], got {density}")
     rng = np.random.default_rng(seed)

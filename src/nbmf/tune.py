@@ -62,11 +62,9 @@ TIE_TOLERANCE = 1e-12
 
 
 def _check_restarts(n_restarts, base_seed):
-    """Check the restart count and the base seed under their own names."""
-    if _integer_setting("n_restarts", n_restarts) < 1:
-        raise ConfigError("n_restarts must be >= 1")
-    if _integer_setting("base_seed", base_seed) < 0:
-        raise ConfigError(f"base_seed must be >= 0, got {base_seed}")
+    """The restart count and the base seed as ints, checked under their own names."""
+    return (_integer_setting("n_restarts", n_restarts, 1),
+            _integer_setting("base_seed", base_seed, 0))
 
 
 @dataclass(frozen=True)
@@ -97,9 +95,12 @@ class GridSpec:
                 if value in values[:i]:
                     raise ConfigError(f"{axis} lists {value} twice")
             object.__setattr__(self, axis, values)
-        _check_restarts(self.n_restarts, self.base_seed)
+        n_restarts, base_seed = _check_restarts(self.n_restarts, self.base_seed)
+        object.__setattr__(self, "n_restarts", n_restarts)
+        object.__setattr__(self, "base_seed", base_seed)
         for point in self.points():
-            self.fit_config(*point, self.base_seed)
+            config = self.fit_config(*point, self.base_seed)
+        object.__setattr__(self, "max_iter", config.max_iter)  # the int FitConfig keeps
 
     def points(self):
         """Grid points in deterministic (rank, alpha, beta) order."""
@@ -250,12 +251,6 @@ def _fit_and_score(Y, train_mask, eval_mask, config):
     return score, report.n_iter, report.converged, report.wall_time, report.processes
 
 
-def _check_jobs(n_jobs):
-    """Check that ``n_jobs`` is None or an integer >= 1."""
-    if n_jobs is not None and _integer_setting("n_jobs", n_jobs) < 1:
-        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
-
-
 def _scored_rows(Y, train_mask, eval_mask, configs, column, n_jobs, on_row=None):
     """Fit each config and score it on ``eval_mask``; return the rows in
     config order.
@@ -292,7 +287,7 @@ def grid_search(Y, train_mask, val_mask, grid, n_jobs=None, resume_rows=None,
     Returns ``(GridResult, GridRow)`` with the table in grid order and the
     winning row.
     """
-    _check_jobs(n_jobs)
+    n_jobs = None if n_jobs is None else _integer_setting("n_jobs", n_jobs, 1)
     _require_disjoint(train_mask, val_mask, "train and validation")
     done = {row.key: row for row in (resume_rows or [])}
     keys = [(*point, grid.base_seed) for point in grid.points()]
@@ -364,8 +359,8 @@ def test_evaluation(Y, train_mask, test_mask, config, n_restarts=10, base_seed=0
     ignored and replaced by ``base_seed + i`` for restart i.  ``n_jobs`` is
     as in :func:`grid_search`.  Quartiles use numpy's linear interpolation.
     """
-    _check_restarts(n_restarts, base_seed)
-    _check_jobs(n_jobs)
+    n_restarts, base_seed = _check_restarts(n_restarts, base_seed)
+    n_jobs = None if n_jobs is None else _integer_setting("n_jobs", n_jobs, 1)
     _require_disjoint(train_mask, test_mask, "train and test")
     restarts = [replace(config, seed=base_seed + i) for i in range(n_restarts)]
     rows = tuple(

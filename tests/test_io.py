@@ -9,6 +9,7 @@ from nbmf import (
     FitReport,
     fit,
     init_factors,
+    planted_dataset,
     random_binary_matrix,
     read_factors,
     read_report,
@@ -198,6 +199,15 @@ class TestReportFiles:
         path = tmp_path / "report.json"
         write_report(path, report)
         assert read_report(path) == report
+
+    def test_numpy_integer_settings_reach_the_json(self, tmp_path):
+        Y, _, _ = planted_dataset(20, 15, 2, seed=1)
+        config = FitConfig(rank=np.int64(2), max_iter=np.int64(3), seed=np.int64(3))
+        _, report = fit(Y, full_mask(20, 15), config)
+        path = tmp_path / "report.json"
+        write_report(path, report)
+        assert read_report(path) == report
+        assert '"seed": 3' in path.read_text(encoding="utf-8")
 
     def test_failed_encoding_keeps_previous_file(self, tmp_path):
         path = tmp_path / "report.json"

@@ -206,6 +206,15 @@ class TestGridSearch:
         assert [r.val_perplexity for r in loaded] == \
             [r.val_perplexity for r in results]
 
+    def test_bool_base_seed_survives_the_csv(self, small_problem, tmp_path):
+        Y, train, val, _ = small_problem
+        grid = GridSpec(rank_values=(1,), alpha_values=(1.0,), beta_values=(1.0,),
+                        base_seed=True, max_iter=3)
+        results, _ = grid_search(Y, train, val, grid)
+        results.to_csv(tmp_path / "grid.csv")
+        loaded = GridResult.from_csv(tmp_path / "grid.csv")
+        assert [row.restart_seed for row in loaded] == [1]
+
     def test_resume_skips_completed_points(self, small_problem):
         Y, train, val, _ = small_problem
         grid = GridSpec(rank_values=(1, 2), alpha_values=(1.0, 2.0),
