@@ -23,6 +23,7 @@ package through :func:`_replaced`, whole or not at all.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import re
@@ -104,6 +105,23 @@ def _integer_setting(name, value, minimum=None):
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and number < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return number
+
+
+def _float_setting(name, value, low=-math.inf, high=math.inf, ends="()"):
+    """``float(value)`` if it is a finite real number in the interval ``low``
+    to ``high``, open or closed as ``ends`` shows, else a :class:`ConfigError`
+    naming ``name``: the package's one check of a real-valued setting."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond every float
+        number = math.inf if value > 0 else -math.inf
+    inside = low <= number <= high if ends == "[]" else low < number < high
+    if not (inside and math.isfinite(number)):
+        raise ConfigError(f"{name} must be a finite number in {ends[0]}{low:g}, "
+                          f"{high:g}{ends[1]}, got {number}")
     return number
 
 
@@ -301,9 +319,8 @@ class SplitSpec:
     def __post_init__(self):
         object.__setattr__(self, "seed", _integer_setting("seed", self.seed))
         for name in ("train_frac", "val_frac", "test_frac"):
-            frac = getattr(self, name)
-            if not (0.0 < frac < 1.0):
-                raise ConfigError(f"{name} must lie in (0, 1), got {frac}")
+            frac = _float_setting(name, getattr(self, name), 0.0, 1.0)
+            object.__setattr__(self, name, frac)
         total = self.train_frac + self.val_frac + self.test_frac
         if abs(total - 1.0) > 1e-12:
             raise ConfigError(f"fractions must sum to 1, got {total}")

@@ -16,13 +16,12 @@ both modules write through its ``_replaced``.
 from __future__ import annotations
 
 import json
-import math
 import re
 from pathlib import Path
 
 import numpy as np
 
-from .binmat import _GAP, _TOKEN, _replaced
+from .binmat import _GAP, _TOKEN, _float_setting, _replaced
 from .errors import DimensionError, ParseError
 from .solver import FactorPair, FitReport
 
@@ -52,17 +51,11 @@ _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 def _meta_float(value):
     if not _DECIMAL.fullmatch(value):
         raise ValueError
-    number = float(value)
-    if not math.isfinite(number):  # "1e999"
-        raise ValueError
-    return number
+    return _float_setting("value", float(value))  # a ValueError on "1e999"
 
 
 def _meta_epsilon(value):
-    number = _meta_float(value)
-    if not 0.0 < number < 0.5:
-        raise ValueError
-    return number
+    return _float_setting("epsilon", _meta_float(value), 0.0, 0.5)
 
 
 def _meta_bool(value):

@@ -91,7 +91,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._workers import Workers, _one_blas_thread, fit_processes, shared_arrays
-from .binmat import BinaryMatrix, ObservationMask, _integer_setting
+from .binmat import BinaryMatrix, ObservationMask, _float_setting, _integer_setting
 from .errors import ConfigError, DimensionError, EmptyMaskError, NumericalError
 
 __all__ = [
@@ -122,9 +122,8 @@ class BetaPrior:
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 1.0:
-                raise ConfigError(f"{name} must be a finite value >= 1, got {value}")
+            value = _float_setting(name, getattr(self, name), 1.0, ends="[]")
+            object.__setattr__(self, name, value)
 
     @property
     def is_flat(self):
@@ -191,10 +190,7 @@ class FactorPair:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Rank, prior, stopping control and seed for one training run.
-
-    With :class:`BetaPrior`, the one check of these settings.
-    """
+    """Rank, prior, stopping control and seed for one training run."""
 
     rank: int
     prior: BetaPrior = field(default_factory=BetaPrior)
@@ -209,10 +205,8 @@ class FitConfig:
         for name, minimum in (("rank", 1), ("max_iter", 1), ("seed", 0)):
             value = _integer_setting(name, getattr(self, name), minimum)
             object.__setattr__(self, name, value)
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
-        if not (0.0 < self.epsilon < 1e-3):
-            raise ConfigError(f"epsilon must lie in (0, 1e-3), got {self.epsilon}")
+        object.__setattr__(self, "tol", _float_setting("tol", self.tol, 0.0))
+        object.__setattr__(self, "epsilon", _epsilon_setting(self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -250,6 +244,15 @@ class FitReport:
         )
 
 
+def _epsilon_setting(value):
+    """The one rule for a clamp width ε, so that H in [ε, 1 - ε] keeps every
+    ``W @ H`` in (0, 1)."""
+    epsilon = _float_setting("epsilon", value, 0.0, 1e-3)
+    if 1.0 - epsilon == 1.0:
+        raise ConfigError(f"epsilon must leave 1 - epsilon < 1, got {epsilon}")
+    return epsilon
+
+
 def _clamp_w(W, epsilon):
     floored = np.maximum(W, epsilon)
     return floored / floored.sum(axis=1, keepdims=True)
@@ -266,6 +269,7 @@ def init_factors(n_rows, n_cols, rank, epsilon=1e-12, seed=0):
     n_cols = _integer_setting("n_cols", n_cols, 1)
     rank = _integer_setting("rank", rank, 1)
     seed = _integer_setting("seed", seed, 0)
+    epsilon = _epsilon_setting(epsilon)
     # numpy refuses an array of more bytes than an intp holds with a
     # ValueError; such factors are out of memory, as larger ones that it
     # tries and fails to allocate are.
@@ -428,6 +432,7 @@ def update_h(Y, mask, factors, prior, epsilon=1e-12, clamp=True):
     [epsilon, 1 - epsilon].  Raises :class:`NumericalError` if any cell of
     ``W @ H`` leaves (0, 1).
     """
+    epsilon = _epsilon_setting(epsilon)
     A, B, _ = _prepare([Y, mask])
     W, H = factors.W, factors.H
     pos, neg = np.zeros((2, *H.shape))
@@ -464,6 +469,7 @@ def update_w(Y, mask, factors, epsilon=1e-12, clamp=True):
     floored at ``epsilon`` and the row renormalized.  Raises
     :class:`NumericalError` if any cell of ``W @ H`` leaves (0, 1).
     """
+    epsilon = _epsilon_setting(epsilon)
     A, B, n_obs = _prepare([Y, mask])
     W, H = factors.W, factors.H
     HG = (H, 1.0 - H)

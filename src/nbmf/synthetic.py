@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .binmat import BinaryMatrix, _integer_setting
-from .errors import ConfigError
+from .binmat import BinaryMatrix, _float_setting, _integer_setting
 
 __all__ = ["planted_dataset", "random_binary_matrix"]
 
@@ -23,14 +22,11 @@ def planted_dataset(n_rows, n_cols, rank, h_alpha=3.0, h_beta=3.0, seed=0,
     n_cols = _integer_setting("n_cols", n_cols, 1)
     rank = _integer_setting("rank", rank, 1)
     seed = _integer_setting("seed", seed, 0)
-    # A NaN or infinite parameter would sample NaN factors, and with them an
-    # all-zero matrix, without an error.
-    for name, value in (("h_alpha", h_alpha), ("h_beta", h_beta),
-                        ("w_concentration", w_concentration)):
-        if not (np.isfinite(value) and value > 0):
-            raise ConfigError(f"{name} must be a finite value > 0, got {value}")
+    h_alpha = _float_setting("h_alpha", h_alpha, 0.0)
+    h_beta = _float_setting("h_beta", h_beta, 0.0)
+    w_concentration = _float_setting("w_concentration", w_concentration, 0.0)
     rng = np.random.default_rng(seed)
-    W = rng.dirichlet(np.full(rank, float(w_concentration)), size=n_rows)
+    W = rng.dirichlet(np.full(rank, w_concentration), size=n_rows)
     H = rng.beta(h_alpha, h_beta, size=(rank, n_cols))
     means = W @ H
     return BinaryMatrix.from_dense(rng.random((n_rows, n_cols)) < means), W, H
@@ -41,7 +37,6 @@ def random_binary_matrix(n_rows, n_cols, density=0.5, seed=0):
     n_rows = _integer_setting("n_rows", n_rows, 1)
     n_cols = _integer_setting("n_cols", n_cols, 1)
     seed = _integer_setting("seed", seed, 0)
-    if not (0.0 <= density <= 1.0):
-        raise ConfigError(f"density must lie in [0, 1], got {density}")
+    density = _float_setting("density", density, 0.0, 1.0, ends="[]")
     rng = np.random.default_rng(seed)
     return BinaryMatrix.from_dense(rng.random((n_rows, n_cols)) < density)

@@ -31,13 +31,12 @@ the same text and a last ``#`` line.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._workers import _one_blas_thread, capping_fit_processes
-from .binmat import _integer_setting
+from .binmat import _float_setting, _integer_setting
 from .errors import ConfigError, NumericalError, SearchError
 from .evaluate import _require_disjoint, perplexity
 from .io import (_cell_text, _json_text, _meta_bool, _meta_float, _meta_int,
@@ -85,10 +84,9 @@ class GridSpec:
     epsilon: float = FitConfig.epsilon
 
     def __post_init__(self):
-        rank = functools.partial(_integer_setting, "rank_values")
-        for axis, kind in (("rank_values", rank), ("alpha_values", float),
-                           ("beta_values", float)):
-            values = tuple(kind(value) for value in getattr(self, axis))
+        for axis in ("rank_values", "alpha_values", "beta_values"):
+            kind = _integer_setting if axis == "rank_values" else _float_setting
+            values = tuple(kind(axis, value) for value in getattr(self, axis))
             if not values:
                 raise ConfigError(f"{axis} must be nonempty")
             for i, value in enumerate(values):
@@ -100,7 +98,8 @@ class GridSpec:
         object.__setattr__(self, "base_seed", base_seed)
         for point in self.points():
             config = self.fit_config(*point, self.base_seed)
-        object.__setattr__(self, "max_iter", config.max_iter)  # the int FitConfig keeps
+        for name in ("tol", "max_iter", "epsilon"):  # as FitConfig keeps them
+            object.__setattr__(self, name, getattr(config, name))
 
     def points(self):
         """Grid points in deterministic (rank, alpha, beta) order."""

@@ -1,15 +1,21 @@
 """Every public integer setting takes any integer type, is stored as ``int``
 and is refused under one message form: ``<name> must be an integer`` or
-``<name> must be >= <minimum>, got <value>``."""
+``<name> must be >= <minimum>, got <value>``.  Every public float setting
+takes any real number type, is stored as ``float`` and is refused as
+``<name> must be a number`` or ``<name> must be ..., got <value>``."""
 
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nbmf import (
+    BetaPrior,
     ConfigError,
+    FactorPair,
     FitConfig,
     GridSpec,
     SplitSpec,
@@ -18,6 +24,8 @@ from nbmf import (
     planted_dataset,
     random_binary_matrix,
     split_observations,
+    update_h,
+    update_w,
 )
 from nbmf import test_evaluation as run_test_evaluation
 from nbmf.cli import RunConfig
@@ -114,3 +122,98 @@ def test_integer_setting(name, minimum, call):
         with pytest.raises(ConfigError,
                            match=f"^{name} must be >= {minimum}, got {below}$"):
             call(below)
+
+
+def _prior(name, value):
+    return getattr(BetaPrior(**{name: value}), name)
+
+
+def _split_spec(name, value):
+    fracs = {"train_frac": 0.5, "val_frac": 0.25, "test_frac": 0.25, name: value}
+    return getattr(SplitSpec(**fracs), name)
+
+
+def _grid_axis(axis, value):
+    return getattr(GridSpec(**{**ONE_POINT, axis: (value,)}), axis)[0]
+
+
+def _update(update, value):
+    Y, train, _, _ = _problem()
+    factors = init_factors(*Y.shape, 2, seed=3)
+    args = (BetaPrior(2.0, 3.0),) if update is update_h else ()
+    return update(Y, train, factors, *args, epsilon=value).tobytes()
+
+
+# (name, inside, outside, call): call(value) is what the setting leaves behind,
+# its stored value where it is stored; ``inside`` is a value it takes, exact in
+# float32, and ``outside`` a finite value it refuses, or None for an axis that
+# takes every finite value.  Where True is outside the interval, it is refused
+# as the number 1.0.
+FLOAT_SETTINGS = {
+    **{f"BetaPrior.{name}": (name, 2.5, 0.5, lambda v, name=name: _prior(name, v))
+       for name in ("alpha", "beta")},
+    "FitConfig.tol": ("tol", 0.5, 0.0, lambda v: _fit_config("tol", v)),
+    "FitConfig.epsilon": ("epsilon", 2.0**-20, 1e-3,
+                          lambda v: _fit_config("epsilon", v)),
+    **{f"GridSpec.{axis}": (axis, 2.5, None, lambda v, axis=axis: _grid_axis(axis, v))
+       for axis in ("alpha_values", "beta_values")},
+    "GridSpec.tol": ("tol", 0.5, -1.0, lambda v: _grid_spec("tol", v)),
+    "GridSpec.epsilon": ("epsilon", 2.0**-20, 0.5, lambda v: _grid_spec("epsilon", v)),
+    **{f"SplitSpec.{name}": (name, inside, 1.0,
+                             lambda v, name=name: _split_spec(name, v))
+       for name, inside in (("train_frac", 0.5), ("val_frac", 0.25),
+                            ("test_frac", 0.25))},
+    **{f"planted_dataset.{name}": (name, 2.5, 0.0,
+                                   lambda v, name=name: _planted(name, v))
+       for name in ("h_alpha", "h_beta", "w_concentration")},
+    "random_binary_matrix.density": ("density", 0.25, 1.5,
+                                     lambda v: _random("density", v)),
+    "init_factors.epsilon": ("epsilon", 2.0**-20, 2.0,
+                             lambda v: _factors("epsilon", v)),
+    "update_h.epsilon": ("epsilon", 2.0**-20, 0.7, lambda v: _update(update_h, v)),
+    "update_w.epsilon": ("epsilon", 2.0**-20, 0.7, lambda v: _update(update_w, v)),
+}
+
+
+@pytest.mark.parametrize("name, inside, outside, call", FLOAT_SETTINGS.values(),
+                         ids=FLOAT_SETTINGS)
+def test_float_setting(name, inside, outside, call):
+    expected = call(inside)
+    for value in (np.float32(inside), np.float64(inside), inside):
+        kept = call(value)
+        assert type(kept) is type(expected) and kept == expected, repr(value)
+    try:
+        flat = call(True)
+    except ConfigError as error:
+        assert str(error).endswith(", got 1.0"), error
+    else:
+        assert flat == call(1.0) and type(flat) is type(expected)
+    for value in (str(inside), None, 1j):
+        with pytest.raises(ConfigError, match=f"^{name} must be a number, got "):
+            call(value)
+    refused = [(math.nan, "nan"), (np.float32(math.nan), "nan"), (math.inf, "inf"),
+               (-math.inf, "-inf"), (10**400, "inf")]
+    if outside is not None:
+        refused.append((outside, str(outside)))
+    for value, shown in refused:
+        with pytest.raises(ConfigError,
+                           match=f"^{name} must be .*, got {re.escape(shown)}$"):
+            call(value)
+
+
+EPSILON_SETTINGS = {key: FLOAT_SETTINGS[key][3] for key in FLOAT_SETTINGS
+                    if key.endswith(".epsilon")}
+
+
+@pytest.mark.parametrize("call", EPSILON_SETTINGS.values(), ids=EPSILON_SETTINGS)
+def test_epsilon_rule_needs_one_minus_epsilon_below_one(call):
+    call(2.0**-53)  # 1 - 2**-53 is the float below 1
+    for value in (2.0**-54, 1e-17):
+        with pytest.raises(ConfigError, match=r"^epsilon must leave 1 - epsilon < 1"):
+            call(value)
+
+
+def test_factor_pair_validate_keeps_the_meta_grammar():
+    """read_factors validates at the epsilon meta.txt records, which may lie
+    anywhere in (0, 0.5), so ``validate`` does not apply the fit's rule."""
+    FactorPair(np.ones((1, 1)), np.full((1, 1), 0.5)).validate(epsilon=0.25)

@@ -11,6 +11,7 @@ import nbmf._workers
 import nbmf.solver
 import nbmf.tune
 from nbmf import (
+    BetaPrior,
     BinaryMatrix,
     ConfigError,
     FitConfig,
@@ -292,6 +293,13 @@ class TestTestEvaluation:
         b = run_test_evaluation(Y, train, test, config, n_restarts=4, base_seed=9)
         assert [r.test_perplexity for r in a.rows] == \
             [r.test_perplexity for r in b.rows]
+
+    def test_numpy_float_prior_reaches_the_json(self, small_problem):
+        Y, train, _, test = small_problem
+        prior = BetaPrior(np.float32(3), np.float32(2))
+        config = FitConfig(rank=1, prior=prior, max_iter=3)
+        text = run_test_evaluation(Y, train, test, config, n_restarts=1).to_json()
+        assert '"alpha": 3.0' in text and '"beta": 2.0' in text
 
     def test_restart_seeds_are_base_plus_index(self, small_problem):
         Y, train, _, test = small_problem
