@@ -22,6 +22,7 @@ package through :func:`_replaced`, whole or not at all.
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 import operator
@@ -442,26 +443,28 @@ def density(matrix):
 # ---------------------------------------------------------------------------
 # Coordinate text format
 #
-# UTF-8 text, LF or CRLF.  Lines whose first character other than a space or
-# tab is '#' and lines of only spaces and tabs are ignored.  The first data
-# line is "M N"; each further data line is "row col" (0-based) naming a cell
-# that holds a 1 (for a matrix) or belongs to the mask (for a mask).  Tokens
-# are separated by spaces and tabs; a data line holds nothing else.
+# UTF-8 text; LF, CRLF and a lone CR each end a line.  Lines whose first
+# character other than a space or tab is '#' and lines of only spaces and
+# tabs are ignored.  The first data line is "M N"; each further data line is
+# "row col" (0-based) naming a cell that holds a 1 (for a matrix) or belongs
+# to the mask (for a mask).  Tokens are ASCII digits after an optional sign,
+# separated by spaces and tabs; a data line holds nothing else.
 #
 # Both directions work through chunks of whole lines of about _CHUNK_BYTES
 # bytes, so their temporaries stay cache-sized whatever the file's length.
 # The writer builds each chunk's lines right-aligned in a fixed-width byte
 # matrix whose leading-zero cells hold 0 and drops those cells in one pass.
-# The reader is a fast path for the plain form (ASCII digits, spaces, LF or
-# CRLF, comment lines starting at the line's first non-space byte).  It
-# counts the file's newlines in one pass to size the index array, then reads
-# the file again from its handle a chunk at a time, so the text is never held
-# whole, and makes the array in the grid's dtype once the header is read.  It
-# finds each chunk's token ends and newlines as int32 positions, reads the
-# digits of its tokens by gathers back from the ends, and accepts the file
-# only when every check passes.  Anything else goes to the
-# line-by-line scanner, which defines the format: it either reads the file or
-# raises an error naming the offending line.
+# The reader finds the chunks and their first lines' numbers in one pass,
+# whose line count also sizes the index array, and reads them in a second,
+# so the text is never held whole; the array takes the grid's dtype once the
+# header is read.  A vectorised parser reads every chunk it can decide: it
+# finds the token ends and newlines as int32 positions and reads the digits
+# of the tokens by gathers back from the ends.  Any other chunk (one with a
+# lone CR, a non-ASCII byte outside a comment, a token of over _MAX_DIGITS
+# digits, or an error) goes to the line-by-line scanner, which defines the
+# format: it reads the chunk's lines up to the first error and names that
+# error's line.  Repeated cells show once the array is sorted; a second pass
+# then names the first line that repeats one, unless an error comes first.
 # ---------------------------------------------------------------------------
 
 _DIGIT0, _SPACE, _NEWLINE = ord("0"), ord(" "), ord("\n")
@@ -469,66 +472,78 @@ _DIGIT0, _SPACE, _NEWLINE = ord("0"), ord(" "), ord("\n")
 _TOKEN = re.compile(r"[+-]?[0-9]+")
 # str.split() would also split at control characters and non-ASCII spaces.
 _GAP = re.compile(r"[ \t]+")
+# A comment line up to its newline, and a '+' that does not start a token:
+# no digit follows it, or one precedes it.
+_COMMENT = re.compile(rb"^[ \t]*#[^\n]*", re.MULTILINE)
+_MISPLACED_SIGN = re.compile(rb"\+(?:(?![0-9])|(?<=[0-9]\+))")
 # Chosen by timing the reader and the writer on 700k- and 4.2M-line files.
 _CHUNK_BYTES = 1 << 17
-# The reader's fast path takes tokens of up to this many digits, which an
-# int64 always holds; longer ones go to the scanner.
+# The vectorised parser reads tokens of up to this many digits, which an
+# int64 always holds; the scanner reads a longer one, such as
+# "0000000000000000002" for 2.
 _MAX_DIGITS = 18
 
 
-def _scan_coords(path):
-    shape = None
-    coords = []
-    seen = set()
+def _scan_lines(chunk, line_no, shape, duplicate=-1):
+    """Read the whole lines ``chunk``, numbered from ``line_no``, one at a
+    time after a header of ``shape`` (None if none was read yet).
+
+    Returns the shape, the ``int64`` row and column pairs of the data lines
+    before the first error, and that error, or None.  The chunk's cell number
+    ``duplicate``, counted from 0, is a :class:`DuplicateError`.
+    """
+    # A line break ends each line but the last.
+    pairs = np.empty((chunk.count(b"\n") + chunk.count(b"\r") + 1, 2), dtype=np.int64)
+    n_pairs, error = 0, None
+    # Universal newlines, as the line numbers count.  Bytes that are not
+    # UTF-8 decode to lone surrogates, which no UTF-8 text holds, so the line
+    # that carries one can be named.
+    text = io.StringIO(chunk.decode("utf-8", "surrogateescape"), newline=None)
     try:
-        # Bytes that are not UTF-8 decode to lone surrogates, which no UTF-8
-        # text holds, so the line that carries one can be named.
-        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                if not raw.isascii():
-                    try:
-                        raw.encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise ParseError("not UTF-8 text", line=line_no) from None
-                line = raw.strip(" \t\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = _GAP.split(line)
-                if len(parts) != 2 or not all(map(_TOKEN.fullmatch, parts)):
-                    raise ParseError(f"expected two integers, got {line!r}",
-                                     line=line_no)
-                first, second = int(parts[0]), int(parts[1])
-                if shape is None:
-                    if first < 0 or second < 0:
-                        raise ParseError(f"negative shape {line!r}", line=line_no)
-                    if first * second > _INT64_MAX:
-                        raise DimensionError(f"line {line_no}: a {first}x{second} "
-                                             "grid has too many cells")
-                    shape = (first, second)
-                    continue
-                if not (0 <= first < shape[0] and 0 <= second < shape[1]):
-                    raise BoundsError(
-                        f"line {line_no}: coordinate ({first}, {second}) outside a "
-                        f"{shape[0]}x{shape[1]} grid"
-                    )
-                if (first, second) in seen:
-                    raise DuplicateError(
-                        f"line {line_no}: coordinate ({first}, {second}) listed twice"
-                    )
-                seen.add((first, second))
-                coords.append((first, second))
-        if shape is None:
-            raise ParseError("missing 'M N' header line")
-    except NbmfError as exc:  # every error names the file; ParseError.line stays
-        exc.args = (f"{path}: {exc}",)
-        raise
-    return shape, coords
+        for line_no, raw in enumerate(text, start=line_no):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError("not UTF-8 text", line=line_no) from None
+            line = raw.strip(" \t\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = _GAP.split(line)
+            if len(parts) != 2 or not all(map(_TOKEN.fullmatch, parts)):
+                raise ParseError(f"expected two integers, got {line!r}", line=line_no)
+            first, second = int(parts[0]), int(parts[1])
+            if shape is None:
+                if first < 0 or second < 0:
+                    raise ParseError(f"negative shape {line!r}", line=line_no)
+                if first * second > _INT64_MAX:
+                    raise DimensionError(f"line {line_no}: a {first}x{second} "
+                                         "grid has too many cells")
+                shape = (first, second)
+                continue
+            if not (0 <= first < shape[0] and 0 <= second < shape[1]):
+                raise BoundsError(
+                    f"line {line_no}: coordinate ({first}, {second}) outside a "
+                    f"{shape[0]}x{shape[1]} grid"
+                )
+            if n_pairs == duplicate:
+                raise DuplicateError(
+                    f"line {line_no}: coordinate ({first}, {second}) listed twice"
+                )
+            pairs[n_pairs] = first, second
+            n_pairs += 1
+    except NbmfError as exc:
+        error = exc
+    return shape, pairs[:n_pairs].ravel(), error
 
 
-def _plain_lines(chunk):
-    """``chunk`` without CRs before LFs and with comment lines emptied.
+def _chunk_values(chunk):
+    """The integer tokens of the whole lines ``chunk``, as ``int64``.
 
-    None if it is not UTF-8 or holds a CR outside a CRLF pair.
+    None unless the chunk is UTF-8 with no CR outside a CRLF pair, every line
+    but a comment holds zero or two tokens of at most _MAX_DIGITS digits,
+    each after an optional '+', with spaces and tabs between them.  Byte
+    positions are ``int32``, and each temporary is dropped once read.
     """
     if not chunk.isascii():
         try:
@@ -540,21 +555,13 @@ def _plain_lines(chunk):
         if b"\r" in chunk:
             return None
     if b"#" in chunk:
-        chunk = b"\n".join(
-            b"" if line.lstrip(b" ").startswith(b"#") else line
-            for line in chunk.split(b"\n")
-        )
-    return chunk
-
-
-def _chunk_values(buf):
-    """The integer tokens of whole lines of plain text, as ``int64``.
-
-    None unless every byte is a digit, space or newline, every line holds
-    zero or two tokens, and no token is longer than 18 digits.  Byte
-    positions are ``int32``, and each temporary is dropped once read.
-    """
-    if buf.size > _INT32_MAX:
+        chunk = _COMMENT.sub(b"", chunk)
+    if b"+" in chunk:
+        if _MISPLACED_SIGN.search(chunk):
+            return None
+        chunk = chunk.replace(b"+", b" ")
+    buf = np.frombuffer(chunk.replace(b"\t", b" "), dtype=np.uint8)
+    if buf.size >= _INT32_MAX:
         return None
     # Each byte's digit value (above 9 for a separator), after _MAX_DIGITS
     # values of 10, so that reading that many bytes before a token stays
@@ -603,63 +610,79 @@ def _chunk_values(buf):
         values += np.multiply(place, 10**k, dtype=np.int64)
 
 
-def _parse_plain(handle):
-    """``(shape, linear)`` of a plain, valid file read from the binary
-    ``handle``; None if the scanner must read it."""
-    # A pair takes a line of its own after the header's, so the newlines
-    # bound the number of pairs.  bytes.count allocates nothing per block.
-    n_newlines = 0
-    while block := handle.read(_CHUNK_BYTES):
-        n_newlines += block.count(b"\n")
+def _parse(handle, repeated=None):
+    """``(n_rows, n_cols, linear)`` of the file read from the binary ``handle``.
+
+    Raises the error of the first line that breaks the format or repeats a
+    cell.  Repeated cells show in the sorted array; a second pass, given
+    their sorted indices as ``repeated``, names the first line to repeat one.
+    """
+    # The byte offset and the first line's number of each chunk of whole
+    # lines, and of the end.
     handle.seek(0)
-    shape, linear, n_cells, ordered = None, None, 0, True
-    # Whole lines: a chunk's bytes, then the rest of its last line.
+    starts = [(0, 1)]
     while chunk := handle.read(_CHUNK_BYTES):
-        chunk = _plain_lines(chunk + handle.readline())
-        if chunk is None:
-            return None
-        values = _chunk_values(np.frombuffer(chunk, dtype=np.uint8))
-        if values is None:
-            return None
-        if shape is None and values.size:
+        chunk += handle.readline()  # the rest of its last line
+        line_no = starts[-1][1] + chunk.count(b"\n")
+        if b"\r" in chunk:
+            line_no += chunk.count(b"\r") - chunk.count(b"\r\n")
+        starts.append((starts[-1][0] + len(chunk), line_no))
+    handle.seek(0)
+    shape, linear, n_cells, ordered, error = None, None, 0, True, None
+    seen = None if repeated is None else np.zeros(repeated.size, dtype=bool)
+    for (start, line_no), (end, _) in zip(starts, starts[1:]):
+        chunk, known = handle.read(end - start), shape
+        values = _chunk_values(chunk)
+        if values is not None and values.size and shape is None:
             shape = tuple(values[:2].tolist())
-            if shape[0] * shape[1] > _INT64_MAX:
-                return None
-            # The header fixes the dtype; the cells are written straight
-            # into it.
-            linear = np.empty(n_newlines, dtype=_index_dtype(*shape))
-            values = values[2:]
-        if values.size == 0:
-            continue
-        rows, cols = values[0::2], values[1::2]
-        if (rows >= shape[0]).any() or (cols >= shape[1]).any():
-            return None
-        cells = linear[n_cells:n_cells + rows.size]
-        np.multiply(rows, shape[1], out=cells)
-        cells += cols
-        # Files written by this module list their cells in increasing order.
-        if ordered:
-            ordered = (n_cells == 0 or cells[0] > linear[n_cells - 1]) and bool(
-                (cells[1:] > cells[:-1]).all()
-            )
-        n_cells += cells.size
+            values = values[2:] if shape[0] * shape[1] <= _INT64_MAX else None
+        if values is None or values.size and (
+                (values[0::2] >= shape[0]).any() or (values[1::2] >= shape[1]).any()):
+            shape, values, error = _scan_lines(chunk, line_no, known)
+        if linear is None and shape is not None:
+            # A pair takes a line of its own after the header's, so the line
+            # breaks bound the number of pairs.  The header fixes the dtype;
+            # the cells are written straight into it.
+            linear = np.empty(starts[-1][1] - 1, dtype=_index_dtype(*shape))
+        if values.size:
+            cells = linear[n_cells:n_cells + values.size // 2]
+            np.multiply(values[0::2], shape[1], out=cells)
+            cells += values[1::2]
+            # Files written by this module list their cells in increasing order.
+            if ordered:
+                ordered = (n_cells == 0 or cells[0] > linear[n_cells - 1]) and bool(
+                    (cells[1:] > cells[:-1]).all()
+                )
+            n_cells += cells.size
+            if repeated is not None:
+                for index in np.flatnonzero(np.isin(cells, repeated)):
+                    slot = np.searchsorted(repeated, cells[index])
+                    if seen[slot]:
+                        raise _scan_lines(chunk, line_no, known, index)[2]
+                    seen[slot] = True
+        if error is not None:
+            break
     if shape is None:
-        return None
+        raise error or ParseError("missing 'M N' header line")
     linear = linear[:n_cells]
     if not ordered:
         linear.sort()
-        if (linear[1:] == linear[:-1]).any():
-            return None
-    return shape, linear
+        repeated = linear[1:][linear[1:] == linear[:-1]]
+        if repeated.size:
+            del linear, cells  # and with them this pass's array
+            _parse(handle, repeated)  # raises the DuplicateError
+    if error is not None:
+        raise error
+    return *shape, linear
 
 
 def _read_coords(path, cls):
-    with open(path, "rb") as handle:
-        parsed = _parse_plain(handle)
-    if parsed is None:
-        shape, coords = _scan_coords(path)
-        return cls(shape[0], shape[1], coords)
-    return cls._from_linear(*parsed[0], parsed[1])
+    try:
+        with open(path, "rb") as handle:
+            return cls._from_linear(*_parse(handle))
+    except NbmfError as exc:  # every error names the file; ParseError.line stays
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _put_digits(block, values):

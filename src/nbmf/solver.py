@@ -246,11 +246,11 @@ class FitReport:
 
 def _epsilon_setting(value):
     """The one rule for a clamp width ε, so that H in [ε, 1 - ε] keeps every
-    ``W @ H`` in (0, 1)."""
-    epsilon = _float_setting("epsilon", value, 0.0, 1e-3)
-    if 1.0 - epsilon == 1.0:
-        raise ConfigError(f"epsilon must leave 1 - epsilon < 1, got {epsilon}")
-    return epsilon
+    ``W @ H`` in (0, 1).  A row of W sums to 1 only within a few rounding
+    errors, so at ε near 2**-53 a product can still round to 1: some
+    all-ones fits died at ε = 1e-15 (ranks 256 to 1024), none at 2e-15
+    (ranks 2 to 2048).  The floor of 1e-14 leaves a factor of 5 above that."""
+    return _float_setting("epsilon", value, 1e-14, 1e-3)
 
 
 def _clamp_w(W, epsilon):

@@ -2,6 +2,7 @@ import math
 import pickle
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -403,7 +404,7 @@ class TestIndexDtype:
         Y = BinaryMatrix.from_dense(np.eye(4, dtype=bool))
         plain, scanned = tmp_path / "plain.txt", tmp_path / "scanned.txt"
         save_coordinate_file(Y, plain)
-        # A tab takes the file off the fast path to the scanner.
+        # The vectorised parser reads a tab as a gap.
         scanned.write_bytes(b"4 4\n0\t0\n1 1\n2 2\n3 3\n")
         grids = [Y, BinaryMatrix.from_dense(np.eye(4)), BinaryMatrix(4, 4, [(1, 1)]),
                  *split_observations(Y, SplitSpec(seed=1)),
@@ -412,6 +413,10 @@ class TestIndexDtype:
         for grid in grids:
             assert grid.linear.dtype == np.int32
         assert load_coordinate_file(scanned) == load_coordinate_file(plain) == Y
+        # A lone CR sends its chunk to the line-by-line scanner.
+        scanned.write_bytes(b"4 4\r0 0\n1 1\n2 2\n3 3\n")
+        assert load_coordinate_file(scanned) == Y
+        assert load_coordinate_file(scanned).linear.dtype == np.int32
 
 
 def _argsort_split(n_rows, n_cols, spec):
@@ -495,14 +500,31 @@ def test_to_dense_converts_one_chunk_at_a_time():
 
 
 def _scanned(path):
-    """What the line-by-line reference scanner makes of a file."""
-    from nbmf.binmat import _scan_coords
+    """What the line-by-line scanner makes of the whole file as one chunk,
+    with a set of the cells read so far to find the first repeated one."""
+    from nbmf.binmat import _scan_lines
 
-    try:
-        shape, coords = _scan_coords(path)
-    except (ValueError, OSError) as exc:
-        return type(exc), str(exc)
-    return shape, sorted(r * shape[1] + c for r, c in coords)
+    text = path.read_bytes()
+    shape, pairs, error = _scan_lines(text, 1, None)
+    seen = set()
+    for index, cell in enumerate(zip(pairs[0::2].tolist(), pairs[1::2].tolist())):
+        if cell in seen:
+            error = _scan_lines(text, 1, None, duplicate=index)[2]
+            break
+        seen.add(cell)
+    if error is None and shape is None:
+        error = ParseError("missing 'M N' header line")
+    if error is not None:
+        return type(error), f"{path}: {error}"
+    return shape, sorted(r * shape[1] + c for r, c in seen)
+
+
+def _read_vectorised(load, path):
+    """``load(path)`` with the scanner switched off, so the vectorised
+    parser must decide every chunk of the file."""
+    with mock.patch.object(nbmf.binmat, "_scan_lines",
+                           side_effect=AssertionError("a chunk went to the scanner")):
+        return load(path)
 
 
 def _loaded(path):
@@ -560,7 +582,7 @@ class TestParserParity:
         assert load_coordinate_file(path).linear.tolist() == [0 * 3 + 1]
 
     def test_lone_carriage_return_ends_a_comment(self, tmp_path):
-        # universal newlines: the scanner reads "1 1" as a data line
+        # universal newlines: a lone CR ends a line, so "1 1" is a data line
         path = tmp_path / "cr.txt"
         path.write_bytes(b"2 2\n# note\r1 1\n")
         assert load_coordinate_file(path).linear.tolist() == [1 * 2 + 1]
@@ -568,10 +590,9 @@ class TestParserParity:
     def test_token_widths_at_the_int64_limit(self, tmp_path):
         path = tmp_path / "wide.txt"
         path.write_bytes(b"999999999999999999 1\n999999999999999998 0\n")
-        with path.open("rb") as handle:
-            assert nbmf.binmat._parse_plain(handle) is not None
-        assert load_coordinate_file(path).linear.tolist() == [(10**18 - 2) * 1 + 0]
-        # wider tokens can overflow int64, so the scanner reads them
+        assert _read_vectorised(load_coordinate_file, path).linear.tolist() == [
+            (10**18 - 2) * 1 + 0]
+        # wider tokens can overflow int64, so the scanner reads their chunk
         path.write_bytes(b"3 3\n" + b"0" * 19 + b"2 1\n")
         assert load_coordinate_file(path).linear.tolist() == [2 * 3 + 1]
         path.write_bytes(b"3 3\n" + b"9" * 20 + b" 1\n")
@@ -640,10 +661,8 @@ class TestChunkedText:
         path = tmp_path / "grid.txt"
         save_mask(grid, path)
         assert path.read_bytes() == _reference_text(grid)
-        # the file stays on the fast path and reads back unchanged
-        with path.open("rb") as handle:
-            assert nbmf.binmat._parse_plain(handle) is not None
-        assert load_mask(path) == grid
+        # the vectorised parser decides every chunk and reads it back unchanged
+        assert _read_vectorised(load_mask, path) == grid
 
     @pytest.mark.parametrize("row_width", range(1, 14))
     def test_writer_widths(self, tmp_path, chunk_bytes, row_width):
@@ -701,11 +720,98 @@ class TestChunkedText:
         with pytest.raises(error, match=f"line {line}:"):
             load_coordinate_file(path)
 
+    def test_hand_edited_files_agree_with_scanner(self, tmp_path, chunk_bytes):
+        """Forms that the vectorised parser reads or hands to the scanner,
+        with repeated and bad cells on either side of a chunk edge."""
+        pieces = ["1\t2", "\t3 \t4\t", "+1 2", "1 +2", "+1\t+2", "++1 2", "1+ 2",
+                  "1 2+", "+ 1", "\t# tab-indented comment", " \t #", "# c\r1 3",
+                  "2 3\r", "\r", "0" * 18 + "3 1", "0" * 19 + "3 1", "+" + "0" * 19 + "1 0",
+                  "9" * 19 + " 1", "-0 2", "-1 2", "1 400", "300 1", "1 2 3", "# é", "x"]
+        rng = np.random.default_rng(chunk_bytes + 1)
+        path = tmp_path / "edited.txt"
+        for case in range(40):
+            # Lines of 8 bytes, so that the special lines start near the
+            # first chunk edge.
+            n_filler = max(0, chunk_bytes // 8 - 1 + int(rng.integers(-3, 3)))
+            cells = np.sort(rng.choice(200 * 300, size=n_filler, replace=False))
+            lines = ["300 400"] + [f"{100 + c // 300} {100 + c % 300}" for c in cells]
+            specials = [str(rng.choice(pieces)) for _ in range(rng.integers(0, 6))]
+            repeats = rng.integers(0, min(n_filler, 2) + 1)
+            for line in rng.choice(lines[1:], size=repeats, replace=False):
+                gap = str(rng.choice([" ", "\t", " +", "\t\t"]))
+                specials.append(str(line).replace(" ", gap))  # a repeated cell
+            specials = [specials[i] for i in rng.permutation(len(specials))]
+            at = len(lines) - int(rng.integers(0, min(3, n_filler) + 1))
+            lines[at:at] = specials
+            sep = "\r\n" if rng.random() < 0.3 else "\n"
+            path.write_bytes((sep.join(lines) + sep).encode())
+            assert _loaded(path) == _scanned(path), (case, specials)
+
     def test_out_of_order_cells_are_sorted(self, tmp_path, chunk_bytes):
         path = tmp_path / "shuffled.txt"
         path.write_bytes(b"5 5\n4 4\n0 3\n2 1\n0 0\n3 2\n")
         mask = load_mask(path)
         assert mask.linear.tolist() == [0, 3, 11, 17, 24]
+
+
+class TestHandEditedText:
+    """Hand-edited forms of a 1000x1000 planted file (about 100k lines) go
+    through the vectorised parser, as the plain file does, and hold only
+    its chunk temporaries beside the index array."""
+
+    @pytest.fixture(scope="class")
+    def plain(self, tmp_path_factory):
+        Y = nbmf.planted_dataset(1000, 1000, 8, 1.0, 9.0, seed=1)[0]
+        path = tmp_path_factory.mktemp("edited") / "plain.txt"
+        save_coordinate_file(Y, path)
+        return Y, path
+
+    @staticmethod
+    def edited(path, form):
+        """The file at ``path`` in ``form``, written beside it."""
+        header, *lines = path.read_bytes().splitlines()
+        if form == "tab":
+            lines = [line.replace(b" ", b"\t") for line in lines]
+        elif form == "plus":
+            lines = [b"+" + line for line in lines]
+        elif form == "comment":
+            lines = ["\t# noté\n".encode() + line if i % 5000 == 0 else line
+                     for i, line in enumerate(lines)]
+        elif form == "repeated last line":
+            lines.append(lines[-1])
+        sep = b"\r\n" if form == "crlf" else b"\n"
+        edited = path.with_name(f"{form}.txt")
+        edited.write_bytes(sep.join([header, *lines]) + sep)
+        return edited
+
+    @pytest.mark.parametrize("form", ["tab", "plus", "comment", "crlf"])
+    def test_loads_equal_to_the_plain_file(self, plain, form):
+        Y, path = plain
+        loaded = _read_vectorised(load_coordinate_file, self.edited(path, form))
+        assert loaded == Y and loaded.linear.dtype == Y.linear.dtype == np.int32
+
+    def test_tab_form_peak(self, plain):
+        # The plain file peaks at 18.9 B/cell and this form at 20.2; read
+        # whole by the line-by-line scanner, it took 203.
+        Y, path = plain
+        assert Y.linear.size > 90_000
+        tabbed = self.edited(path, "tab")
+        load_coordinate_file(tabbed)
+        peak = TestTextMemory.traced_peak(load_coordinate_file, tabbed)
+        assert peak <= 24 * Y.linear.size
+        assert peak <= 1.2 * TestTextMemory.traced_peak(load_coordinate_file, path)
+
+    def test_repeated_last_line_peak(self, plain):
+        # 22.6 B/cell with the second pass that names the line; read whole by
+        # the line-by-line scanner, it took 203.
+        Y, path = plain
+        repeated = self.edited(path, "repeated last line")
+
+        def refused():
+            with pytest.raises(DuplicateError, match=f"line {Y.linear.size + 2}: "):
+                load_coordinate_file(repeated)
+
+        assert TestTextMemory.traced_peak(refused) <= 28 * Y.linear.size
 
 
 class TestTextMemory:

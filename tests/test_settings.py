@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nbmf
 from nbmf import (
     BetaPrior,
     ConfigError,
@@ -205,12 +206,38 @@ EPSILON_SETTINGS = {key: FLOAT_SETTINGS[key][3] for key in FLOAT_SETTINGS
                     if key.endswith(".epsilon")}
 
 
+SMALLEST_EPSILON = math.nextafter(1e-14, 1.0)
+
+
 @pytest.mark.parametrize("call", EPSILON_SETTINGS.values(), ids=EPSILON_SETTINGS)
 def test_epsilon_rule_needs_one_minus_epsilon_below_one(call):
-    call(2.0**-53)  # 1 - 2**-53 is the float below 1
-    for value in (2.0**-54, 1e-17):
-        with pytest.raises(ConfigError, match=r"^epsilon must leave 1 - epsilon < 1"):
+    # The floor of 1e-14 leaves 1 - epsilon below 1 with room for the
+    # rounding of W's row sums.
+    call(SMALLEST_EPSILON)
+    for value in (1e-14, 2.0**-53, 2.0**-54, 1e-17):
+        with pytest.raises(ConfigError, match=r"^epsilon must be a finite number "
+                                              r"in \(1e-14, 0\.001\), got "):
             call(value)
+
+
+@pytest.mark.parametrize("shape, rank", [
+    ((6, 5), 2), ((40, 30), 3), ((20, 50), 8), ((20, 50), 32), ((20, 200), 64),
+])
+def test_all_ones_fits_keep_the_smallest_epsilon(shape, rank):
+    """Full-mask all-ones fits at the smallest accepted clamp width keep
+    ``W @ H`` below 1 for up to 30 sweeps; every smaller width is refused.  At
+    2**-53 and 2**-52, which the rule once accepted, some of these fits
+    raised NumericalError."""
+    ones = np.ones(shape, dtype=bool)
+    Y = nbmf.BinaryMatrix.from_dense(ones)
+    mask = nbmf.ObservationMask._from_linear(*shape, np.flatnonzero(ones))
+    for seed in range(3):
+        config = FitConfig(rank, tol=1e-300, max_iter=30, epsilon=SMALLEST_EPSILON,
+                           seed=seed)
+        nbmf.fit(Y, mask, config)  # a NumericalError fails the test
+    for value in (1e-14, math.nextafter(1e-14, 0.0), 2.0**-52, 2.0**-53):
+        with pytest.raises(ConfigError, match="^epsilon "):
+            FitConfig(rank, epsilon=value)
 
 
 def test_factor_pair_validate_keeps_the_meta_grammar():
