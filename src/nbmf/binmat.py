@@ -415,21 +415,9 @@ def split_observations(matrix, spec):
         phase += bucket > b
         phase[cells] += keys >= cut
     del bucket  # 2 bytes per cell that the masks need not wait beside
-    # A cut of rank n leaves exactly n cells below it.  Reading the labels
-    # back in cell order, a chunk at a time, fills each mask already sorted.
-    ends = [min(n, total) for n in (n_train, n_train + n_val)]
-    sizes = (ends[0], ends[1] - ends[0], total - ends[1])
-    masks = [np.empty(size, dtype=_index_dtype(n_rows, n_cols)) for size in sizes]
-    filled = [0, 0, 0]
-    for start in range(0, total, _CELL_CHUNK):
-        labels = phase[start:start + _CELL_CHUNK]
-        for k, mask in enumerate(masks):
-            part = (labels == k).nonzero()[0]
-            # Every index is below total, which the mask's dtype holds.
-            np.add(part, start, out=mask[filled[k]:filled[k] + part.size],
-                   casting="unsafe")
-            filled[k] += part.size
-    return tuple(ObservationMask._from_linear(n_rows, n_cols, mask) for mask in masks)
+    dtype = _index_dtype(n_rows, n_cols)
+    return tuple(ObservationMask._from_linear(n_rows, n_cols, _flatnonzero(phase == k, dtype))
+                 for k in range(3))
 
 
 def density(matrix):
@@ -457,14 +445,18 @@ def density(matrix):
 # The reader finds the chunks and their first lines' numbers in one pass,
 # whose line count also sizes the index array, and reads them in a second,
 # so the text is never held whole; the array takes the grid's dtype once the
-# header is read.  A vectorised parser reads every chunk it can decide: it
-# finds the token ends and newlines as int32 positions and reads the digits
-# of the tokens by gathers back from the ends.  Any other chunk (one with a
-# lone CR, a non-ASCII byte outside a comment, a token of over _MAX_DIGITS
-# digits, or an error) goes to the line-by-line scanner, which defines the
-# format: it reads the chunk's lines up to the first error and names that
-# error's line.  Repeated cells show once the array is sorted; a second pass
-# then names the first line that repeats one, unless an error comes first.
+# header is read.  A chunk ends after the last line end of any kind in the
+# block read from its start (a longer line runs on to its own end), so no
+# chunk holds more than one block and the rest of one line.  A vectorised
+# parser reads every chunk it can decide: it finds the token ends and
+# newlines as int32 positions and reads the digits of the tokens by gathers
+# back from the ends.  Any other chunk (an error, a '-' sign, a token of
+# over _MAX_DIGITS digits, or a byte other than a digit, '+', space, tab or
+# line end outside a comment) goes to the line-by-line scanner, which
+# defines the format: it reads the chunk's lines up to the first error and
+# names that error's line.  Repeated cells show once the array is sorted; a
+# second pass then names the first line that repeats one, unless an error
+# comes first.
 # ---------------------------------------------------------------------------
 
 _DIGIT0, _SPACE, _NEWLINE = ord("0"), ord(" "), ord("\n")
@@ -472,6 +464,8 @@ _DIGIT0, _SPACE, _NEWLINE = ord("0"), ord(" "), ord("\n")
 _TOKEN = re.compile(r"[+-]?[0-9]+")
 # str.split() would also split at control characters and non-ASCII spaces.
 _GAP = re.compile(r"[ \t]+")
+# A line end, as universal newlines read it.
+_LINE_END = re.compile(rb"\r\n?|\n")
 # A comment line up to its newline, and a '+' that does not start a token:
 # no digit follows it, or one precedes it.
 _COMMENT = re.compile(rb"^[ \t]*#[^\n]*", re.MULTILINE)
@@ -496,16 +490,13 @@ def _scan_lines(chunk, line_no, shape, duplicate=-1):
     pairs = np.empty((chunk.count(b"\n") + chunk.count(b"\r") + 1, 2), dtype=np.int64)
     n_pairs, error = 0, None
     # Universal newlines, as the line numbers count.  Bytes that are not
-    # UTF-8 decode to lone surrogates, which no UTF-8 text holds, so the line
-    # that carries one can be named.
+    # UTF-8 decode to lone surrogates from U+DC80 to U+DCFF, which no UTF-8
+    # text holds, so the line that carries one can be named.
     text = io.StringIO(chunk.decode("utf-8", "surrogateescape"), newline=None)
     try:
         for line_no, raw in enumerate(text, start=line_no):
-            if not raw.isascii():
-                try:
-                    raw.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError("not UTF-8 text", line=line_no) from None
+            if not raw.isascii() and any("\udc80" <= c <= "\udcff" for c in raw):
+                raise ParseError("not UTF-8 text", line=line_no)
             line = raw.strip(" \t\n")
             if not line or line.startswith("#"):
                 continue
@@ -540,10 +531,11 @@ def _scan_lines(chunk, line_no, shape, duplicate=-1):
 def _chunk_values(chunk):
     """The integer tokens of the whole lines ``chunk``, as ``int64``.
 
-    None unless the chunk is UTF-8 with no CR outside a CRLF pair, every line
-    but a comment holds zero or two tokens of at most _MAX_DIGITS digits,
-    each after an optional '+', with spaces and tabs between them.  Byte
-    positions are ``int32``, and each temporary is dropped once read.
+    None unless the chunk is UTF-8 and every line but a comment holds zero
+    or two tokens of at most _MAX_DIGITS digits, each after an optional '+',
+    with spaces and tabs between them; LF, CRLF and a lone CR each end a
+    line.  Byte positions are ``int32``, and each temporary is dropped once
+    read.
     """
     if not chunk.isascii():
         try:
@@ -551,9 +543,7 @@ def _chunk_values(chunk):
         except UnicodeDecodeError:
             return None
     if b"\r" in chunk:
-        chunk = chunk.replace(b"\r\n", b"\n")
-        if b"\r" in chunk:
-            return None
+        chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b"#" in chunk:
         chunk = _COMMENT.sub(b"", chunk)
     if b"+" in chunk:
@@ -619,14 +609,23 @@ def _parse(handle, repeated=None):
     """
     # The byte offset and the first line's number of each chunk of whole
     # lines, and of the end.
+    starts, long_line = [(0, 1)], False
     handle.seek(0)
-    starts = [(0, 1)]
-    while chunk := handle.read(_CHUNK_BYTES):
-        chunk += handle.readline()  # the rest of its last line
-        line_no = starts[-1][1] + chunk.count(b"\n")
-        if b"\r" in chunk:
-            line_no += chunk.count(b"\r") - chunk.count(b"\r\n")
-        starts.append((starts[-1][0] + len(chunk), line_no))
+    while block := handle.read(_CHUNK_BYTES):
+        if block.endswith(b"\r") and handle.read(1) == b"\n":
+            block += b"\n"  # a CR that ends the block takes the LF of its CRLF
+        if long_line:  # the last entry is where the line has reached
+            end, line_no = starts.pop()
+            cut = found.end() if (found := _LINE_END.search(block)) else 0
+        else:
+            end, line_no = starts[-1]
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        long_line = not cut
+        line_no += block.count(b"\n", 0, cut)
+        if b"\r" in block:
+            line_no += block.count(b"\r", 0, cut) - block.count(b"\r\n", 0, cut)
+        starts.append((end + (cut or len(block)), line_no))
+        handle.seek(starts[-1][0])
     handle.seek(0)
     shape, linear, n_cells, ordered, error = None, None, 0, True, None
     seen = None if repeated is None else np.zeros(repeated.size, dtype=bool)
@@ -649,10 +648,8 @@ def _parse(handle, repeated=None):
             np.multiply(values[0::2], shape[1], out=cells)
             cells += values[1::2]
             # Files written by this module list their cells in increasing order.
-            if ordered:
-                ordered = (n_cells == 0 or cells[0] > linear[n_cells - 1]) and bool(
-                    (cells[1:] > cells[:-1]).all()
-                )
+            run = linear[max(n_cells - 1, 0):n_cells + cells.size]
+            ordered = ordered and bool((run[1:] > run[:-1]).all())
             n_cells += cells.size
             if repeated is not None:
                 for index in np.flatnonzero(np.isin(cells, repeated)):

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -458,6 +459,22 @@ class TestCheckpointRows:
 
 
 class TestBlasThreadBound:
+    def test_bundled_openblas_is_found(self):
+        # The tests of the BLAS thread bound skip without the thread calls,
+        # so a numpy whose bundled OpenBLAS the lookup no longer finds must
+        # fail here instead.
+        if not sys.platform.startswith("linux"):
+            pytest.skip("the lookup reads the shared objects of Linux wheels")
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas["name"] != "scipy-openblas":
+            pytest.skip(f"numpy is built against {blas['name']}")
+        calls = nbmf._workers._openblas_thread_calls()
+        assert calls is not None, "no thread calls in numpy's bundled OpenBLAS"
+        get_threads, set_threads = calls
+        before = get_threads()
+        set_threads(before)
+        assert before >= 1 and get_threads() == before
+
     def test_search_bounds_and_restores_blas_threads(self, monkeypatch,
                                                      small_problem):
         calls = nbmf._workers._openblas_thread_calls()
